@@ -1,5 +1,7 @@
 """Curvature-pinching thresholds and mean curvature flow in spherical space forms."""
 
+__version__ = "0.1.0"
+
 from .errors import (
     CheckFailure,
     DegenerateGamma,
@@ -53,5 +55,3 @@ from .thresholds import (
     family,
 )
 from .verify import CheckReport, default_suite
-
-__version__ = "0.1.0"

@@ -79,6 +79,13 @@ class ProfileGeometry:
     nu_phi: np.ndarray
     nu_xi: np.ndarray
 
+    def principal(self, n: int) -> np.ndarray:
+        """(N, n) principal curvatures: kappa_orbit n-1 times, then kappa_profile."""
+        return np.concatenate(
+            [np.repeat(self.kappa_orbit[:, None], n - 1, axis=1), self.kappa_profile[:, None]],
+            axis=1,
+        )
+
 
 def embed(phi: np.ndarray, xi: np.ndarray, c: float) -> np.ndarray:
     """Orbit-space points on the radius-1/sqrt(c) hemisphere in R^3."""

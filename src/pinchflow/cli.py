@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--c-values", type=float, nargs="*", default=list(DEFAULT_CS))
     p_ver.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_ver.add_argument("--workers", type=int, default=None)
     p_ver.add_argument("--output", default=None, help="JSON report path")
 
     p_sim = sub.add_parser("simulate", help="integrate the flow for one state")
@@ -138,7 +137,6 @@ def main(argv=None) -> int:
                 cs=tuple(args.c_values),
                 grid_points=args.grid_points,
                 seed=args.seed,
-                workers=args.workers,
             )
             print(export.render_report_table(reports))
             if args.output:
@@ -184,7 +182,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import __version__ as VERSION
+
 TOOL = "pinchflow"
-VERSION = "0.1.0"
 
 
 def fmt(x) -> str:

@@ -354,11 +354,11 @@ def flow_ode_numeric(
         prev = monitors_update(params, config, data, float(t), prev)
         trace.monitors.append(prev)
         trace.samples.append(TraceSample(float(t), state, data, prev))
-    trace.terminal = _ode_terminal(kind, sol, params, config, trace)
+    trace.terminal = _ode_terminal(kind, sol, params, trace)
     return trace
 
 
-def _ode_terminal(kind, sol, params, config, trace) -> TerminalEvent:
+def _ode_terminal(kind, sol, params, trace) -> TerminalEvent:
     n, c = params.n, params.c
     if sol.status == 1:  # a terminal event fired
         if kind == "sphere":
@@ -376,13 +376,7 @@ def _ode_terminal(kind, sol, params, config, trace) -> TerminalEvent:
             tail = -np.log(1.0 - n * c * y_hit / (n - 1.0)) / (2.0 * n * c)
             return TerminalEvent(TerminalKind.GREAT_CIRCLE_COLLAPSE, float(t_hit + tail))
         return TerminalEvent(TerminalKind.BLOWUP, float(sol.t_events[1][0]))
-    # Horizon reached: decide whether the trailing window is totally geodesic.
-    window = 1.0 / (n * c)
-    ts = trace.times
-    recent = [m for m in trace.monitors if m.t >= ts[-1] - window]
-    if ts[-1] >= window and all(m.h2_max < GEODESIC_H2 * c for m in recent):
-        return TerminalEvent(TerminalKind.TOTALLY_GEODESIC, float(ts[-1]))
-    return TerminalEvent(TerminalKind.HORIZON_REACHED, float(ts[-1]))
+    return _horizon_terminal(trace, params)
 
 
 # ---------------------------------------------------------------- PDE route
@@ -428,7 +422,7 @@ def flow_axisymmetric(
             trace.terminal = TerminalEvent(kind, t)
             break
         if t >= config.t_max:
-            trace.terminal = _pde_horizon_terminal(trace, params)
+            trace.terminal = _horizon_terminal(trace, params)
             break
         # Parabolic bound from the profile diffusion plus a reaction-rate
         # bound: near a collapse |h|^2 ~ 1/(T - t), so this step shrinks
@@ -464,7 +458,8 @@ def _check_mesh(phi, xi, params):
         raise MeshDegenerate("adjacent profile samples collapsed after redistribution")
 
 
-def _pde_horizon_terminal(trace: FlowTrace, params: PinchingParams) -> TerminalEvent:
+def _horizon_terminal(trace: FlowTrace, params: PinchingParams) -> TerminalEvent:
+    """Horizon reached: totally geodesic if |h|^2 stayed ~0 over the trailing 1/(nc)."""
     n, c = params.n, params.c
     window = 1.0 / (n * c)
     ts = trace.times
@@ -475,15 +470,10 @@ def _pde_horizon_terminal(trace: FlowTrace, params: PinchingParams) -> TerminalE
 
 
 def _geom_to_data(geom: axisym.ProfileGeometry, params: PinchingParams) -> CurvatureData:
-    n = params.n
-    principal = np.concatenate(
-        [np.repeat(geom.kappa_orbit[:, None], n - 1, axis=1), geom.kappa_profile[:, None]],
-        axis=1,
-    )
     return CurvatureData(
         H=geom.H,
         h_norm2=geom.h2,
         h0_norm2=geom.h0_2,
-        principal=principal,
+        principal=geom.principal(params.n),
         grad_H2=geom.grad_H2,
     )

@@ -178,14 +178,7 @@ def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureD
     if isinstance(state, Axisymmetric):
         axisym.validate_profile(state.phi, state.xi)
         geom = axisym.curvature_of_profile(state.phi, state.xi, params)
-        principal = np.concatenate(
-            [
-                np.repeat(geom.kappa_orbit[:, None], n - 1, axis=1),
-                geom.kappa_profile[:, None],
-            ],
-            axis=1,
-        )
-        return _principal_to_data(params, principal, grad_H2=geom.grad_H2)
+        return _principal_to_data(params, geom.principal(n), grad_H2=geom.grad_H2)
     raise GeometryError(f"unsupported hypersurface state {state!r}")
 
 

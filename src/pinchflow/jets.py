@@ -35,9 +35,6 @@ class Jet:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet(-self.f, -self.d1, -self.d2)
-
     def __sub__(self, other):
         o = self._lift(other)
         return Jet(self.f - o.f, self.d1 - o.d1, self.d2 - o.d2)
@@ -69,14 +66,6 @@ class Jet:
         root = np.sqrt(self.f)
         d1 = self.d1 / (2.0 * root)
         return Jet(root, d1, self.d2 / (2.0 * root) - self.d1 * d1 / (2.0 * self.f))
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 1:
-            raise ValueError("jet powers support positive integer exponents only")
-        out = self
-        for _ in range(exponent - 1):
-            out = out * self
-        return out
 
 
 def variable(x) -> Jet:

@@ -17,6 +17,7 @@ bisection of the defining cubic.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,15 +115,6 @@ class ThresholdBundle:
     active_branch: Branch
 
 
-def _y_n_closed_form(n: int) -> float:
-    """Trigonometric closed form for y_n, evaluated in extended precision."""
-    with mp.workdps(_MP_DPS):
-        m = mpf(n)
-        angle = _matan((m * m - 4 * m + 6) / (2 * (m - 1) * _msqrt(2 * m - 5))) / 3
-        value = 4 * (1 - m) + (2 * (m * m - 4) / _msqrt(2 * m - 5)) * _mcos(angle)
-        return float(value)
-
-
 def _cubic_residual(n: int, y):
     """Defining cubic for y_n: vanishing identifies the branch point."""
     ratio = (n * n - 4.0 * n + 6.0) / (n * n - 4.0)
@@ -146,8 +138,12 @@ def _y_n_bisection(n: int) -> float:
     return brentq(lambda y: _cubic_residual(n, y), ys[i], ys[i + 1], xtol=1e-13, rtol=1e-15)
 
 
-def _k_n_extended(n: int) -> tuple[float, str]:
-    """k_n from the normalized (c = 1) threshold, in extended precision."""
+def _closed_forms(n: int) -> tuple[float, float, str]:
+    """(y_n, k_n, k_n branch) in extended precision, from one evaluation of y_n.
+
+    y_n comes from its trigonometric closed form; k_n from the normalized
+    (c = 1) threshold at x0 = y_n.
+    """
     with mp.workdps(_MP_DPS):
         m = mpf(n)
         angle = _matan((m * m - 4 * m + 6) / (2 * (m - 1) * _msqrt(2 * m - 5))) / 3
@@ -162,7 +158,7 @@ def _k_n_extended(n: int) -> tuple[float, str]:
         else:
             value = a - d1 * d1 / (2 * d2)
             branch = "vertex"
-        return float(value), branch
+        return float(y), float(value), branch
 
 
 class ThresholdFamily:
@@ -175,7 +171,7 @@ class ThresholdFamily:
         self.params = params
         n, c = params.n, params.c
 
-        y_closed = _y_n_closed_form(n)
+        y_closed, k_n, k_branch = _closed_forms(n)
         y_root = _y_n_bisection(n)
         if abs(y_closed - y_root) > _ROOT_AGREEMENT_RTOL * max(1.0, abs(y_closed)):
             raise RootMismatch(
@@ -183,7 +179,6 @@ class ThresholdFamily:
             )
         residual = _cubic_residual(n, y_closed)
         scale = abs(y_closed * (y_closed + 6.0 * (n - 1.0)) ** 2)
-        k_n, k_branch = _k_n_extended(n)
 
         self.y_n = y_closed
         self.x0 = y_closed * c
@@ -318,8 +313,9 @@ class ThresholdFamily:
         if xf < 0.0:
             raise DomainError("thresholds are defined for x >= 0 only")
         a, a1, a2, a3 = self.alpha(xf)
-        b, _, _ = self.beta(xf)
-        g, g1, g2, on_alpha = self.gamma(xf)
+        b, b1, b2 = self.beta(xf)
+        on_alpha = xf >= self.x0
+        g, g1, g2 = (a, a1, a2) if on_alpha else (b, b1, b2)
         w, w1, w2 = self.omega(xf)
         return ThresholdBundle(
             x=xf,
@@ -349,15 +345,10 @@ class ThresholdFamily:
         return np.unique(np.concatenate([log_part, lin_part, marked]))
 
 
-_FAMILY_CACHE: dict[tuple[int, float], ThresholdFamily] = {}
-
-
+@functools.cache
 def family(params: PinchingParams) -> ThresholdFamily:
     """Cached ThresholdFamily for the given parameters."""
-    key = (params.n, params.c)
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = ThresholdFamily(params)
-    return _FAMILY_CACHE[key]
+    return ThresholdFamily(params)
 
 
 # ------------------------------------------------------------ operation API

@@ -17,8 +17,6 @@ x = 1e6 c).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -518,30 +516,36 @@ def check_okumura(params: PinchingParams, samples: int = 100_000, seed: int = DE
 
 
 def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray, width: int = 5) -> np.ndarray:
-    """Derivative of a sampled series on a nonuniform grid (local polynomials)."""
+    """Derivative of a sampled series on a nonuniform grid (local polynomials).
+
+    Vectorized over the sample index.  The products and sums over the stencil
+    keep the order of a per-sample loop, so each entry equals that loop's
+    result bit for bit.
+    """
     m = len(ts)
     half = width // 2
     out = np.full(m, np.nan)
-    for i in range(half, m - half):
-        tau = ts[i - half : i + half + 1] - ts[i]
-        y = ys[i - half : i + half + 1]
-        acc = 0.0
-        for j in range(width):
-            denom = 1.0
-            for k in range(width):
-                if k != j:
-                    denom *= tau[j] - tau[k]
-            num = 0.0
-            for k in range(width):
-                if k == j:
-                    continue
-                prod = 1.0
-                for l in range(width):
-                    if l != j and l != k:
-                        prod *= -tau[l]
-                num += prod
-            acc += y[j] * num / denom
-        out[i] = acc
+    centers = np.arange(half, m - half)
+    window = centers[:, None] + np.arange(-half, half + 1)
+    tau = ts[window] - ts[centers, None]
+    y = ys[window]
+    acc = np.zeros(len(centers))
+    for j in range(width):
+        denom = np.ones(len(centers))
+        for k in range(width):
+            if k != j:
+                denom *= tau[:, j] - tau[:, k]
+        num = np.zeros(len(centers))
+        for k in range(width):
+            if k == j:
+                continue
+            prod = np.ones(len(centers))
+            for l in range(width):
+                if l != j and l != k:
+                    prod *= -tau[:, l]
+            num += prod
+        acc += y[:, j] * num / denom
+    out[half : m - half] = acc
     return out
 
 
@@ -674,32 +678,21 @@ def default_suite(
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = DEFAULT_SEED,
     okumura_samples: int = 100_000,
-    workers: int | None = None,
 ) -> list[CheckReport]:
-    """Run every check over the (n, c) lattice; deterministic given the seed."""
-    tasks = []
+    """Run every check over the (n, c) lattice, serially on the calling thread.
+
+    Deterministic given the seed: the reports always come in the same order.
+    """
+    reports: list[CheckReport] = []
     for n, c in iter_product(ns, cs):
         params = PinchingParams(n=n, c=c)
-        tasks.append(lambda p=params: check_lemma_app(p, grid_points))
-        tasks.append(lambda p=params: check_wpp(p, grid_points))
-        tasks.append(lambda p=params: check_constants(p, grid_points))
-        tasks.append(lambda p=params: check_derivative_oracles(p, seed))
+        reports += check_lemma_app(params, grid_points)
+        reports += check_wpp(params, grid_points)
+        reports += check_constants(params, grid_points)
+        reports += check_derivative_oracles(params, seed)
     for n in ns:
-        params = PinchingParams(n=n, c=1.0)
-        tasks.append(lambda p=params: check_okumura(p, okumura_samples, seed))
+        reports += check_okumura(PinchingParams(n=n, c=1.0), okumura_samples, seed)
     for c in cs:
-        params = PinchingParams(n=10, c=c)
-        tasks.append(lambda p=params: check_flow_oracles(p))
-    tasks.append(lambda: check_flow_oracles(PinchingParams(n=3, c=1.0)))
-
-    if workers is None:
-        workers = int(os.environ.get("PINCHFLOW_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    reports: list[CheckReport] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(lambda f: f(), tasks):
-                reports.extend(chunk)
-    else:
-        for task in tasks:
-            reports.extend(task())
+        reports += check_flow_oracles(PinchingParams(n=10, c=c))
+    reports += check_flow_oracles(PinchingParams(n=3, c=1.0))
     return reports

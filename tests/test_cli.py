@@ -142,6 +142,15 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def test_verify_rejects_removed_workers_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--workers", "2"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in stderr
+    assert "Traceback" not in stderr
+
+
 def test_runtime_error_exit_code(capsys):
     # axisymmetric without a profile file is a run failure, not a crash
     assert main(["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1"]) == 1

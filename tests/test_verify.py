@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pinchflow import CheckFailure, PinchingParams
+from pinchflow import CheckFailure, PinchingParams, ThresholdFamily
 from pinchflow.thresholds import family
 from pinchflow.verify import (
+    _lagrange_derivative,
     check_constants,
     check_derivative_oracles,
     check_flow_oracles,
@@ -84,13 +85,71 @@ def test_reports_deterministic():
 
 
 def test_small_suite_green_and_raise_on_failure():
-    reports = default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000, workers=2)
+    reports = default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000)
     assert all(r.passed for r in reports)
     raise_on_failure(reports)  # no-op when green
     bad = reports[0]
     bad.passed = False
     with pytest.raises(CheckFailure):
         raise_on_failure(reports)
+
+
+def test_suite_builds_each_family_once(monkeypatch):
+    built = []
+    init = ThresholdFamily.__init__
+
+    def counting_init(self, params):
+        built.append((params.n, params.c))
+        init(self, params)
+
+    monkeypatch.setattr(ThresholdFamily, "__init__", counting_init)
+    family.cache_clear()
+    default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000, okumura_samples=1000)
+    assert sorted(built) == [(3, 1.0), (10, 1.0)]
+
+
+def _lagrange_derivative_loop(ts, ys, width=5):
+    """Per-sample reference for the vectorized stencil, same arithmetic order."""
+    m, half = len(ts), width // 2
+    out = np.full(m, np.nan)
+    for i in range(half, m - half):
+        tau = ts[i - half : i + half + 1] - ts[i]
+        y = ys[i - half : i + half + 1]
+        acc = 0.0
+        for j in range(width):
+            denom = 1.0
+            for k in range(width):
+                if k != j:
+                    denom *= tau[j] - tau[k]
+            num = 0.0
+            for k in range(width):
+                if k != j:
+                    prod = 1.0
+                    for l in range(width):
+                        if l != j and l != k:
+                            prod *= -tau[l]
+                    num += prod
+            acc += y[j] * num / denom
+        out[i] = acc
+    return out
+
+
+def test_lagrange_derivative_exact_for_quartics():
+    rng = np.random.default_rng(5)
+    ts = np.cumsum(rng.uniform(0.01, 0.05, 400))
+    ys = 3.0 - 2.0 * ts + 0.5 * ts ** 2 - 1.5 * ts ** 3 + 0.25 * ts ** 4
+    exact = -2.0 + ts - 4.5 * ts ** 2 + ts ** 3
+    d = _lagrange_derivative(ts, ys)
+    assert np.all(np.isnan(d[:2])) and np.all(np.isnan(d[-2:]))
+    rel = np.abs(d[2:-2] - exact[2:-2]) / np.max(np.abs(exact))
+    assert rel.max() <= 1e-10
+    noisy = ys + rng.normal(scale=1e-3, size=len(ts))
+    for m in (0, 4, 5, 50, 400):
+        assert np.array_equal(
+            _lagrange_derivative(ts[:m], noisy[:m]),
+            _lagrange_derivative_loop(ts[:m], noisy[:m]),
+            equal_nan=True,
+        )
 
 
 def test_grid_contains_marked_points():
