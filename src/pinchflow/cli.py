@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--output", default="constants.json")
 
     p_ver = sub.add_parser("verify", help="run the certification suite")
-    p_ver.add_argument("--n-values", type=int, nargs="*", default=list(DEFAULT_NS))
-    p_ver.add_argument("--c-values", type=float, nargs="*", default=list(DEFAULT_CS))
+    p_ver.add_argument("--n-values", type=int, nargs="+", default=list(DEFAULT_NS))
+    p_ver.add_argument("--c-values", type=float, nargs="+", default=list(DEFAULT_CS))
     p_ver.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_ver.add_argument("--output", default=None, help="JSON report path")
@@ -114,6 +114,8 @@ def main(argv=None) -> int:
             if args.x is not None:
                 xs = np.array([args.x])
             else:
+                if args.points < 1:
+                    parser.error(f"--points must be >= 1, got {args.points}")
                 lo = args.x_min if args.x_min is not None else 0.0
                 hi = args.x_max if args.x_max is not None else 100.0 * params.c
                 xs = np.linspace(lo, hi, args.points)
@@ -155,8 +157,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             params = PinchingParams(n=args.n, c=args.c)
             state = _load_state(args, params)
-            if args.curvature_csv:
-                export.write_curvature_csv(args.curvature_csv, state, params, echo)
             config = FlowConfig(
                 epsilon=args.epsilon,
                 sigma=args.sigma,
@@ -164,6 +164,9 @@ def main(argv=None) -> int:
                 t_max=args.t_max,
                 tol=args.tol,
             )
+            config.validate(params)  # before any file is written
+            if args.curvature_csv:
+                export.write_curvature_csv(args.curvature_csv, state, params, echo)
             if args.family == "product-exact":
                 trace = flow_product_exact(state, params, config)
             elif args.family == "axisymmetric":

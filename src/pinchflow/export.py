@@ -66,25 +66,15 @@ def write_trace_csv(path, trace, config: dict):
     """Trace table: t,family,param,H_max,h2_max,h0_2_max,gamma_min,U_max,f_sigma,g_sigma."""
     lines = provenance_lines(config)
     lines.append("t,family,param,H_max,h2_max,h0_2_max,gamma_min,U_max,f_sigma,g_sigma")
-    fam_name = trace.family
-    by_time = {s.t: s for s in trace.samples}
-    for m in trace.monitors:
-        sample = by_time.get(m.t)
-        param = ""
-        if sample is not None:
-            state = sample.state
-            if hasattr(state, "rho"):
-                param = fmt(state.rho)
-            elif hasattr(state, "lam"):
-                param = fmt(state.lam)
-            else:
-                param = str(state.grid_size)
-        lines.append(
-            ",".join(
-                [fmt(m.t), fam_name, param, fmt(m.H_max), fmt(m.h2_max), fmt(m.h0_2_max),
-                 fmt(m.gamma_min), fmt(m.U_max), fmt(m.f_sigma), fmt(m.g_sigma)]
-            )
-        )
+    m, state = trace.monitors, trace.state
+    if state is None:  # axisymmetric: the grid size on snapshot rows only
+        snaps = trace.snapshots
+        param = [str(snaps[i].grid_size) if i in snaps else "" for i in range(len(m))]
+    else:
+        param = [fmt(v) for v in (state.rho if hasattr(state, "rho") else state.lam)]
+    columns = (m.t, m.H_max, m.h2_max, m.h0_2_max, m.gamma_min, m.U_max, m.f_sigma, m.g_sigma)
+    for p, t, *values in zip(param, *(col.tolist() for col in columns)):
+        lines.append(",".join([fmt(t), trace.family, p] + [fmt(v) for v in values]))
     _write(path, "\n".join(lines) + "\n")
 
 

@@ -18,12 +18,18 @@ f_sigma = |h0|^2 / ring(gamma)^{1-sigma} with ring(gamma) = gamma - H^2/n, its
 rescaling g_sigma = f_sigma e^{2 sigma c t}, and for profile flows the
 gradient proxy |grad H|^2 together with running fitted constants for the
 decay and gradient bounds (reported, never asserted).
+
+A FlowTrace is columnar: one MonitorRecord of arrays, one entry per recorded
+step.  A homogeneous trace keeps its trajectory as one array-valued state
+(rho, or lam with the exact r1^2) and its curvature data, both evaluated once.
+An axisymmetric trace keeps profile snapshots keyed by record index; its
+step size depends on the current |h|^2, so it takes monitors step by step.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -52,7 +58,6 @@ __all__ = [
     "TerminalEvent",
     "FlowConfig",
     "MonitorRecord",
-    "TraceSample",
     "FlowTrace",
     "default_epsilon",
     "flow_product_exact",
@@ -106,8 +111,12 @@ class FlowConfig:
             raise DomainError(f"sigma must lie in (0, 1), got {self.sigma!r}")
         if self.eta is not None and not 0.0 < self.eta < 1.0 / params.n:
             raise DomainError(f"eta must lie in (0, 1/n), got {self.eta!r}")
-        if self.epsilon is not None and self.epsilon < 0.0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon!r}")
+        if self.epsilon is not None and not 0.0 <= self.epsilon < np.inf:
+            raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        for name in ("t_max", "tol", "dt_initial", "dt_min"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
     def resolved(self, state: HypersurfaceState, params: PinchingParams) -> "FlowConfig":
         self.validate(params)
@@ -119,39 +128,40 @@ class FlowConfig:
 
 @dataclass
 class MonitorRecord:
-    t: float
-    H_max: float
-    h2_max: float
-    h0_2_max: float
-    gamma_min: float
-    U_max: float
-    f_sigma: float
-    g_sigma: float
-    grad_H2_max: float = 0.0
-    C0_fit: float = 0.0
-    C_eta_fit: float = 0.0
+    """Monitors at one time (float fields) or columns over a trace (1-D arrays)."""
 
+    t: float | np.ndarray
+    H_max: float | np.ndarray
+    h2_max: float | np.ndarray
+    h0_2_max: float | np.ndarray
+    gamma_min: float | np.ndarray
+    U_max: float | np.ndarray
+    f_sigma: float | np.ndarray
+    g_sigma: float | np.ndarray
+    grad_H2_max: float | np.ndarray = 0.0
+    C0_fit: float | np.ndarray = 0.0
+    C_eta_fit: float | np.ndarray = 0.0
 
-@dataclass
-class TraceSample:
-    t: float
-    state: HypersurfaceState
-    curvature: CurvatureData
-    monitors: MonitorRecord
+    def __len__(self) -> int:
+        return np.size(self.t)
 
 
 @dataclass
 class FlowTrace:
+    """Monitor columns plus the trajectory ``state`` (homogeneous) or ``snapshots``."""
+
     family: str
     params: PinchingParams
     config: FlowConfig
-    samples: list[TraceSample] = field(default_factory=list)
-    monitors: list[MonitorRecord] = field(default_factory=list)
+    monitors: MonitorRecord
+    state: GeodesicSphere | ProductSn1S1 | None = None
+    curvature: CurvatureData | None = None
+    snapshots: dict[int, Axisymmetric] = field(default_factory=dict)
     terminal: TerminalEvent | None = None
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([m.t for m in self.monitors])
+        return self.monitors.t
 
 
 def default_epsilon(state: HypersurfaceState, params: PinchingParams) -> float:
@@ -169,15 +179,27 @@ def monitors_update(
     params: PinchingParams,
     config: FlowConfig,
     data: CurvatureData,
-    t: float,
+    t: float | np.ndarray,
     previous: MonitorRecord | None = None,
 ) -> MonitorRecord:
-    """Monitor record at time t from pointwise curvature data."""
+    """Monitor record from pointwise curvature data.
+
+    A float t takes data of one state and gives float fields; an array t takes
+    a homogeneous trajectory and gives columns.  The fitted constants are
+    running maxima continued from ``previous``.
+    """
     n, c = params.n, params.c
     fam = family(params)
-    H = np.atleast_1d(np.asarray(data.H, dtype=float))
-    h2 = np.atleast_1d(np.asarray(data.h_norm2, dtype=float))
-    h0_2 = np.atleast_1d(np.asarray(data.h0_norm2, dtype=float))
+    t = np.asarray(t, dtype=float)
+
+    def pointwise(values):
+        # axis 0 runs over the points of one state; a trajectory adds axis 1 over times
+        if t.ndim:
+            return np.broadcast_to(np.asarray(values, dtype=float), t.shape)[None, :]
+        return np.atleast_1d(np.asarray(values, dtype=float))
+
+    H, h2, h0_2 = pointwise(data.H), pointwise(data.h_norm2), pointwise(data.h0_norm2)
+    grad = pointwise(data.grad_H2)
     x = H ** 2
     g, _, _, _ = fam.gamma(x)
     w, _, _ = fam.omega(x)
@@ -186,32 +208,31 @@ def monitors_update(
         raise DegenerateGamma("gamma - H^2/n must stay positive")
     eps = config.epsilon or 0.0
     U = h2 - g + eps * w
-    f_sigma = float((h0_2 / gamma_ring ** (1.0 - config.sigma)).max())
-    g_sigma = f_sigma * float(np.exp(2.0 * config.sigma * c * t))
-    grad = np.atleast_1d(np.asarray(data.grad_H2, dtype=float))
-    decay_ratio = float(
-        (h0_2 * np.exp(2.0 * config.sigma * c * t) / (x + c) ** (1.0 - config.sigma)).max()
-    )
+    growth = np.exp(2.0 * config.sigma * c * t)
+    f_sigma = (h0_2 / gamma_ring ** (1.0 - config.sigma)).max(axis=0)
+    decay_ratio = (h0_2 * growth / (x + c) ** (1.0 - config.sigma)).max(axis=0)
     eta = config.eta or 1.0 / (2.0 * n)
     grad_gap = grad * np.exp(config.sigma * c * t) - (eta * np.abs(H)) ** 4
-    c_eta = float(np.sqrt(max(0.0, grad_gap.max())))
-    record = MonitorRecord(
-        t=t,
-        H_max=float(np.abs(H).max()),
-        h2_max=float(h2.max()),
-        h0_2_max=float(h0_2.max()),
-        gamma_min=float(g.min()),
-        U_max=float(U.max()),
-        f_sigma=f_sigma,
-        g_sigma=g_sigma,
-        grad_H2_max=float(grad.max()),
-        C0_fit=decay_ratio,
-        C_eta_fit=c_eta,
-    )
+    c_eta = np.sqrt(np.maximum(0.0, grad_gap.max(axis=0)))
     if previous is not None:
-        record.C0_fit = max(record.C0_fit, previous.C0_fit)
-        record.C_eta_fit = max(record.C_eta_fit, previous.C_eta_fit)
-    return record
+        decay_ratio = np.maximum(decay_ratio, previous.C0_fit)
+        c_eta = np.maximum(c_eta, previous.C_eta_fit)
+    columns = dict(
+        t=t,
+        H_max=np.abs(H).max(axis=0),
+        h2_max=h2.max(axis=0),
+        h0_2_max=h0_2.max(axis=0),
+        gamma_min=g.min(axis=0),
+        U_max=U.max(axis=0),
+        f_sigma=f_sigma,
+        g_sigma=f_sigma * growth,
+        grad_H2_max=grad.max(axis=0),
+        C0_fit=np.maximum.accumulate(np.atleast_1d(decay_ratio)),
+        C_eta_fit=np.maximum.accumulate(np.atleast_1d(c_eta)),
+    )
+    if not t.ndim:
+        columns = {name: column.item() for name, column in columns.items()}
+    return MonitorRecord(**columns)
 
 
 # ----------------------------------------------------------- exact product
@@ -236,21 +257,18 @@ def flow_product_exact(
         )
     d = 1.0 - n * c * r1sq0 / (n - 1.0)
     T = -np.log(d) / (2.0 * n * c)
-    trace = FlowTrace(family="product", params=params, config=config)
     t_end = min(config.t_max, T)
     # Samples crowd toward the collapse time where the state varies fastest.
     u = np.linspace(0.0, 1.0, n_samples)
     ts = t_end * (1.0 - (1.0 - u) ** 2)
-    prev = None
-    for t in ts:
-        r1sq = stationary * (1.0 - d * np.exp(2.0 * n * c * t))
-        if r1sq <= COLLAPSE_R1SQ / c:
-            break
-        state = ProductSn1S1.from_r1sq(r1sq, params)
-        data = curvature_of(state, params)
-        prev = monitors_update(params, config, data, float(t), prev)
-        trace.monitors.append(prev)
-        trace.samples.append(TraceSample(float(t), state, data, prev))
+    r1sq = stationary * (1.0 - d * np.exp(2.0 * n * c * ts))
+    # The trajectory ends before the first sample at the great circle.
+    collapsed = r1sq <= COLLAPSE_R1SQ / c
+    stop = int(np.argmax(collapsed)) if collapsed.any() else len(ts)
+    state = ProductSn1S1.from_r1sq(r1sq[:stop], params)
+    data = curvature_of(state, params)
+    monitors = monitors_update(params, config, data, ts[:stop])
+    trace = FlowTrace("product", params, config, monitors, state=state, curvature=data)
     if T <= config.t_max:
         trace.terminal = TerminalEvent(TerminalKind.GREAT_CIRCLE_COLLAPSE, float(T))
     else:
@@ -316,12 +334,6 @@ def initial_r1sq(state: ProductSn1S1, params: PinchingParams) -> float:
     return state.radii(params)[0] ** 2
 
 
-def _reconstruct_state(kind: str, y: float, params: PinchingParams) -> HypersurfaceState:
-    if kind == "sphere":
-        return GeodesicSphere(rho=float(y))
-    return ProductSn1S1.from_r1sq(float(y), params)
-
-
 def flow_ode_numeric(
     initial: GeodesicSphere | ProductSn1S1,
     params: PinchingParams,
@@ -346,19 +358,16 @@ def flow_ode_numeric(
     )
     if sol.status == -1:
         raise StepUnderflow(f"integrator failed: {sol.message}")
-    trace = FlowTrace(family=kind, params=params, config=config)
-    prev = None
-    for t, y in zip(sol.t, sol.y[0]):
-        state = _reconstruct_state(kind, y, params)
-        data = curvature_of(state, params)
-        prev = monitors_update(params, config, data, float(t), prev)
-        trace.monitors.append(prev)
-        trace.samples.append(TraceSample(float(t), state, data, prev))
-    trace.terminal = _ode_terminal(kind, sol, params, trace)
+    y = sol.y[0]
+    state = GeodesicSphere(rho=y) if kind == "sphere" else ProductSn1S1.from_r1sq(y, params)
+    data = curvature_of(state, params)
+    monitors = monitors_update(params, config, data, sol.t)
+    trace = FlowTrace(kind, params, config, monitors, state=state, curvature=data)
+    trace.terminal = _ode_terminal(kind, sol, params, monitors)
     return trace
 
 
-def _ode_terminal(kind, sol, params, trace) -> TerminalEvent:
+def _ode_terminal(kind, sol, params, monitors: MonitorRecord) -> TerminalEvent:
     n, c = params.n, params.c
     if sol.status == 1:  # a terminal event fired
         if kind == "sphere":
@@ -376,7 +385,7 @@ def _ode_terminal(kind, sol, params, trace) -> TerminalEvent:
             tail = -np.log(1.0 - n * c * y_hit / (n - 1.0)) / (2.0 * n * c)
             return TerminalEvent(TerminalKind.GREAT_CIRCLE_COLLAPSE, float(t_hit + tail))
         return TerminalEvent(TerminalKind.BLOWUP, float(sol.t_events[1][0]))
-    return _horizon_terminal(trace, params)
+    return _horizon_terminal(monitors, params)
 
 
 # ---------------------------------------------------------------- PDE route
@@ -392,15 +401,13 @@ def flow_axisymmetric(
     n, c = params.n, params.c
     axisym.validate_profile(initial.phi, initial.xi)
     phi, xi, spacing, length, winding = axisym.resample_profile(initial.phi, initial.xi, params)
-    n_pts = len(phi)
-    trace = FlowTrace(family="axisymmetric", params=params, config=config)
 
     def velocity(ph, x_):
         geom = axisym.profile_geometry(ph, x_, params, spacing, winding)
         return geom.H * geom.nu_phi, geom.H * geom.nu_xi, geom
 
     t = 0.0
-    prev = None
+    prev, records, snapshots, terminal = None, [], {}, None
     geom = axisym.profile_geometry(phi, xi, params, spacing, winding)
     est_steps = max(1, int(config.t_max / max(CFL_FACTOR * spacing ** 2, config.dt_min)))
     snap_every = max(1, est_steps // MESH_SAMPLES_TARGET)
@@ -408,10 +415,9 @@ def flow_axisymmetric(
     while True:
         data = _geom_to_data(geom, params)
         prev = monitors_update(params, config, data, t, prev)
-        trace.monitors.append(prev)
+        records.append(prev)
         if step % snap_every == 0:
-            state = Axisymmetric(np.stack([phi, xi], axis=1))
-            trace.samples.append(TraceSample(t, state, data, prev))
+            snapshots[step] = Axisymmetric(np.stack([phi, xi], axis=1))
         if prev.h2_max > BLOWUP_H2 * c:
             min_r1sq = float(np.min(np.sin(phi) ** 2) / c)
             kind = (
@@ -419,10 +425,9 @@ def flow_axisymmetric(
                 if min_r1sq < COLLAPSE_R1SQ_PDE / c
                 else TerminalKind.BLOWUP
             )
-            trace.terminal = TerminalEvent(kind, t)
+            terminal = TerminalEvent(kind, t)
             break
         if t >= config.t_max:
-            trace.terminal = _horizon_terminal(trace, params)
             break
         # Parabolic bound from the profile diffusion plus a reaction-rate
         # bound: near a collapse |h|^2 ~ 1/(T - t), so this step shrinks
@@ -441,13 +446,17 @@ def flow_axisymmetric(
         phi = phi + dt / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
         xi = xi + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
-            trace.terminal = TerminalEvent(TerminalKind.BLOWUP, t)
+            terminal = TerminalEvent(TerminalKind.BLOWUP, t)
             break
         phi, xi, spacing, length, winding = axisym.resample_profile(phi, xi, params)
         _check_mesh(phi, xi, params)
         geom = axisym.profile_geometry(phi, xi, params, spacing, winding)
         t += dt
         step += 1
+    names = [f.name for f in fields(MonitorRecord)]
+    monitors = MonitorRecord(**{k: np.array([getattr(r, k) for r in records]) for k in names})
+    trace = FlowTrace("axisymmetric", params, config, monitors, snapshots=snapshots)
+    trace.terminal = terminal or _horizon_terminal(monitors, params)
     return trace
 
 
@@ -458,13 +467,13 @@ def _check_mesh(phi, xi, params):
         raise MeshDegenerate("adjacent profile samples collapsed after redistribution")
 
 
-def _horizon_terminal(trace: FlowTrace, params: PinchingParams) -> TerminalEvent:
+def _horizon_terminal(monitors: MonitorRecord, params: PinchingParams) -> TerminalEvent:
     """Horizon reached: totally geodesic if |h|^2 stayed ~0 over the trailing 1/(nc)."""
     n, c = params.n, params.c
     window = 1.0 / (n * c)
-    ts = trace.times
-    recent = [m for m in trace.monitors if m.t >= ts[-1] - window]
-    if ts[-1] >= window and all(m.h2_max < GEODESIC_H2 * c for m in recent):
+    ts = monitors.t
+    recent = ts >= ts[-1] - window
+    if ts[-1] >= window and np.all(monitors.h2_max[recent] < GEODESIC_H2 * c):
         return TerminalEvent(TerminalKind.TOTALLY_GEODESIC, float(ts[-1]))
     return TerminalEvent(TerminalKind.HORIZON_REACHED, float(ts[-1]))
 

@@ -42,9 +42,9 @@ WEAK_EQUALITY_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class GeodesicSphere:
-    """Geodesic sphere of radius rho, 0 < rho < pi/sqrt(c)."""
+    """Geodesic sphere of radius rho, 0 < rho < pi/sqrt(c); an array rho is a trajectory."""
 
-    rho: float
+    rho: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,32 +54,35 @@ class ProductSn1S1:
     States built from a squared radius keep it verbatim so that flows started
     at the stationary minimal torus see an exact fixed point in floating
     point (the lam round-trip would perturb the last ulp, which the unstable
-    mode then amplifies).
+    mode then amplifies).  Array fields are a trajectory: one state per entry.
     """
 
-    lam: float
-    r1sq_exact: float | None = field(default=None, compare=False)
+    lam: float | np.ndarray
+    r1sq_exact: float | np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not (self.lam > 0.0) or not np.isfinite(self.lam):
+        if not np.all((self.lam > 0.0) & np.isfinite(self.lam)):
             raise GeometryError(f"product curvature lam must be positive, got {self.lam!r}")
 
     def radii(self, params: PinchingParams) -> tuple[float, float]:
         """(r1, r2) with r1^2 + r2^2 = 1/c."""
         c = params.c
         if self.r1sq_exact is not None:
-            r1 = np.sqrt(self.r1sq_exact)
-            return float(r1), float(np.sqrt(max(0.0, 1.0 / c - self.r1sq_exact)))
+            return np.sqrt(self.r1sq_exact), np.sqrt(np.maximum(0.0, 1.0 / c - self.r1sq_exact))
         r1 = 1.0 / np.sqrt(c + self.lam ** 2)
         r2 = self.lam / np.sqrt(c * c + c * self.lam ** 2)
         return r1, r2
 
     @staticmethod
-    def from_r1sq(r1sq: float, params: PinchingParams) -> "ProductSn1S1":
+    def from_r1sq(r1sq, params: PinchingParams) -> "ProductSn1S1":
         c = params.c
-        if not 0.0 < r1sq < 1.0 / c:
+        r1sq = np.asarray(r1sq, dtype=float)
+        if not np.all((0.0 < r1sq) & (r1sq < 1.0 / c)):
             raise GeometryError(f"product state needs 0 < r1sq < 1/c, got {r1sq!r}")
-        return ProductSn1S1(lam=float(np.sqrt(1.0 / r1sq - c)), r1sq_exact=float(r1sq))
+        lam = np.sqrt(1.0 / r1sq - c)
+        if r1sq.ndim == 0:
+            return ProductSn1S1(lam=float(lam), r1sq_exact=float(r1sq))
+        return ProductSn1S1(lam=lam, r1sq_exact=r1sq)
 
 
 @dataclass
@@ -112,9 +115,10 @@ HypersurfaceState = Union[GeodesicSphere, ProductSn1S1, Axisymmetric]
 class CurvatureData:
     """Pointwise curvature quantities.
 
-    Scalar-valued for the homogeneous families; array-valued (one entry per
-    profile sample) for axisymmetric states.  ``principal`` has the full
-    multiset of principal curvatures along the last axis.
+    Scalar-valued for one homogeneous state; array-valued for a homogeneous
+    trajectory state (one entry per time) and for an axisymmetric state (one
+    entry per profile sample).  ``principal`` has the full multiset of
+    principal curvatures along the last axis.
     """
 
     H: float | np.ndarray
@@ -160,20 +164,21 @@ def _principal_to_data(params: PinchingParams, principal: np.ndarray, grad_H2=0.
 
 
 def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureData:
-    """Full curvature data of a hypersurface state."""
+    """Full curvature data of a state; a trajectory state gives one entry per time."""
     n, c = params.n, params.c
     if isinstance(state, GeodesicSphere):
-        if not 0.0 < state.rho < np.pi / np.sqrt(c):
+        rho = np.asarray(state.rho, dtype=float)
+        if not np.all((0.0 < rho) & (rho < np.pi / np.sqrt(c))):
             raise GeometryError(
                 f"geodesic sphere radius must lie in (0, pi/sqrt(c)), got {state.rho!r}"
             )
         root_c = np.sqrt(c)
-        k = root_c * np.cos(root_c * state.rho) / np.sin(root_c * state.rho)
-        principal = np.full(n, k)
+        k = root_c * np.cos(root_c * rho) / np.sin(root_c * rho)
+        principal = np.repeat(k[..., None], n, axis=-1)
         return _principal_to_data(params, principal)
     if isinstance(state, ProductSn1S1):
-        lam = state.lam
-        principal = np.concatenate([np.full(n - 1, lam), [-c / lam]])
+        lam = np.asarray(state.lam, dtype=float)[..., None]
+        principal = np.concatenate([np.repeat(lam, n - 1, axis=-1), -c / lam], axis=-1)
         return _principal_to_data(params, principal)
     if isinstance(state, Axisymmetric):
         axisym.validate_profile(state.phi, state.xi)

@@ -115,6 +115,14 @@ class ThresholdBundle:
     active_branch: Branch
 
 
+def _abscissa(x, name: str) -> np.ndarray:
+    """x as a float array; DomainError unless every entry is finite and >= 0."""
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x < np.inf)).all():
+        raise DomainError(f"{name} is defined for finite x >= 0 only")
+    return x
+
+
 def _cubic_residual(n: int, y):
     """Defining cubic for y_n: vanishing identifies the branch point."""
     ratio = (n * n - 4.0 * n + 6.0) / (n * n - 4.0)
@@ -210,9 +218,7 @@ class ThresholdFamily:
         Returns (alpha, d1, d2, d3) truncated to order+1 entries.  Derivative
         entries at x = 0 are NaN.
         """
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("alpha is defined for x >= 0 only")
+        x = _abscissa(x, "alpha")
         n, c = self.params.n, self.params.c
         s = x * x + 4.0 * (n - 1.0) * c * x
         radical = np.sqrt(s)
@@ -238,9 +244,7 @@ class ThresholdFamily:
 
     def beta(self, x):
         """Taylor branch about x0: returns (beta, d1, d2)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("beta is defined for x >= 0 only")
+        x = _abscissa(x, "beta")
         a0, a1, a2 = self._beta_coeffs
         dx = x - self.x0
         return a0 + a1 * dx + 0.5 * a2 * dx * dx, a1 + a2 * dx, np.broadcast_to(a2, x.shape).copy()
@@ -279,9 +283,7 @@ class ThresholdFamily:
 
         Closed form for x >= x0; second-order Taylor extension below.
         """
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("omega is defined for x >= 0 only")
+        x = _abscissa(x, "omega")
         # Evaluate the closed form away from 0 to dodge the x -> 0 division.
         safe = np.where(x >= self.x0, x, self.x0)
         w = self._omega_closed(safe)
@@ -309,9 +311,7 @@ class ThresholdFamily:
 
     def bundle(self, x: float) -> ThresholdBundle:
         """Everything at one abscissa; alpha derivatives are NaN at x = 0."""
-        xf = float(x)
-        if xf < 0.0:
-            raise DomainError("thresholds are defined for x >= 0 only")
+        xf = float(_abscissa(x, "thresholds"))
         a, a1, a2, a3 = self.alpha(xf)
         b, b1, b2 = self.beta(xf)
         on_alpha = xf >= self.x0
@@ -359,8 +359,6 @@ def eval_alpha(params: PinchingParams, x: float, order: int = 3):
 
     Raises DerivativeAtZero when derivatives are requested at x = 0.
     """
-    if x < 0.0:
-        raise DomainError("alpha is defined for x >= 0 only")
     if x == 0.0 and order > 0:
         raise DerivativeAtZero("alpha derivatives are singular at x = 0")
     return tuple(float(v) for v in family(params).alpha(x, order=order))
@@ -368,8 +366,6 @@ def eval_alpha(params: PinchingParams, x: float, order: int = 3):
 
 def eval_beta(params: PinchingParams, x: float):
     """beta(x), beta'(x), beta''(x) as floats."""
-    if x < 0.0:
-        raise DomainError("beta is defined for x >= 0 only")
     return tuple(float(v) for v in family(params).beta(x))
 
 
@@ -380,8 +376,6 @@ def eval_gamma(params: PinchingParams, x: float) -> ThresholdBundle:
 
 def eval_omega(params: PinchingParams, x: float):
     """omega(x), omega'(x), omega''(x) as floats."""
-    if x < 0.0:
-        raise DomainError("omega is defined for x >= 0 only")
     return tuple(float(v) for v in family(params).omega(x))
 
 

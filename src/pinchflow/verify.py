@@ -28,7 +28,6 @@ from .flow import (
     TerminalKind,
     flow_ode_numeric,
     flow_product_exact,
-    initial_r1sq,
     product_r1sq_exact,
 )
 from .geometry import GeodesicSphere, ProductSn1S1, product_lambda_for_mean_curvature
@@ -558,9 +557,7 @@ def reaction_residuals(trace, params: PinchingParams, growth_cap: float = 2.0):
     no longer resolves the approach to the singularity.
     """
     n, c = params.n, params.c
-    ts = np.array([s.t for s in trace.samples])
-    H = np.array([float(np.atleast_1d(s.curvature.H)[0]) for s in trace.samples])
-    h2 = np.array([float(np.atleast_1d(s.curvature.h_norm2)[0]) for s in trace.samples])
+    ts, H, h2 = trace.times, trace.curvature.H, trace.curvature.h_norm2
     dH = _lagrange_derivative(ts, H)
     dh2 = _lagrange_derivative(ts, h2)
     rhs_H = H * (h2 + n * c)
@@ -583,7 +580,7 @@ def check_flow_oracles(params: PinchingParams):
     initial = ProductSn1S1.from_r1sq(0.8 * (n - 1.0) / (n * c), params)
     numeric = flow_ode_numeric(initial, params, config)
     exact = product_r1sq_exact(initial, params, numeric.times)
-    r1sq_num = np.array([initial_r1sq(s.state, params) for s in numeric.samples])
+    r1sq_num = numeric.state.r1sq_exact
     err = float(np.max(np.abs(r1sq_num - exact)) * c)
     reports.append(
         _value_report(
@@ -642,8 +639,7 @@ def check_flow_oracles(params: PinchingParams):
     lam0 = product_lambda_for_mean_curvature(params, np.sqrt(family(params).x0))
     boundary = ProductSn1S1(lam=lam0)
     tr = flow_product_exact(boundary, params, config)
-    h2 = np.array([m.h2_max for m in tr.monitors])
-    gam = np.array([m.gamma_min for m in tr.monitors])
+    h2, gam = tr.monitors.h2_max, tr.monitors.gamma_min
     rel = float(np.max(np.abs(h2 - gam) / gam))
     reports.append(
         _value_report(
@@ -657,9 +653,7 @@ def check_flow_oracles(params: PinchingParams):
         minimal = ProductSn1S1.from_r1sq((n - 1.0) / (n * c), params)
         drift_cfg = FlowConfig(epsilon=0.0, tol=1e-12, t_max=1.0 / c)
         tr_min = flow_ode_numeric(minimal, params, drift_cfg)
-        drift = float(
-            np.max(np.abs([initial_r1sq(s.state, params) - 0.9 for s in tr_min.samples])) * c
-        )
+        drift = float(np.max(np.abs(tr_min.state.r1sq_exact - 0.9)) * c)
         reports.append(
             _value_report(
                 "flow_minimal_torus", params, drift <= 1e-10, 1e-10 - drift, 0.9,

@@ -26,7 +26,6 @@ from pinchflow.axisym import (
     product_profile,
     sphere_profile,
 )
-from pinchflow.flow import initial_r1sq
 from pinchflow.geometry import product_lambda_for_mean_curvature
 from pinchflow.thresholds import family
 from pinchflow.verify import (
@@ -123,15 +122,13 @@ def test_ac5_exact_flow_reference():
     initial = ProductSn1S1.from_r1sq(0.75, params)
     config = FlowConfig(epsilon=0.0, tol=1e-12, t_max=1.0)
     numeric = flow_ode_numeric(initial, params, config)
-    errs = [
-        abs(initial_r1sq(s.state, params) - 0.9 * (1.0 - np.exp(20.0 * s.t) / 6.0))
-        for s in numeric.samples
-        if s.t <= 0.089
-    ]
+    kept = numeric.times <= 0.089
+    exact = 0.9 * (1.0 - np.exp(20.0 * numeric.times[kept]) / 6.0)
+    errs = np.abs(numeric.state.r1sq_exact[kept] - exact)
     T = numeric.terminal.time
     minimal = ProductSn1S1.from_r1sq(0.9, params)
     drift_trace = flow_ode_numeric(minimal, params, config)
-    drift = max(abs(initial_r1sq(s.state, params) - 0.9) for s in drift_trace.samples)
+    drift = np.max(np.abs(drift_trace.state.r1sq_exact - 0.9))
     ok = (
         max(errs) <= 1e-8
         and numeric.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
@@ -182,7 +179,7 @@ def test_ac7_pinching_preservation():
                     FlowConfig(tol=1e-10, t_max=1.5 / c),
                 )
                 runs += 1
-                U = np.array([m.U_max for m in trace.monitors])
+                U = trace.monitors.U_max
                 if not np.all(U < 0.0):
                     violations.append((n, c, frac, float(U.max())))
     # weak-equality product flows: curvature tracks the threshold to 1e-7
@@ -193,8 +190,7 @@ def test_ac7_pinching_preservation():
         trace = flow_product_exact(
             ProductSn1S1(lam=lam0), params, FlowConfig(epsilon=0.0, t_max=10.0 / c)
         )
-        h2 = np.array([m.h2_max for m in trace.monitors])
-        gam = np.array([m.gamma_min for m in trace.monitors])
+        h2, gam = trace.monitors.h2_max, trace.monitors.gamma_min
         worst_weak = max(worst_weak, float(np.max(np.abs(h2 - gam) / gam)))
     # 5%-perturbed circles: correctly flagged as outside the strict regime
     params = PinchingParams(n=10, c=1.0)
@@ -203,7 +199,7 @@ def test_ac7_pinching_preservation():
         Axisymmetric(np.stack([phi, xi], axis=1)), params,
         FlowConfig(epsilon=0.01, t_max=0.02),
     )
-    flagged = all(m.U_max > 0.0 for m in probe.monitors)
+    flagged = bool(np.all(probe.monitors.U_max > 0.0))
     ok = runs >= 20 and not violations and worst_weak <= 1e-7 and flagged
     report(
         "AC7", ok,
@@ -227,8 +223,7 @@ def test_ac8_decay_monitor():
         )
         ts = trace.times
         i1 = int(np.searchsorted(ts, 0.1))
-        g_sigma = np.array([m.g_sigma for m in trace.monitors])
-        c0 = np.array([m.C0_fit for m in trace.monitors])
+        g_sigma, c0 = trace.monitors.g_sigma, trace.monitors.C0_fit
         g_ratio = float(g_sigma[i1:].max() / g_sigma[i1])
         c0_ratio = float(c0[-1] / c0[i1])
         ok &= g_ratio <= 1.05 and c0_ratio <= 1.05

@@ -154,3 +154,37 @@ def test_verify_rejects_removed_workers_flag(capsys):
 def test_runtime_error_exit_code(capsys):
     # axisymmetric without a profile file is a run failure, not a crash
     assert main(["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1"]) == 1
+
+
+def test_thresholds_nan_abscissa_is_a_runtime_error(tmp_path, capsys):
+    out = tmp_path / "thr.csv"
+    assert main(["thresholds", "--n", "10", "--x", "nan", "--output", str(out)]) == 1
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--points", "-3"],
+        ["thresholds", "--points", "0"],
+        ["verify", "--n-values"],
+        ["verify", "--c-values"],
+    ],
+)
+def test_empty_tables_and_lattices_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--output", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_simulate_negative_horizon_writes_nothing(tmp_path):
+    trace, curv = tmp_path / "trace.csv", tmp_path / "curvature.csv"
+    code = main(
+        ["simulate", "--family", "product", "--r1sq", "0.75", "--t-max", "-1",
+         "--output", str(trace), "--curvature-csv", str(curv)]
+    )
+    assert code == 1
+    assert not trace.exists() and not curv.exists()

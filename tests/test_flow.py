@@ -20,7 +20,7 @@ from pinchflow import (
     monitors_update,
 )
 from pinchflow.axisym import perturbed_product_profile, product_profile
-from pinchflow.flow import initial_r1sq, product_r1sq_exact
+from pinchflow.flow import MonitorRecord, product_r1sq_exact
 from pinchflow.verify import reaction_residuals
 
 P10 = PinchingParams(n=10, c=1.0)
@@ -34,7 +34,7 @@ def test_exact_product_reference_trajectory():
     assert trace.terminal.time == pytest.approx(np.log(6.0) / 20.0, abs=1e-14)
     ts = trace.times
     expected = 0.9 * (1.0 - np.exp(20.0 * ts) / 6.0)
-    got = np.array([initial_r1sq(s.state, P10) for s in trace.samples])
+    got = trace.state.r1sq_exact
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -51,17 +51,16 @@ def test_numeric_product_matches_exact():
     trace = flow_ode_numeric(initial, P10, config)
     assert trace.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
     assert trace.terminal.time == pytest.approx(np.log(6.0) / 20.0, abs=1e-7)
-    kept = [s for s in trace.samples if s.t <= 0.089]
-    errs = [
-        abs(initial_r1sq(s.state, P10) - product_r1sq_exact(initial, P10, s.t)) for s in kept
-    ]
+    kept = trace.times <= 0.089
+    exact = product_r1sq_exact(initial, P10, trace.times[kept])
+    errs = np.abs(trace.state.r1sq_exact[kept] - exact)
     assert max(errs) <= 1e-8
 
 
 def test_minimal_torus_is_stationary():
     minimal = ProductSn1S1.from_r1sq(0.9, P10)
     trace = flow_ode_numeric(minimal, P10, FlowConfig(epsilon=0.0, tol=1e-12, t_max=1.0))
-    drift = max(abs(initial_r1sq(s.state, P10) - 0.9) for s in trace.samples)
+    drift = np.max(np.abs(trace.state.r1sq_exact - 0.9))
     assert drift <= 1e-10
     assert trace.terminal.kind is TerminalKind.HORIZON_REACHED
 
@@ -112,8 +111,7 @@ def test_weak_equality_preserved_along_product_flow():
     trace = flow_product_exact(
         ProductSn1S1.from_r1sq(0.75, P10), P10, FlowConfig(epsilon=0.0, t_max=1.0)
     )
-    h2 = np.array([m.h2_max for m in trace.monitors])
-    gam = np.array([m.gamma_min for m in trace.monitors])
+    h2, gam = trace.monitors.h2_max, trace.monitors.gamma_min
     assert np.max(np.abs(h2 - gam) / gam) < 1e-7
 
 
@@ -154,8 +152,7 @@ def test_sphere_flows_preserve_pinching():
             GeodesicSphere(rho=frac * np.pi / np.sqrt(c)), params,
             FlowConfig(tol=1e-10, t_max=2.0 / c),
         )
-        U = np.array([m.U_max for m in trace.monitors])
-        assert np.all(U < 0.0)
+        assert np.all(trace.monitors.U_max < 0.0)
 
 
 def test_axisymmetric_circle_tracks_exact_product():
@@ -165,11 +162,10 @@ def test_axisymmetric_circle_tracks_exact_product():
         Axisymmetric(np.stack([phi, xi], axis=1)), P10, FlowConfig(epsilon=0.0, t_max=t_stop)
     )
     initial = ProductSn1S1.from_r1sq(0.75, P10)
-    rel = [
-        abs(float(np.mean(np.sin(s.state.phi) ** 2)) - product_r1sq_exact(initial, P10, s.t))
-        / product_r1sq_exact(initial, P10, s.t)
-        for s in trace.samples
-    ]
+    rel = []
+    for i, snapshot in trace.snapshots.items():
+        exact = product_r1sq_exact(initial, P10, trace.times[i])
+        rel.append(abs(float(np.mean(np.sin(snapshot.phi) ** 2)) - exact) / exact)
     assert max(rel) <= 1e-3
 
 
@@ -178,7 +174,8 @@ def test_axisymmetric_minimal_torus_stationary():
     trace = flow_axisymmetric(
         Axisymmetric(np.stack([phi, xi], axis=1)), P10, FlowConfig(epsilon=0.0, t_max=1.0)
     )
-    drift = max(abs(float(np.mean(np.sin(s.state.phi) ** 2)) - 0.9) for s in trace.samples)
+    snapshots = trace.snapshots.values()
+    drift = max(abs(float(np.mean(np.sin(s.phi) ** 2)) - 0.9) for s in snapshots)
     assert drift <= 1e-5
     assert trace.terminal.kind is TerminalKind.HORIZON_REACHED
 
@@ -200,12 +197,8 @@ def test_integrator_error_scales_at_design_order():
     for h in (4e-3, 2e-3):
         config = FlowConfig(epsilon=0.0, tol=1e-3, t_max=0.05, dt_initial=h)
         trace = flow_ode_numeric(initial, P10, config)
-        errors.append(
-            max(
-                abs(initial_r1sq(s.state, P10) - product_r1sq_exact(initial, P10, s.t))
-                for s in trace.samples
-            )
-        )
+        exact = product_r1sq_exact(initial, P10, trace.times)
+        errors.append(np.max(np.abs(trace.state.r1sq_exact - exact)))
     assert errors[0] / errors[1] > 8.0
 
 
@@ -214,8 +207,7 @@ def test_perturbed_circle_is_flagged_not_strict():
     phi, xi = perturbed_product_profile(P10, 0.75, amplitude=0.05, mode=3, n_points=96)
     state = Axisymmetric(np.stack([phi, xi], axis=1))
     trace = flow_axisymmetric(state, P10, FlowConfig(epsilon=0.01, t_max=0.02))
-    U = np.array([m.U_max for m in trace.monitors])
-    assert np.all(U > 0.0)
+    assert np.all(trace.monitors.U_max > 0.0)
 
 
 def test_step_underflow_raises():
@@ -242,7 +234,84 @@ def test_trace_times_strictly_increase():
     )
     ts = trace.times
     assert np.all(np.diff(ts) > 0.0)
-    # curvature data stored in samples is recomputable from the state
-    mid = trace.samples[len(trace.samples) // 2]
-    fresh = curvature_of(mid.state, P10)
-    assert float(fresh.h_norm2) == pytest.approx(float(mid.curvature.h_norm2), rel=1e-12)
+    # the stored h2_max is recomputable from the stored state
+    mid = len(trace.monitors) // 2
+    fresh = curvature_of(ProductSn1S1.from_r1sq(trace.state.r1sq_exact[mid], P10), P10)
+    assert float(fresh.h_norm2) == pytest.approx(trace.monitors.h2_max[mid], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("t_max", -1.0), ("t_max", 0.0), ("t_max", np.inf), ("t_max", np.nan),
+        ("epsilon", np.nan), ("epsilon", np.inf),
+        ("tol", 0.0), ("tol", -1e-10), ("tol", np.nan), ("tol", np.inf),
+        ("dt_initial", 0.0), ("dt_initial", -1e-3), ("dt_min", 0.0), ("dt_min", -1.0),
+    ],
+)
+def test_flow_config_rejects_bad_run_parameters(name, value):
+    with pytest.raises(DomainError):
+        FlowConfig(**{name: value}).validate(P10)
+    # rejected before any integration
+    with pytest.raises(DomainError):
+        flow_ode_numeric(ProductSn1S1.from_r1sq(0.75, P10), P10, FlowConfig(**{name: value}))
+
+
+def _scalar_rows(trace, params):
+    """Monitor records of a homogeneous trace, one scalar state and call per row."""
+    rows, prev = [], None
+    for i, t in enumerate(trace.times):
+        if isinstance(trace.state, GeodesicSphere):
+            state = GeodesicSphere(rho=float(trace.state.rho[i]))
+        else:
+            state = ProductSn1S1.from_r1sq(float(trace.state.r1sq_exact[i]), params)
+        prev = monitors_update(params, trace.config, curvature_of(state, params), float(t), prev)
+        rows.append(prev)
+    return rows
+
+
+@pytest.mark.parametrize("route", ["product", "product-exact", "sphere"])
+def test_batched_monitors_equal_scalar_rows(route):
+    params = PinchingParams(n=6, c=0.5)
+    config = FlowConfig(epsilon=0.01, tol=1e-10, t_max=4.0)
+    if route == "sphere":
+        trace = flow_ode_numeric(GeodesicSphere(rho=1.2), params, config)
+    else:
+        flow = flow_product_exact if route == "product-exact" else flow_ode_numeric
+        trace = flow(ProductSn1S1.from_r1sq(1.3, params), params, config)
+    rows = _scalar_rows(trace, params)
+    assert len(trace.monitors) == len(rows) == len(trace.times) > 10
+    # the scalar path squares H with pow, the batched one exactly
+    rounded = {"h0_2_max", "f_sigma", "g_sigma", "C0_fit"}
+    for name in MonitorRecord.__dataclass_fields__:
+        column = getattr(trace.monitors, name)
+        expected = np.array([getattr(r, name) for r in rows])
+        assert column.shape == expected.shape
+        if name in rounded:
+            np.testing.assert_allclose(column, expected, rtol=1e-14, atol=0.0)
+        else:
+            np.testing.assert_array_equal(column, expected)
+
+
+def test_axisymmetric_trace_csv_marks_snapshot_rows(tmp_path, monkeypatch):
+    from pinchflow import axisym
+    from pinchflow.export import write_trace_csv
+
+    calls = []
+    resample = axisym.resample_profile
+    monkeypatch.setattr(axisym, "resample_profile", lambda *a: calls.append(1) or resample(*a))
+    phi, xi = product_profile(P10, 0.9, n_points=64)
+    trace = flow_axisymmetric(
+        Axisymmetric(np.stack([phi, xi], axis=1)), P10, FlowConfig(epsilon=0.0, t_max=0.08)
+    )
+    # one redistribution for the initial state and one per step, one record each
+    assert len(trace.monitors) == len(calls) == len(trace.times)
+    assert 1 < len(trace.snapshots) < len(trace.monitors)
+    out = tmp_path / "trace.csv"
+    write_trace_csv(out, trace, {})
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    assert len(rows) == len(trace.monitors)
+    marked = {i for i, row in enumerate(rows) if row[2]}
+    assert marked == set(trace.snapshots)
+    assert all(rows[i][2] == "64" for i in marked)
+    assert [float(row[0]) for row in rows] == list(trace.times)

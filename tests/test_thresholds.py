@@ -223,6 +223,24 @@ def test_omega_negative_x_raises():
         eval_omega(PinchingParams(n=5), -0.5)
 
 
+@pytest.mark.parametrize("x", [-0.5, np.nan, np.inf, -np.inf])
+def test_threshold_domain_rejects_negative_and_nonfinite_x(x):
+    params = PinchingParams(n=5)
+    fam = family(params)
+    evaluations = [
+        lambda: eval_alpha(params, x, order=0),
+        lambda: eval_alpha(params, x),
+        lambda: eval_beta(params, x),
+        lambda: eval_gamma(params, x),
+        lambda: eval_omega(params, x),
+        lambda: fam.gamma(np.array([1.0, x])),
+        lambda: fam.omega(np.array([1.0, x])),
+    ]
+    for evaluate in evaluations:
+        with pytest.raises(DomainError):
+            evaluate()
+
+
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_curvature_flux_combination_decreasing_with_limit(n):
     # 2x a'' + a' decreases strictly from its branch-point value to 1/(n-1)
