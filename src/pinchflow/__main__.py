@@ -1,0 +1,5 @@
+"""``python -m pinchflow``: the command-line entry point."""
+
+from .cli import main
+
+raise SystemExit(main())

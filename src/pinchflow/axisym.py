@@ -120,6 +120,16 @@ def periodic_derivatives(vals: np.ndarray, spacing: float, ramp: float = 0.0):
     return d1, d2
 
 
+def second_difference_symbol(n_points: int, spacing: float) -> np.ndarray:
+    """Eigenvalues of the second-difference stencil above on the rfft modes.
+
+    Mode k (theta = 2 pi k / n_points) gets
+    (-2 cos(2 theta) + 32 cos(theta) - 30) / (12 spacing^2), all <= 0.
+    """
+    theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
+    return (-2.0 * np.cos(2.0 * theta) + 32.0 * np.cos(theta) - 30.0) / (12.0 * spacing ** 2)
+
+
 def _chord_arclength(phi: np.ndarray, xi: np.ndarray, c: float):
     """Cumulative chordal arc length (closed), in the orbit-space metric."""
     pts = embed(phi, xi, c)
@@ -309,10 +319,12 @@ def self_intersects(phi: np.ndarray, xi: np.ndarray) -> bool:
 
 
 def validate_profile(phi: np.ndarray, xi: np.ndarray, check_embedded: bool = True):
-    """Torus-type admissibility: phi strictly inside (0, pi/2), embedded."""
+    """Torus-type admissibility: finite samples, phi strictly inside (0, pi/2), embedded."""
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 8:
         raise GeometryError("profile needs at least 8 samples")
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(xi))):
+        raise GeometryError("profile has a non-finite sample")
     if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
         raise GeometryError("profile sample violates phi in (0, pi/2)")
     if check_embedded and self_intersects(phi, xi):

@@ -134,6 +134,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
+            if args.grid_points < 3:
+                parser.error(f"--grid-points must be >= 3, got {args.grid_points}")
             reports = default_suite(
                 ns=tuple(args.n_values),
                 cs=tuple(args.c_values),

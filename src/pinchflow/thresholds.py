@@ -334,7 +334,12 @@ class ThresholdFamily:
         )
 
     def default_grid(self, points: int = 10_000, x_max_factor: float = 100.0):
-        """Log-spaced below c, linear above, plus the distinguished abscissas."""
+        """Log-spaced below c, linear above, plus the distinguished abscissas.
+
+        Needs points >= 3, the fewest that leave both parts non-empty.
+        """
+        if points < 3:
+            raise DomainError(f"default grid needs at least 3 points, got {points!r}")
         n, c = self.params.n, self.params.c
         n_log = points // 3
         log_part = np.geomspace(1e-8 * c, c, n_log, endpoint=False)

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pinchflow
 from pinchflow.cli import main
 
 
@@ -75,15 +80,18 @@ def test_simulate_sphere(tmp_path):
     assert code == 0
 
 
+def _write_profile(path, phi, xi):
+    path.write_text(
+        json.dumps({"family": "axisymmetric", "profile": np.stack([phi, xi], 1).tolist()})
+    )
+
+
 def test_simulate_axisymmetric_from_state_file(tmp_path):
     from pinchflow.axisym import product_profile
     from pinchflow.thresholds import PinchingParams
 
-    phi, xi = product_profile(PinchingParams(n=10, c=1.0), 0.9, n_points=48)
     state_file = tmp_path / "state.json"
-    state_file.write_text(
-        json.dumps({"family": "axisymmetric", "profile": np.stack([phi, xi], 1).tolist()})
-    )
+    _write_profile(state_file, *product_profile(PinchingParams(n=10, c=1.0), 0.9, n_points=48))
     trace = tmp_path / "trace.csv"
     code = main(
         ["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1",
@@ -92,6 +100,46 @@ def test_simulate_axisymmetric_from_state_file(tmp_path):
     )
     assert code == 0
     assert trace.exists()
+
+
+def test_simulate_axisymmetric_collapse_prints_a_float_time(tmp_path, capsys):
+    from pinchflow.axisym import product_profile
+    from pinchflow.thresholds import PinchingParams
+
+    state_file, term = tmp_path / "state.json", tmp_path / "terminal.json"
+    _write_profile(state_file, *product_profile(PinchingParams(n=10, c=1.0), 0.75, n_points=48))
+    code = main(
+        ["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1",
+         "--profile", str(state_file), "--epsilon", "0.0", "--t-max", "0.2",
+         "--output", str(tmp_path / "trace.csv"), "--terminal-json", str(term)]
+    )
+    assert code == 0
+    stdout = capsys.readouterr().out
+    assert "terminal: GreatCircleCollapse at T = 0.0895" in stdout
+    assert "np.float64" not in stdout
+    payload = json.loads(term.read_text())
+    assert payload["T"] == pytest.approx(np.log(6.0) / 20.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_simulate_nonfinite_profile_is_a_runtime_error(column, tmp_path, capsys):
+    from pinchflow.axisym import product_profile
+    from pinchflow.thresholds import PinchingParams
+
+    profile = np.stack(product_profile(PinchingParams(n=10, c=1.0), 0.9, n_points=48), 1)
+    profile[5, column] = np.nan
+    state_file, trace = tmp_path / "state.json", tmp_path / "trace.csv"
+    _write_profile(state_file, profile[:, 0], profile[:, 1])
+    code = main(
+        ["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1",
+         "--profile", str(state_file), "--epsilon", "0.0", "--t-max", "0.01",
+         "--output", str(trace)]
+    )
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "non-finite" in stderr
+    assert "Traceback" not in stderr
+    assert not trace.exists()
 
 
 def test_verify_subset_green(tmp_path):
@@ -170,6 +218,9 @@ def test_thresholds_nan_abscissa_is_a_runtime_error(tmp_path, capsys):
         ["thresholds", "--points", "0"],
         ["verify", "--n-values"],
         ["verify", "--c-values"],
+        ["verify", "--grid-points", "-5"],
+        ["verify", "--grid-points", "0"],
+        ["verify", "--grid-points", "2"],
     ],
 )
 def test_empty_tables_and_lattices_are_usage_errors(argv, tmp_path, capsys):
@@ -188,3 +239,16 @@ def test_simulate_negative_horizon_writes_nothing(tmp_path):
     )
     assert code == 1
     assert not trace.exists() and not curv.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(pinchflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "constants.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "pinchflow", "constants", "--n", "10", "--output", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(out.read_text())["k_n"] == pytest.approx(6.0, abs=1e-9)

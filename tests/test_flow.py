@@ -189,6 +189,21 @@ def test_axisymmetric_collapse_detected_with_accurate_time():
     assert trace.terminal.time == pytest.approx(np.log(6.0) / 20.0, abs=1e-5)
 
 
+def test_axisymmetric_step_count_does_not_grow_with_grid():
+    # the stiff stencil is integrated exactly, so only the reaction rate bounds dt
+    steps = {}
+    for n_points in (64, 96, 128, 256):
+        phi, xi = perturbed_product_profile(P10, 0.9, amplitude=0.005, mode=2, n_points=n_points)
+        trace = flow_axisymmetric(
+            Axisymmetric(np.stack([phi, xi], axis=1)), P10,
+            FlowConfig(epsilon=0.0, sigma=0.1, t_max=0.25),
+        )
+        assert trace.terminal.kind is TerminalKind.HORIZON_REACHED
+        steps[n_points] = len(trace.monitors) - 1
+    assert steps[256] <= 2 * steps[64]
+    assert steps[96] < 100  # the AC8 run at n = 10
+
+
 def test_integrator_error_scales_at_design_order():
     # halving the step bound must shrink the numeric-vs-exact error far
     # faster than linearly (embedded 5(4) pair)
@@ -301,8 +316,9 @@ def test_axisymmetric_trace_csv_marks_snapshot_rows(tmp_path, monkeypatch):
     resample = axisym.resample_profile
     monkeypatch.setattr(axisym, "resample_profile", lambda *a: calls.append(1) or resample(*a))
     phi, xi = product_profile(P10, 0.9, n_points=64)
+    # long enough (~430 steps of 0.0075) for the snapshots to thin to every other step
     trace = flow_axisymmetric(
-        Axisymmetric(np.stack([phi, xi], axis=1)), P10, FlowConfig(epsilon=0.0, t_max=0.08)
+        Axisymmetric(np.stack([phi, xi], axis=1)), P10, FlowConfig(epsilon=0.0, t_max=3.2)
     )
     # one redistribution for the initial state and one per step, one record each
     assert len(trace.monitors) == len(calls) == len(trace.times)

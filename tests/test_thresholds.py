@@ -241,6 +241,16 @@ def test_threshold_domain_rejects_negative_and_nonfinite_x(x):
             evaluate()
 
 
+def test_default_grid_needs_three_points():
+    fam = family(PinchingParams(n=5))
+    for points in (-5, 0, 2):
+        with pytest.raises(DomainError):
+            fam.default_grid(points=points)
+    # the log part is its first point 1e-8 c, the linear part its two ends c and 100 c
+    xs = fam.default_grid(points=3)
+    assert xs[0] == 1e-8 and 1.0 in xs and xs[-1] == 100.0
+
+
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_curvature_flux_combination_decreasing_with_limit(n):
     # 2x a'' + a' decreases strictly from its branch-point value to 1/(n-1)
