@@ -73,9 +73,8 @@ class ProfileGeometry:
     kappa_orbit: np.ndarray
     kappa_profile: np.ndarray
     H: np.ndarray
-    h2: np.ndarray
-    h0_2: np.ndarray
-    grad_H2: np.ndarray
+    h_norm2: np.ndarray
+    h0_norm2: np.ndarray
     nu_phi: np.ndarray
     nu_xi: np.ndarray
 
@@ -199,8 +198,6 @@ def profile_geometry(
     H = (n - 1.0) * kappa_o + kappa_p
     h2 = (n - 1.0) * kappa_o ** 2 + kappa_p ** 2
     h0_2 = np.maximum(h2 - H ** 2 / n, 0.0)
-    dH, _ = periodic_derivatives(H, spacing)
-    grad_H2 = (dH / speed) ** 2
     nu_phi = -cos_phi * xi1 / speed
     nu_xi = ph1 / (speed * cos_phi)
     return ProfileGeometry(
@@ -213,9 +210,8 @@ def profile_geometry(
         kappa_orbit=kappa_o,
         kappa_profile=kappa_p,
         H=H,
-        h2=h2,
-        h0_2=h0_2,
-        grad_H2=grad_H2,
+        h_norm2=h2,
+        h0_norm2=h0_2,
         nu_phi=nu_phi,
         nu_xi=nu_xi,
     )
@@ -318,7 +314,7 @@ def self_intersects(phi: np.ndarray, xi: np.ndarray) -> bool:
     return False
 
 
-def validate_profile(phi: np.ndarray, xi: np.ndarray, check_embedded: bool = True):
+def validate_profile(phi: np.ndarray, xi: np.ndarray):
     """Torus-type admissibility: finite samples, phi strictly inside (0, pi/2), embedded."""
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 8:
@@ -327,5 +323,5 @@ def validate_profile(phi: np.ndarray, xi: np.ndarray, check_embedded: bool = Tru
         raise GeometryError("profile has a non-finite sample")
     if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
         raise GeometryError("profile sample violates phi in (0, pi/2)")
-    if check_embedded and self_intersects(phi, xi):
+    if self_intersects(phi, xi):
         raise NonEmbedded("profile curve self-intersects")

@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--profile", default=None, help="JSON state file for axisymmetric runs")
     p_sim.add_argument("--epsilon", type=float, default=None)
     p_sim.add_argument("--sigma", type=float, default=0.1)
-    p_sim.add_argument("--eta", type=float, default=None)
     p_sim.add_argument("--t-max", type=float, default=None)
     p_sim.add_argument("--tol", type=float, default=1e-10)
     p_sim.add_argument("--output", default="trace.csv")
@@ -76,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def state_from_json(payload: dict, params):
     """State from its JSON schema: product (lambda), sphere (rho), or profile."""
+    if not isinstance(payload, dict):
+        raise PinchflowError(f"a state must be a JSON object, got {type(payload).__name__}")
     fam_name = payload.get("family", "axisymmetric")
     if fam_name == "product":
         return ProductSn1S1(lam=float(payload["lambda"]))
@@ -89,7 +90,7 @@ def _load_state(args, params):
         try:
             with open(args.profile, "r", encoding="utf-8") as fh:
                 return state_from_json(json.load(fh), params)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise PinchflowError(f"cannot read state file {args.profile!r}: {exc}") from exc
     if args.family == "sphere":
         rho = args.rho if args.rho is not None else 0.3 * np.pi / np.sqrt(params.c)
@@ -162,7 +163,6 @@ def main(argv=None) -> int:
             config = FlowConfig(
                 epsilon=args.epsilon,
                 sigma=args.sigma,
-                eta=args.eta,
                 t_max=args.t_max,
                 tol=args.tol,
             )

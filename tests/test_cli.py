@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pinchflow
 from pinchflow.cli import main
@@ -199,6 +201,29 @@ def test_verify_rejects_removed_workers_flag(capsys):
     assert "Traceback" not in stderr
 
 
+def test_simulate_rejects_removed_eta_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--eta", "0.1"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert "unrecognized arguments: --eta 0.1" in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2, 3], {"family": "product", "lambda": None}, {"family": "sphere", "rho": [0.5]}],
+)
+def test_simulate_malformed_state_file_is_a_runtime_error(payload, tmp_path, capsys):
+    state_file, trace = tmp_path / "state.json", tmp_path / "trace.csv"
+    state_file.write_text(json.dumps(payload))
+    code = main(["simulate", "--profile", str(state_file), "--output", str(trace)])
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "Traceback" not in stderr
+    assert not trace.exists()
+
+
 def test_runtime_error_exit_code(capsys):
     # axisymmetric without a profile file is a run failure, not a crash
     assert main(["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1"]) == 1
@@ -252,3 +277,76 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["k_n"] == pytest.approx(6.0, abs=1e-9)
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Each flag takes one of a few admissible values, except up to two flags that
+# take one of BAD_VALUES.  The sizes stay small: at most 50 table or grid
+# points, and verify on one (n, c).
+BAD_VALUES = ["0", "-1", "-2.5", "nan", "inf", "-inf"]
+SIZE_VALUES = ["1", "3", "50"]
+PARAM_FLAGS = {"--n": ["3", "10"], "--c": ["1", "0.25", "4"]}
+FUZZ_FLAGS = {
+    "thresholds": {
+        **PARAM_FLAGS, "--x": ["0", "2.5"], "--x-min": ["0", "1"], "--x-max": ["10", "50"],
+    },
+    "constants": PARAM_FLAGS,
+    "verify": {"--seed": ["0", "7"]},
+    "simulate": {
+        **PARAM_FLAGS,
+        "--family": ["sphere", "product", "product-exact", "axisymmetric"],
+        "--rho": ["0.5", "2"], "--r1sq": ["0.5", "0.95"], "--lam": ["0.5", "2"],
+        "--epsilon": ["0", "0.01"], "--sigma": ["0.1", "0.5"], "--t-max": ["0.01", "0.1"],
+        "--tol": ["1e-8", "1e-4"], "--profile": ["profile.json", "list.json", "null.json"],
+    },
+}
+REQUIRED_FLAGS = {
+    "thresholds": {"--points": SIZE_VALUES},
+    "verify": {"--n-values": ["3"], "--c-values": ["1", "0.25"], "--grid-points": SIZE_VALUES},
+}
+OPTIONAL_OUTPUTS = {"simulate": ["--terminal-json", "--curvature-csv"]}
+
+
+@st.composite
+def cli_argv(draw, directory):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    optional = FUZZ_FLAGS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True))
+    flags = {**{f: optional[f] for f in chosen}, **REQUIRED_FLAGS.get(command, {})}
+    bad = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=2)) if flags else []
+    argv = [command]
+    for flag, good in flags.items():
+        value = draw(st.sampled_from(BAD_VALUES if flag in bad else good))
+        argv += [flag, str(directory / value) if flag == "--profile" else value]
+    argv += ["--output", str(directory / "out")]
+    for flag in OPTIONAL_OUTPUTS.get(command, []):
+        if draw(st.booleans()):
+            argv += [flag, str(directory / f"out{flag}")]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    from pinchflow.axisym import perturbed_product_profile
+    from pinchflow.thresholds import PinchingParams
+
+    path = tmp_path_factory.mktemp("fuzz")
+    _write_profile(
+        path / "profile.json",
+        *perturbed_product_profile(PinchingParams(n=10, c=1.0), 0.9, 0.005, n_points=32),
+    )
+    (path / "list.json").write_text("[1, 2, 3]")
+    (path / "null.json").write_text(json.dumps({"family": "product", "lambda": None}))
+    return path
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
+    argv = data.draw(cli_argv(fuzz_dir))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv

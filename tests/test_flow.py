@@ -116,9 +116,8 @@ def test_weak_equality_preserved_along_product_flow():
 
 
 def test_default_epsilon_gives_factor_two_slack():
-    state = GeodesicSphere(rho=0.6)
-    eps = default_epsilon(state, P10)
-    data = curvature_of(state, P10)
+    data = curvature_of(GeodesicSphere(rho=0.6), P10)
+    eps = default_epsilon(data, P10)
     record = monitors_update(P10, FlowConfig(epsilon=eps), data, 0.0)
     from pinchflow.thresholds import family
 
@@ -238,8 +237,6 @@ def test_flow_config_validation():
     with pytest.raises(DomainError):
         FlowConfig(sigma=1.5).validate(P10)
     with pytest.raises(DomainError):
-        FlowConfig(eta=0.2).validate(P10)  # 1/n = 0.1
-    with pytest.raises(DomainError):
         FlowConfig(epsilon=-0.1).validate(P10)
 
 
@@ -306,6 +303,32 @@ def test_batched_monitors_equal_scalar_rows(route):
             np.testing.assert_allclose(column, expected, rtol=1e-14, atol=0.0)
         else:
             np.testing.assert_array_equal(column, expected)
+
+
+def test_default_epsilon_run_validates_the_profile_once(monkeypatch):
+    from pinchflow import axisym
+
+    validated, resampled = [], []
+    validate, resample = axisym.validate_profile, axisym.resample_profile
+    monkeypatch.setattr(axisym, "validate_profile", lambda *a: validated.append(1) or validate(*a))
+    monkeypatch.setattr(axisym, "resample_profile", lambda *a: resampled.append(1) or resample(*a))
+    phi, xi = perturbed_product_profile(P10, 0.9, amplitude=0.005, mode=2, n_points=64)
+    state = Axisymmetric(np.stack([phi, xi], axis=1))
+    trace = flow_axisymmetric(state, P10, FlowConfig(t_max=0.02))
+    assert trace.config.epsilon is not None
+    assert len(validated) == 1
+    # one redistribution for the initial state and one per step
+    assert len(resampled) == len(trace.monitors)
+
+
+def test_flows_reject_a_state_of_another_family():
+    from pinchflow import GeometryError
+
+    phi, xi = product_profile(P10, 0.75, n_points=64)
+    with pytest.raises(GeometryError):
+        flow_product_exact(Axisymmetric(np.stack([phi, xi], axis=1)), P10)
+    with pytest.raises(GeometryError):
+        flow_axisymmetric(ProductSn1S1.from_r1sq(0.75, P10), P10)
 
 
 def test_axisymmetric_trace_csv_marks_snapshot_rows(tmp_path, monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchflow import (
     Branch,
@@ -177,6 +179,43 @@ def test_bundle_band_and_positivity(n, c):
         assert x / (n - 1.0) + 2.0 * c < bundle.gamma < x / (n - 1.0) + n * c
         assert bundle.omega > 0.0
         assert bundle.gamma == pytest.approx(min(bundle.alpha, bundle.beta), rel=1e-13)
+
+
+@st.composite
+def threshold_point(draw):
+    """(n, c, x) with n in [3, 500], c in [1e-6, 1e6] (log-scaled), x in [0, 100 c]."""
+    n = draw(st.integers(3, 500))
+    c = 10.0 ** draw(st.floats(-6.0, 6.0))
+    x = draw(st.floats(0.0, 100.0 * c))
+    return n, c, x
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(point=threshold_point())
+def test_threshold_properties_hold_across_n_c_and_x(point):
+    n, c, x = point
+    fam = family(PinchingParams(n=n, c=c))
+    g = fam.gamma(x)[0]
+    a = fam.alpha(x, order=0)[0]
+    b = fam.beta(x)[0]
+    assert abs(g - min(a, b)) <= 1e-10 * max(abs(g), c)
+    assert x / (n - 1.0) + 2.0 * c < g < x / (n - 1.0) + n * c
+    assert fam.omega(x)[0] > 0.0
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(point=threshold_point())
+def test_alpha_and_beta_have_c2_contact_at_x0(point):
+    # value, first and second derivative differ at the Taylor remainder's order
+    n, c, _ = point
+    fam = family(PinchingParams(n=n, c=c))
+    eps = 1e-4 * fam.x0
+    for x in (fam.x0 - eps, fam.x0, fam.x0 + eps):
+        a, a1, a2, a3 = fam.alpha(x)
+        b, b1, b2 = fam.beta(x)
+        assert abs(a - b) <= abs(a3) * eps ** 3
+        assert abs(a1 - b1) <= abs(a3) * eps ** 2
+        assert abs(a2 - b2) <= 1.5 * abs(a3) * eps
 
 
 def test_omega_log_derivative_identity():
