@@ -85,13 +85,28 @@ def state_from_json(payload: dict, params):
     return Axisymmetric(profile=np.asarray(payload["profile"], dtype=float))
 
 
+# The state type each --family flows.
+_FAMILY_STATES = {
+    "sphere": GeodesicSphere,
+    "product": ProductSn1S1,
+    "product-exact": ProductSn1S1,
+    "axisymmetric": Axisymmetric,
+}
+
+
 def _load_state(args, params):
     if args.profile is not None:
         try:
             with open(args.profile, "r", encoding="utf-8") as fh:
-                return state_from_json(json.load(fh), params)
+                state = state_from_json(json.load(fh), params)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise PinchflowError(f"cannot read state file {args.profile!r}: {exc}") from exc
+        if not isinstance(state, _FAMILY_STATES[args.family]):
+            raise PinchflowError(
+                f"--family {args.family} does not match the {type(state).__name__} state "
+                f"in {args.profile!r}"
+            )
+        return state
     if args.family == "sphere":
         rho = args.rho if args.rho is not None else 0.3 * np.pi / np.sqrt(params.c)
         return GeodesicSphere(rho=rho)

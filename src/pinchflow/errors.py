@@ -33,7 +33,10 @@ class FixedPointError(PinchflowError):
 
 
 class StepUnderflow(PinchflowError):
-    """Time step fell below the configured minimum before a terminal event."""
+    """Time step fell below its floor before a terminal event.
+
+    The floor is dt_min on the profile route and 10 ulp(t) in the ODE integrator.
+    """
 
 
 class MeshDegenerate(PinchflowError):

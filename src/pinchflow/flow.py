@@ -7,13 +7,19 @@ The homogeneous families reduce to scalar ODEs:
 
 The product ODE has the exact solution r1^2 = (n-1)/(nc) (1 - d e^{2nct}) with
 d fixed by the initial radius and collapse time T = -log(d)/(2nc); the numeric
-route integrates the same reductions with an adaptive embedded 5(4) pair.
+route integrates the same reductions with the package's scalar Dormand–Prince
+5(4) integrator (``pinchflow.ode``), whose events end the run at a round point,
+a great circle or a blowup.
+
 Torus-type profiles evolve by the method of lines: normal velocity H at every
 sample, exponential-time-differencing RK4 steps (ETDRK4; Cox & Matthews 2002)
 and uniform arc-length redistribution after every accepted step.  ETDRK4
 integrates the stiff part of the velocity, the periodic second-difference
 stencil, exactly in Fourier space, so the step is bounded only by the
-reaction rate 0.15/(nc + |h|^2), not by the grid spacing.
+reaction rate 0.15/(nc + |h|^2), not by the grid spacing.  The redistribution
+fits a periodic scipy CubicSpline (``axisym.resample_profile``); that and
+scipy's brentq, which certifies y_n in ``thresholds``, are the package's only
+uses of scipy.
 
 Monitors recorded at every accepted step: the pinching excess
 U = |h|^2 - gamma + eps*omega (pointwise max), the decay ratio
@@ -31,10 +37,10 @@ step size depends on the current |h|^2, so it takes monitors step by step.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import axisym
 from .errors import (
@@ -52,6 +58,7 @@ from .geometry import (
     ProductSn1S1,
     curvature_of,
 )
+from .ode import solve_ivp
 from .thresholds import PinchingParams, family
 
 __all__ = [
@@ -294,42 +301,35 @@ def product_r1sq_exact(initial: ProductSn1S1, params: PinchingParams, t) -> np.n
 
 
 def _ode_rhs_and_events(state, params: PinchingParams):
+    """Float right-hand side, (event, direction) pairs and initial value of a reduction."""
     n, c = params.n, params.c
-    root_c = np.sqrt(c)
+    root_c = math.sqrt(c)
     if isinstance(state, GeodesicSphere):
 
         def rhs(t, y):
-            return [-n * root_c * np.cos(root_c * y[0]) / np.sin(root_c * y[0])]
+            return -n * root_c * math.cos(root_c * y) / math.sin(root_c * y)
 
         def collapse(t, y):
-            return y[0] - ROUND_POINT_RHO / root_c
+            return y - ROUND_POINT_RHO / root_c
 
         def antipodal(t, y):
-            return y[0] - (np.pi - ROUND_POINT_RHO) / root_c
+            return y - (math.pi - ROUND_POINT_RHO) / root_c
 
-        collapse.terminal = True
-        collapse.direction = -1
-        antipodal.terminal = True
-        antipodal.direction = 1
-        return rhs, [collapse, antipodal], float(state.rho)
+        return rhs, [(collapse, -1), (antipodal, 1)], float(state.rho)
 
     if isinstance(state, ProductSn1S1):
 
         def rhs(t, y):
-            return [2.0 - 2.0 * n + 2.0 * n * c * y[0]]
+            return 2.0 - 2.0 * n + 2.0 * n * c * y
 
         def collapse(t, y):
-            return y[0] - COLLAPSE_R1SQ / c
+            return y - COLLAPSE_R1SQ / c
 
         def fatten(t, y):
             # lam^2 = 1/r1^2 - c small <=> |h|^2 ~ c^2/lam^2 large
-            return y[0] - 1.0 / (c + c / BLOWUP_H2)
+            return y - 1.0 / (c + c / BLOWUP_H2)
 
-        collapse.terminal = True
-        collapse.direction = -1
-        fatten.terminal = True
-        fatten.direction = 1
-        return rhs, [collapse, fatten], float(initial_r1sq(state, params))
+        return rhs, [(collapse, -1), (fatten, 1)], float(initial_r1sq(state, params))
 
     raise GeometryError(f"ODE flow supports homogeneous states only, got {state!r}")
 
@@ -345,25 +345,20 @@ def flow_ode_numeric(
     params: PinchingParams,
     config: FlowConfig | None = None,
 ) -> FlowTrace:
-    """Adaptive 5(4) integration of the homogeneous reductions."""
+    """Adaptive Dormand–Prince 5(4) integration of the homogeneous reductions."""
     config = _resolved_homogeneous(config, initial, params)
-    n, c = params.n, params.c
     kind = "sphere" if isinstance(initial, GeodesicSphere) else "product"
     rhs, events, y0 = _ode_rhs_and_events(initial, params)
     sol = solve_ivp(
         rhs,
         (0.0, config.t_max),
-        [y0],
-        method="RK45",
+        y0,
         rtol=config.tol,
-        atol=config.tol * max(abs(y0), 1.0 / c),
+        atol=config.tol * max(abs(y0), 1.0 / params.c),
         events=events,
-        dense_output=False,
         first_step=config.dt_initial,
-        max_step=config.dt_initial or np.inf,
+        max_step=config.dt_initial or math.inf,
     )
-    if sol.status == -1:
-        raise StepUnderflow(f"integrator failed: {sol.message}")
     y = sol.y[0]
     state = GeodesicSphere(rho=y) if kind == "sphere" else ProductSn1S1.from_r1sq(y, params)
     data = curvature_of(state, params)

@@ -202,7 +202,7 @@ class ThresholdFamily:
         )
 
         # Taylor data of alpha at x0; beta is determined by these three numbers.
-        a0, a1, a2, _ = self.alpha(self.x0)
+        a0, a1, a2 = self.alpha(self.x0, order=2)
         self._beta_coeffs = (float(a0), float(a1), float(a2))
 
         # Taylor data of omega at x0 for the extension below x0.
@@ -258,12 +258,12 @@ class ThresholdFamily:
         polynomial below x0, so they are finite at x = 0.
         """
         x = np.asarray(x, dtype=float)
+        g, g1, g2 = (np.asarray(v) for v in self.beta(x))
         on_alpha = x >= self.x0
-        a, a1, a2, _ = self.alpha(x)
-        b, b1, b2 = self.beta(x)
-        g = np.where(on_alpha, a, b)
-        g1 = np.where(on_alpha, a1, b1)
-        g2 = np.where(on_alpha, a2, b2)
+        # alpha is evaluated only where it is selected: at tiny x its second
+        # derivative overflows.
+        for out, a in zip((g, g1, g2), self.alpha(x[on_alpha], order=2)):
+            out[on_alpha] = a
         return g, g1, g2, on_alpha
 
     # ----------------------------------------------------------------- omega

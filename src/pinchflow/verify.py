@@ -497,9 +497,11 @@ def check_okumura(params: PinchingParams, samples: int = 100_000, seed: int = DE
     n, c = params.n, params.c
     rng = np.random.default_rng(seed + n)
     lam = rng.uniform(-10.0 * np.sqrt(c), 10.0 * np.sqrt(c), size=(samples, n))
-    ring = lam - lam.mean(axis=1, keepdims=True)
-    cube = np.abs((ring ** 3).sum(axis=1))
-    norm3 = (ring ** 2).sum(axis=1) ** 1.5
+    lam -= lam.mean(axis=1, keepdims=True)  # the traceless part, in place
+    # einsum sums the products row by row without (samples, n) temporaries
+    cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
+    s2 = np.einsum("ij,ij->i", lam, lam)
+    norm3 = s2 * np.sqrt(s2)
     bound = (n - 2.0) / np.sqrt(n * (n - 1.0)) * norm3
     margin = (bound - cube) / np.maximum(norm3, 1e-30)
     i = int(np.argmin(margin))

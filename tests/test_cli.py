@@ -341,6 +341,26 @@ def fuzz_dir(tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize(
+    "family_flag, payload",
+    [
+        ("sphere", {"family": "product", "lambda": 0.5}),
+        ("product", {"family": "sphere", "rho": 0.5}),
+        ("product-exact", {"family": "sphere", "rho": 0.5}),
+        ("axisymmetric", {"family": "product", "lambda": 0.5}),
+    ],
+)
+def test_simulate_family_must_match_state_file(family_flag, payload, tmp_path, capsys):
+    state_file, trace = tmp_path / "state.json", tmp_path / "trace.csv"
+    state_file.write_text(json.dumps(payload))
+    code = main(["simulate", "--family", family_flag, "--profile", str(state_file),
+                 "--t-max", "0.01", "--output", str(trace)])
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: --family {family_flag} does not match")
+    assert not trace.exists()
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):

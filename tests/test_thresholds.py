@@ -1,5 +1,7 @@
 """Threshold functions: closed forms, derivatives, constants, and branch structure."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,19 @@ def test_gamma_is_min_of_branches(n):
     a, _, _, _ = fam.alpha(xs)
     b, _, _ = fam.beta(xs)
     assert np.allclose(g, np.minimum(a, b), rtol=1e-13, atol=0.0)
+
+
+def test_gamma_below_x0_is_silent_at_tiny_x():
+    # alpha's second derivative overflows near x = 1e-210; gamma keeps beta there
+    fam = family(PinchingParams(n=3, c=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, g1, g2, on_alpha = fam.gamma(1e-210)
+        grid = fam.gamma(np.array([0.0, 1e-300, 1e-210, fam.x0, 10.0 * fam.x0]))
+    b, b1, b2 = fam.beta(1e-210)
+    assert (g, g1, g2, bool(on_alpha)) == (b, b1, b2, False)
+    assert grid[3].tolist() == [False, False, False, True, True]
+    assert np.all(np.isfinite(np.stack(grid[:3])))
 
 
 @pytest.mark.parametrize("n", [3, 5, 10, 12])
