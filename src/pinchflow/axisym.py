@@ -64,12 +64,6 @@ MIN_SPACING_FRACTION = 1e-3
 class ProfileGeometry:
     """Per-sample curvature data of a profile curve (arrays of length N)."""
 
-    phi: np.ndarray
-    xi: np.ndarray
-    spacing: float
-    length: float
-    winding: int
-    speed: np.ndarray
     kappa_orbit: np.ndarray
     kappa_profile: np.ndarray
     H: np.ndarray
@@ -201,12 +195,6 @@ def profile_geometry(
     nu_phi = -cos_phi * xi1 / speed
     nu_xi = ph1 / (speed * cos_phi)
     return ProfileGeometry(
-        phi=phi,
-        xi=xi,
-        spacing=spacing,
-        length=spacing * len(phi),
-        winding=winding,
-        speed=speed,
         kappa_orbit=kappa_o,
         kappa_profile=kappa_p,
         H=H,

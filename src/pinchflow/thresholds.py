@@ -5,12 +5,16 @@ curvature c > 0.  The threshold gamma is the C^2 join of a radical branch
 (alpha, active for x >= x0) and its second-order Taylor polynomial about x0
 (beta, active below).  The weight omega enters the slack term of the pinching
 monitor; its printed closed form only covers x >= x0 and is extended below x0
-by its own second-order Taylor polynomial, with positivity verified at
-construction.
+by its own second-order Taylor polynomial, with positivity verified once per n.
 
-The distinguished abscissa x0 = y_n * c comes from a trigonometric closed form
-whose evaluation cancels badly in double precision, so y_n and the derived
-constants are computed with mpmath and certified against an independent
+All four are homogeneous of degree 1 in (x, c): f(x; c) = c f(x/c; 1), so the
+j-th x-derivative is c^(1-j) times the c = 1 derivative at u = x/c.  Each n is
+built once, at c = 1, and every evaluation runs at u = x/c and scales back.
+Only u is ever squared, so c from 1e-300 to 1e300 evaluates without overflow.
+
+The distinguished abscissa x0 = y_n * c comes from a trigonometric closed
+form.  y_n and k_n are evaluated in mpmath, which stays a dependency while
+perfbench reads its version, and y_n is certified against an independent
 bisection of the defining cubic.
 """
 
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -28,7 +32,7 @@ from mpmath import sqrt as _msqrt
 from scipy.optimize import brentq
 
 from .errors import DerivativeAtZero, DomainError, RootMismatch
-from .jets import Jet, variable
+from .jets import variable
 
 __all__ = [
     "Branch",
@@ -169,48 +173,92 @@ def _closed_forms(n: int) -> tuple[float, float, str]:
         return float(y), float(value), branch
 
 
+def _alpha(n: int, u, order: int) -> list:
+    """alpha at c = 1 and its first `order` derivatives; NaN derivatives at u = 0."""
+    s = u * u + 4.0 * (n - 1.0) * u
+    radical = np.sqrt(s)
+    out = [n + n / (2.0 * (n - 1.0)) * u - (n - 2.0) / (2.0 * (n - 1.0)) * radical]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order >= 1:
+            slope = (n - 2.0) / (2.0 * (n - 1.0)) * (u + 2.0 * (n - 1.0)) / radical
+            out.append(n / (2.0 * (n - 1.0)) - slope)
+        if order >= 2:
+            out.append(2.0 * (n - 2.0) * (n - 1.0) / s ** 1.5)
+        if order >= 3:
+            out.append(-6.0 * (n - 2.0) * (n - 1.0) * (u + 2.0 * (n - 1.0)) / s ** 2.5)
+    return [out[0]] + [np.where(u > 0.0, d, np.nan) for d in out[1:]]
+
+
+def _omega(n: int, u):
+    """Printed closed form of omega at c = 1, valid for u >= y_n: (omega, d1, d2)."""
+    uj = variable(u)
+    radical = (uj * uj + 4.0 * (n - 1.0) * uj).sqrt()
+    v = uj / radical
+    ratio = n / (n - 2.0)
+    bracket = (1.0 + (n * n) / uj) * ((ratio - v) / (ratio + v))
+    w = (uj * uj / radical) * bracket * bracket
+    return w.f, w.d1, w.d2
+
+
+def _taylor(coeffs, du):
+    """Quadratic Taylor polynomial with coefficients (f, f', f'') at offset du."""
+    f0, f1, f2 = coeffs
+    return f0 + f1 * du + 0.5 * f2 * du * du, f1 + f2 * du, np.full(np.shape(du), f2)
+
+
+def _to_x(jet, c: float) -> tuple:
+    """A c = 1 jet at u = x/c, scaled back to x: the j-th entry times c^(1-j).
+
+    Divides by c one step at a time: c^(j-1) itself may leave the double range.
+    """
+    value, *derivs = jet
+    out = [value * c]
+    for j, d in enumerate(derivs):
+        for _ in range(j):
+            d = d / c
+        out.append(d)
+    return tuple(out)
+
+
+@functools.cache
+def _unit(n: int) -> tuple[CriticalConstants, tuple, tuple]:
+    """Constants of n at c = 1, certified, and the Taylor data of alpha and omega at y_n.
+
+    Also checks once that omega's Taylor extension stays positive on [0, y_n].
+    """
+    y_closed, k_n, k_branch = _closed_forms(n)
+    y_root = _y_n_bisection(n)
+    if abs(y_closed - y_root) > _ROOT_AGREEMENT_RTOL * max(1.0, abs(y_closed)):
+        raise RootMismatch(
+            f"closed-form y_n={y_closed!r} and bisection root {y_root!r} disagree for n={n}"
+        )
+    residual = _cubic_residual(n, y_closed)
+    scale = abs(y_closed * (y_closed + 6.0 * (n - 1.0)) ** 2)
+    x1 = n * np.sqrt(n - 1.0) - 2.0 * n + 2.0
+    constants = CriticalConstants(y_closed, y_closed, x1, k_n, k_branch, abs(residual) / scale)
+    y = np.asarray(y_closed)
+    omega_taylor = tuple(float(v) for v in _omega(n, y))
+    us = np.linspace(0.0, y_closed, _EXTENSION_SCAN_POINTS)
+    if not np.all(_taylor(omega_taylor, us - y_closed)[0] > 0.0):
+        raise DomainError(f"omega Taylor extension loses positivity on [0, y_n] for n={n}")
+    return constants, tuple(float(v) for v in _alpha(n, y, 2)), omega_taylor
+
+
 class ThresholdFamily:
-    """Threshold evaluations for one (n, c); constants are precomputed once.
+    """Threshold evaluations for one (n, c): the c = 1 data of n, scaled by c.
 
     Array arguments are accepted everywhere and evaluated elementwise.
     """
 
     def __init__(self, params: PinchingParams):
         self.params = params
-        n, c = params.n, params.c
-
-        y_closed, k_n, k_branch = _closed_forms(n)
-        y_root = _y_n_bisection(n)
-        if abs(y_closed - y_root) > _ROOT_AGREEMENT_RTOL * max(1.0, abs(y_closed)):
-            raise RootMismatch(
-                f"closed-form y_n={y_closed!r} and bisection root {y_root!r} disagree for n={n}"
-            )
-        residual = _cubic_residual(n, y_closed)
-        scale = abs(y_closed * (y_closed + 6.0 * (n - 1.0)) ** 2)
-
-        self.y_n = y_closed
-        self.x0 = y_closed * c
-        self.x1 = (n * np.sqrt(n - 1.0) - 2.0 * n + 2.0) * c
-        self.k_n = k_n
-        self.constants = CriticalConstants(
-            y_n=y_closed,
-            x0=self.x0,
-            x1=self.x1,
-            k_n=k_n,
-            k_n_branch=k_branch,
-            bneq_residual=abs(residual) / scale,
-        )
-
-        # Taylor data of alpha at x0; beta is determined by these three numbers.
-        a0, a1, a2 = self.alpha(self.x0, order=2)
-        self._beta_coeffs = (float(a0), float(a1), float(a2))
-
-        # Taylor data of omega at x0 for the extension below x0.
-        w = self._omega_closed(np.asarray(self.x0))
-        self._omega_coeffs = (float(w.f), float(w.d1), float(w.d2))
-        self._check_extension_positive()
-
-    # ----------------------------------------------------------------- alpha
+        unit, self._alpha_taylor, self._omega_taylor = _unit(params.n)
+        c = params.c
+        self.constants = replace(unit, x0=unit.x0 * c, x1=unit.x1 * c)
+        self.y_n = self.constants.y_n
+        self.x0 = self.constants.x0
+        self.x1 = self.constants.x1
+        self.k_n = self.constants.k_n
 
     def alpha(self, x, order: int = 3):
         """Radical threshold branch and derivatives up to the requested order.
@@ -220,36 +268,13 @@ class ThresholdFamily:
         """
         x = _abscissa(x, "alpha")
         n, c = self.params.n, self.params.c
-        s = x * x + 4.0 * (n - 1.0) * c * x
-        radical = np.sqrt(s)
-        a = n * c + n / (2.0 * (n - 1.0)) * x - (n - 2.0) / (2.0 * (n - 1.0)) * radical
-        out = [a]
-        if order >= 1:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d1 = n / (2.0 * (n - 1.0)) - (n - 2.0) / (2.0 * (n - 1.0)) * (
-                    x + 2.0 * (n - 1.0) * c
-                ) / radical
-                out.append(np.where(x > 0.0, d1, np.nan))
-        if order >= 2:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d2 = 2.0 * (n - 2.0) * (n - 1.0) * c * c / s ** 1.5
-                out.append(np.where(x > 0.0, d2, np.nan))
-        if order >= 3:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d3 = -6.0 * (n - 2.0) * (n - 1.0) * (x + 2.0 * (n - 1.0) * c) * c * c / s ** 2.5
-                out.append(np.where(x > 0.0, d3, np.nan))
-        return tuple(out)
-
-    # ------------------------------------------------------------------ beta
+        return _to_x(_alpha(n, x / c, order), c)
 
     def beta(self, x):
         """Taylor branch about x0: returns (beta, d1, d2)."""
         x = _abscissa(x, "beta")
-        a0, a1, a2 = self._beta_coeffs
-        dx = x - self.x0
-        return a0 + a1 * dx + 0.5 * a2 * dx * dx, a1 + a2 * dx, np.broadcast_to(a2, x.shape).copy()
-
-    # ----------------------------------------------------------------- gamma
+        c = self.params.c
+        return _to_x(_taylor(self._alpha_taylor, x / c - self.y_n), c)
 
     def gamma(self, x):
         """Pinching threshold: alpha for x >= x0, beta below.
@@ -257,65 +282,35 @@ class ThresholdFamily:
         Returns (gamma, d1, d2, alpha_mask).  First derivatives use the beta
         polynomial below x0, so they are finite at x = 0.
         """
-        x = np.asarray(x, dtype=float)
-        g, g1, g2 = (np.asarray(v) for v in self.beta(x))
-        on_alpha = x >= self.x0
-        # alpha is evaluated only where it is selected: at tiny x its second
-        # derivative overflows.
-        for out, a in zip((g, g1, g2), self.alpha(x[on_alpha], order=2)):
-            out[on_alpha] = a
-        return g, g1, g2, on_alpha
-
-    # ----------------------------------------------------------------- omega
-
-    def _omega_closed(self, x) -> Jet:
-        """Printed closed form of omega, valid for x >= x0, as a jet in x."""
-        n, c = self.params.n, self.params.c
-        xj = variable(x)
-        radical = (xj * xj + 4.0 * (n - 1.0) * c * xj).sqrt()
-        u = xj / radical
-        ratio = n / (n - 2.0)
-        bracket = (1.0 + (n * n * c) / xj) * ((ratio - u) / (ratio + u))
-        return (xj * xj / radical) * bracket * bracket
+        return self._join(x, "gamma", self._alpha_taylor, lambda n, u: _alpha(n, u, 2))
 
     def omega(self, x):
         """Positive pinching weight: returns (omega, d1, d2).
 
         Closed form for x >= x0; second-order Taylor extension below.
         """
-        x = _abscissa(x, "omega")
-        # Evaluate the closed form away from 0 to dodge the x -> 0 division.
-        safe = np.where(x >= self.x0, x, self.x0)
-        w = self._omega_closed(safe)
-        w0, w1, w2 = self._omega_coeffs
-        dx = x - self.x0
-        ext_f = w0 + w1 * dx + 0.5 * w2 * dx * dx
-        ext_d1 = w1 + w2 * dx
+        return self._join(x, "omega", self._omega_taylor, _omega)[:3]
+
+    def _join(self, x, name: str, taylor, closed):
+        """closed(n, u) from x0 on, the Taylor polynomial about x0 below: (f, d1, d2, on_closed).
+
+        Both run at c = 1 on u = x/c; the closed form only on the entries it keeps.
+        """
+        x = _abscissa(x, name)
+        c = self.params.c
+        u = np.asarray(x / c)
+        f, d1, d2 = (np.asarray(v) for v in _taylor(taylor, u - self.y_n))
         on_closed = x >= self.x0
-        return (
-            np.where(on_closed, w.f, ext_f),
-            np.where(on_closed, w.d1, ext_d1),
-            np.where(on_closed, w.d2, w2),
-        )
-
-    def _check_extension_positive(self):
-        xs = np.linspace(0.0, self.x0, _EXTENSION_SCAN_POINTS)
-        w, _, _ = self.omega(xs)
-        if not np.all(w > 0.0):
-            raise DomainError(
-                f"omega Taylor extension loses positivity on [0, x0] for "
-                f"n={self.params.n}, c={self.params.c}"
-            )
-
-    # ---------------------------------------------------------------- bundle
+        for out, v in zip((f, d1, d2), closed(self.params.n, u[on_closed])):
+            out[on_closed] = v
+        return (*_to_x((f, d1, d2), c), on_closed)
 
     def bundle(self, x: float) -> ThresholdBundle:
         """Everything at one abscissa; alpha derivatives are NaN at x = 0."""
         xf = float(_abscissa(x, "thresholds"))
         a, a1, a2, a3 = self.alpha(xf)
-        b, b1, b2 = self.beta(xf)
-        on_alpha = xf >= self.x0
-        g, g1, g2 = (a, a1, a2) if on_alpha else (b, b1, b2)
+        b, _, _ = self.beta(xf)
+        g, g1, g2, on_alpha = self.gamma(xf)
         w, w1, w2 = self.omega(xf)
         return ThresholdBundle(
             x=xf,

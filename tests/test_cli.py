@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,27 @@ def test_thresholds_nan_abscissa_is_a_runtime_error(tmp_path, capsys):
     assert main(["thresholds", "--n", "10", "--x", "nan", "--output", str(out)]) == 1
     assert not out.exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, c, name",
+    [("thresholds", "1e200", "thr.csv"), ("constants", "1e-200", "constants.json")],
+)
+def test_extreme_curvature_writes_finite_numbers(command, c, name, tmp_path, capsys):
+    out = tmp_path / name
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--n", "10", "--c", c, "--output", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if command == "constants":
+        payload = json.loads(out.read_text())
+        numbers = [v for v in payload.values() if isinstance(v, float)]
+        assert len(numbers) == 6
+    else:
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 1002 and rows[0][-1] == "branch"
+        numbers = [float(v) for row in rows[1:] for v in row[:-1]]
+    assert np.all(np.isfinite(numbers))
 
 
 @pytest.mark.parametrize(

@@ -197,10 +197,10 @@ def test_bundle_band_and_positivity(n, c):
 
 
 @st.composite
-def threshold_point(draw):
-    """(n, c, x) with n in [3, 500], c in [1e-6, 1e6] (log-scaled), x in [0, 100 c]."""
+def threshold_point(draw, log10_c_max=300.0):
+    """(n, c, x) with n in [3, 500], log10 c in [-log10_c_max, log10_c_max], x in [0, 100 c]."""
     n = draw(st.integers(3, 500))
-    c = 10.0 ** draw(st.floats(-6.0, 6.0))
+    c = 10.0 ** draw(st.floats(-log10_c_max, log10_c_max))
     x = draw(st.floats(0.0, 100.0 * c))
     return n, c, x
 
@@ -219,9 +219,10 @@ def test_threshold_properties_hold_across_n_c_and_x(point):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(point=threshold_point())
+@given(point=threshold_point(log10_c_max=6.0))
 def test_alpha_and_beta_have_c2_contact_at_x0(point):
-    # value, first and second derivative differ at the Taylor remainder's order
+    # value, first and second derivative differ at the Taylor remainder's order;
+    # eps^3 overflows for c beyond about 1e100
     n, c, _ = point
     fam = family(PinchingParams(n=n, c=c))
     eps = 1e-4 * fam.x0
@@ -231,6 +232,41 @@ def test_alpha_and_beta_have_c2_contact_at_x0(point):
         assert abs(a - b) <= abs(a3) * eps ** 3
         assert abs(a1 - b1) <= abs(a3) * eps ** 2
         assert abs(a2 - b2) <= 1.5 * abs(a3) * eps
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 500),
+    k=st.integers(-990, 990),
+    u=st.one_of(st.just(0.0), st.floats(1e-8, 100.0)),
+)
+def test_thresholds_are_homogeneous_in_c(n, k, u):
+    # f(x; c) = c f(x/c; 1), so the j-th derivative scales by c^(1-j); exact for c = 2^k
+    c = 2.0 ** k
+    scaled, unit = family(PinchingParams(n=n, c=c)), family(PinchingParams(n=n, c=1.0))
+    x = u * c
+    for name, got, ref in [
+        ("alpha", scaled.alpha(x, order=1), unit.alpha(u, order=1)),
+        ("beta", scaled.beta(x), unit.beta(u)),
+        ("gamma", scaled.gamma(x)[:3], unit.gamma(u)[:3]),
+        ("omega", scaled.omega(x), unit.omega(u)),
+    ]:
+        for j, (g, r) in enumerate(zip(got, ref)):
+            np.testing.assert_array_equal(g, r * c ** (1 - j), err_msg=f"{name} order {j}")
+    assert scaled.gamma(x)[3] == unit.gamma(u)[3]
+
+
+def test_thresholds_finite_and_silent_for_extreme_c():
+    # only x/c is ever squared, so c = 1e-300 ... 1e300 neither overflows nor warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (3, 10, 40):
+            for k in range(-300, 301):
+                fam = family(PinchingParams(n=n, c=float(f"1e{k}")))
+                xs = fam.default_grid(points=60)
+                values = [*fam.gamma(xs)[:3], *fam.omega(xs), *fam.beta(xs)]
+                values += fam.alpha(xs, order=1)
+                assert np.all(np.isfinite(values)), (n, k)
 
 
 def test_omega_log_derivative_identity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pinchflow import CheckFailure, PinchingParams, ThresholdFamily
+from pinchflow import thresholds
 from pinchflow.thresholds import family
 from pinchflow.verify import (
     _lagrange_derivative,
@@ -106,6 +107,22 @@ def test_suite_builds_each_family_once(monkeypatch):
     family.cache_clear()
     default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000, okumura_samples=1000)
     assert sorted(built) == [(3, 1.0), (10, 1.0)]
+
+
+def test_suite_certifies_each_n_once(monkeypatch):
+    # the c-free constants are built once per n and scaled to every c
+    certified = []
+    bisection = thresholds._y_n_bisection
+
+    def counting_bisection(n):
+        certified.append(n)
+        return bisection(n)
+
+    monkeypatch.setattr(thresholds, "_y_n_bisection", counting_bisection)
+    family.cache_clear()
+    thresholds._unit.cache_clear()
+    default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=3000, okumura_samples=1000)
+    assert sorted(certified) == [3, 10]
 
 
 def _lagrange_derivative_loop(ts, ys, width=5):
