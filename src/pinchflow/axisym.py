@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import GeometryError, NonEmbedded
 from .thresholds import PinchingParams
@@ -131,6 +131,48 @@ def _chord_arclength(phi: np.ndarray, xi: np.ndarray, c: float):
     return np.concatenate([[0.0], np.cumsum(chords)])
 
 
+def _periodic_spline(x, y, x_new):
+    """Periodic cubic spline through (x, y), evaluated at x_new.
+
+    x is strictly increasing with at least 4 knots, y has shape (len(x), m)
+    with y[-1] == y[0], and x_new lies in [x[0], x[-1]).  The arithmetic is
+    scipy's CubicSpline(x, y, bc_type="periodic")(x_new) step for step, so
+    the result is the same to the bit (up to the sign of a zero).
+    """
+    dx = np.diff(x)
+    dx_prev = np.roll(dx, 1)
+    dxr, dxr_prev = dx[:, None], dx_prev[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # Row i of the cyclic slope system, i = 0..k-1 with k = len(dx):
+    # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i].
+    # Solve rows 0..k-2 for s[k-1] = 0 and for a unit s[k-1], then fix s[k-1]
+    # from the last row.
+    rhs = 3 * (dxr * np.roll(slope, 1, axis=0) + dxr_prev * slope)
+    diag = 2 * (dx_prev + dx)
+    ab = np.zeros((3, len(dx) - 1))
+    ab[0, 1:] = dx_prev[:-2]
+    ab[1] = diag[:-1]
+    ab[2, :-1] = dx[1:-1]
+    b2 = np.zeros_like(rhs[:-1])
+    b2[0] = -dx[0]
+    b2[-1] = -dx[-3]
+    s1 = solve_banded((1, 1), ab, rhs[:-1], check_finite=False)
+    s2 = solve_banded((1, 1), ab, b2, check_finite=False)
+    s_m1 = (rhs[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1]) / (
+        diag[-1] + dx[-2] * s2[0] + dx[-1] * s2[-1]
+    )
+    d = np.empty_like(y)
+    d[:-2] = s1 + s_m1 * s2
+    d[-2] = s_m1
+    d[-1] = d[0]
+    # Hermite cubic on each interval, summed in PPoly's power-basis order.
+    t = (d[:-1] + d[1:] - 2 * slope) / dxr
+    c0, c1 = t / dxr, (slope - d[:-1]) / dxr - t
+    i = np.searchsorted(x, x_new, side="right") - 1
+    h = (x_new - x[i])[:, None]
+    return y[i] + d[i] * h + c1[i] * (h * h) + c0[i] * (h * h * h)
+
+
 def resample_profile(phi, xi, params: PinchingParams, n_points: int | None = None):
     """Redistribute a closed profile to uniform arc length.
 
@@ -152,16 +194,20 @@ def resample_profile(phi, xi, params: PinchingParams, n_points: int | None = Non
     uniform = segments.max() - segments.min() <= UNIFORM_SKIP_RTOL * segments.mean()
     if uniform and n_out == n_in:
         return phi.copy(), xi.copy(), length / n_in, length, w
+    if n_in < 3:
+        raise GeometryError("resampling needs at least 3 samples")
+    if segments.min() <= 0.0:
+        raise GeometryError("profile repeats a sample: zero chord between neighbours")
     both = np.empty((n_in + 1, 2))
     both[:-1, 0] = phi
     both[-1, 0] = phi[0]
     both[:-1, 1] = xi
     both[-1, 1] = xi[0] + ramp
     both[:, 1] -= ramp * s / length
-    # Mathematically periodic; make it bit-exact for the spline validation.
+    # Mathematically periodic; make it bit-exact, as the periodic spline assumes.
     both[-1, 1] = both[0, 1]
     s_new = np.arange(n_out) * (length / n_out)
-    resampled = CubicSpline(s, both, bc_type="periodic")(s_new)
+    resampled = _periodic_spline(s, both, s_new)
     phi_u = resampled[:, 0]
     xi_u = resampled[:, 1] + ramp * s_new / length
     return phi_u, xi_u, length / n_out, length, w

@@ -30,7 +30,7 @@ def write_threshold_csv(path, fam, xs, config: dict):
     """Threshold table: n,c,x,alpha,beta,gamma,gamma_d1,gamma_d2,omega,branch."""
     n, c = fam.params.n, fam.params.c
     xs = np.asarray(xs, dtype=float)
-    a, _, _, _ = fam.alpha(xs)
+    (a,) = fam.alpha(xs, order=0)
     b, _, _ = fam.beta(xs)
     g, g1, g2, on_alpha = fam.gamma(xs)
     w, _, _ = fam.omega(xs)

@@ -17,9 +17,8 @@ and uniform arc-length redistribution after every accepted step.  ETDRK4
 integrates the stiff part of the velocity, the periodic second-difference
 stencil, exactly in Fourier space, so the step is bounded only by the
 reaction rate 0.15/(nc + |h|^2), not by the grid spacing.  The redistribution
-fits a periodic scipy CubicSpline (``axisym.resample_profile``); that and
-scipy's brentq, which certifies y_n in ``thresholds``, are the package's only
-uses of scipy.
+fits a periodic cubic spline (``axisym.resample_profile``) whose slope system
+is solved by scipy.linalg.solve_banded, the package's only use of scipy.
 
 Monitors recorded at every accepted step: the pinching excess
 U = |h|^2 - gamma + eps*omega (pointwise max), the decay ratio

@@ -29,7 +29,6 @@ from mpmath import mp, mpf
 from mpmath import atan as _matan
 from mpmath import cos as _mcos
 from mpmath import sqrt as _msqrt
-from scipy.optimize import brentq
 
 from .errors import DerivativeAtZero, DomainError, RootMismatch
 from .jets import variable
@@ -147,7 +146,17 @@ def _y_n_bisection(n: int) -> float:
             f"found {len(sign_changes)} sign changes"
         )
     i = sign_changes[0]
-    return brentq(lambda y: _cubic_residual(n, y), ys[i], ys[i + 1], xtol=1e-13, rtol=1e-15)
+    a, b = float(ys[i]), float(ys[i + 1])
+    negative_at_a = _cubic_residual(n, a) < 0.0
+    # Bisect to a width of 1e-13 + 1e-15 |b|, which stays above one ulp of b,
+    # so the loop ends.
+    while b - a > 1e-13 + 1e-15 * abs(b):
+        mid = 0.5 * (a + b)
+        if (_cubic_residual(n, mid) < 0.0) == negative_at_a:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _closed_forms(n: int) -> tuple[float, float, str]:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline  # reference only
 
-from pinchflow import NonEmbedded, PinchingParams
+from pinchflow import GeometryError, NonEmbedded, PinchingParams
 from pinchflow.axisym import (
+    _periodic_spline,
     curvature_of_profile,
     perturbed_product_profile,
     product_profile,
@@ -72,6 +76,31 @@ def test_resample_skips_uniform_grids():
     assert np.array_equal(phi_u, phi)
     assert np.array_equal(xi_u, xi)
     assert spacing * 128 == pytest.approx(length, rel=1e-14)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    knots=st.integers(4, 600),
+    n_out=st.integers(1, 700),
+    spread=st.floats(0.0, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_periodic_spline_is_scipy_cubic_spline_to_the_bit(knots, n_out, spread, seed):
+    rng = np.random.default_rng(seed)
+    chords = 10.0 ** rng.uniform(-spread, 0.0, knots - 1)  # uneven by up to 10^spread
+    x = np.concatenate([[0.0], np.cumsum(chords)])
+    y = rng.normal(size=(knots, 2))
+    y[-1] = y[0]
+    x_new = np.arange(n_out) * (x[-1] / n_out)
+    ref = CubicSpline(x, y, bc_type="periodic")(x_new)
+    assert np.array_equal(_periodic_spline(x, y, x_new), ref)
+
+
+def test_resample_rejects_repeated_samples():
+    params = PinchingParams(n=10, c=1.0)
+    phi, xi = perturbed_product_profile(params, 0.75, 0.05, n_points=32)
+    with pytest.raises(GeometryError, match="repeats a sample"):
+        resample_profile(np.insert(phi, 3, phi[3]), np.insert(xi, 3, xi[3]), params)
 
 
 def test_resample_recovers_uniform_spacing():

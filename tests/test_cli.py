@@ -145,6 +145,24 @@ def test_simulate_nonfinite_profile_is_a_runtime_error(column, tmp_path, capsys)
     assert not trace.exists()
 
 
+def test_simulate_repeated_profile_sample_is_a_runtime_error(tmp_path, capsys):
+    from pinchflow.axisym import perturbed_product_profile
+    from pinchflow.thresholds import PinchingParams
+
+    phi, xi = perturbed_product_profile(PinchingParams(n=10, c=1.0), 0.9, 0.05, n_points=48)
+    phi, xi = np.insert(phi, 5, phi[5]), np.insert(xi, 5, xi[5])
+    state_file, trace = tmp_path / "state.json", tmp_path / "trace.csv"
+    _write_profile(state_file, phi, xi)
+    code = main(
+        ["simulate", "--family", "axisymmetric", "--profile", str(state_file),
+         "--output", str(trace)]
+    )
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "repeats a sample" in stderr
+    assert not trace.exists()
+
+
 def test_verify_subset_green(tmp_path):
     report = tmp_path / "report.json"
     code = main(
@@ -239,7 +257,11 @@ def test_thresholds_nan_abscissa_is_a_runtime_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, c, name",
-    [("thresholds", "1e200", "thr.csv"), ("constants", "1e-200", "constants.json")],
+    [
+        ("thresholds", "1e200", "thr.csv"),
+        ("thresholds", "1e-200", "thr.csv"),
+        ("constants", "1e-200", "constants.json"),
+    ],
 )
 def test_extreme_curvature_writes_finite_numbers(command, c, name, tmp_path, capsys):
     out = tmp_path / name
@@ -299,6 +321,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["k_n"] == pytest.approx(6.0, abs=1e-9)
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    # scipy.interpolate pulls in scipy.special and fitpack, and dominated the
+    # start-up of every command; the package needs scipy.linalg alone.
+    src = str(Path(pinchflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    heavy = ("scipy.interpolate", "scipy.optimize", "scipy.special")
+    probe = f"import sys, pinchflow.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ fuzzing

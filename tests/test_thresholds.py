@@ -19,7 +19,7 @@ from pinchflow import (
     eval_gamma,
     eval_omega,
 )
-from pinchflow.thresholds import _y_n_bisection, family
+from pinchflow.thresholds import _ROOT_SCAN_POINTS, _cubic_residual, _y_n_bisection, family
 
 
 def test_params_validation():
@@ -71,6 +71,21 @@ def test_y10_is_twelve():
     assert consts.x0 == pytest.approx(12.0, abs=1e-9)
     # for n = 10 the branch point coincides with the alpha minimizer
     assert consts.x0 == pytest.approx(consts.x1, abs=1e-9)
+
+
+def test_bisection_agrees_with_brentq_on_its_bracket():
+    from scipy.optimize import brentq  # reference only
+
+    for n in [*range(3, 401), 1000, 5000, 10000]:
+        ys = np.linspace(1e-9, np.sqrt(8.0) * n * n, _ROOT_SCAN_POINTS)
+        vals = _cubic_residual(n, ys)
+        (i,) = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        ref = brentq(lambda y: _cubic_residual(n, y), ys[i], ys[i + 1], xtol=1e-13, rtol=1e-15)
+        # Both stop at a sign change of the cubic evaluated in doubles.  Its
+        # rounding noise blurs the sign over a band up to ~50x the stopping
+        # width 1e-13 + 1e-15 y (n = 10000: 5e-14 relative), so the roots are
+        # compared relative to y, far inside the 1e-9 certification.
+        assert abs(_y_n_bisection(n) - ref) <= 1e-13 * ref, n
 
 
 def test_y3_against_bisection_oracle():
