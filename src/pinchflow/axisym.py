@@ -173,8 +173,8 @@ def _periodic_spline(x, y, x_new):
     return y[i] + d[i] * h + c1[i] * (h * h) + c0[i] * (h * h * h)
 
 
-def resample_profile(phi, xi, params: PinchingParams, n_points: int | None = None):
-    """Redistribute a closed profile to uniform arc length.
+def resample_profile(phi, xi, params: PinchingParams):
+    """Redistribute a closed profile to uniform arc length, keeping its sample count.
 
     Returns (phi_u, xi_u, spacing, length, winding).  A grid that is already
     uniform (relative spread below UNIFORM_SKIP_RTOL) is passed through
@@ -183,7 +183,6 @@ def resample_profile(phi, xi, params: PinchingParams, n_points: int | None = Non
     phi = np.asarray(phi, dtype=float)
     xi = np.unwrap(np.asarray(xi, dtype=float))
     n_in = len(phi)
-    n_out = n_points or n_in
     s = _chord_arclength(phi, xi, params.c)
     length = s[-1]
     if length <= 0.0:
@@ -192,7 +191,7 @@ def resample_profile(phi, xi, params: PinchingParams, n_points: int | None = Non
     ramp = 2.0 * np.pi * w
     segments = np.diff(s)
     uniform = segments.max() - segments.min() <= UNIFORM_SKIP_RTOL * segments.mean()
-    if uniform and n_out == n_in:
+    if uniform:
         return phi.copy(), xi.copy(), length / n_in, length, w
     if n_in < 3:
         raise GeometryError("resampling needs at least 3 samples")
@@ -206,11 +205,11 @@ def resample_profile(phi, xi, params: PinchingParams, n_points: int | None = Non
     both[:, 1] -= ramp * s / length
     # Mathematically periodic; make it bit-exact, as the periodic spline assumes.
     both[-1, 1] = both[0, 1]
-    s_new = np.arange(n_out) * (length / n_out)
+    s_new = np.arange(n_in) * (length / n_in)
     resampled = _periodic_spline(s, both, s_new)
     phi_u = resampled[:, 0]
     xi_u = resampled[:, 1] + ramp * s_new / length
-    return phi_u, xi_u, length / n_out, length, w
+    return phi_u, xi_u, length / n_in, length, w
 
 
 def profile_geometry(

@@ -181,7 +181,7 @@ def main(argv=None) -> int:
                 t_max=args.t_max,
                 tol=args.tol,
             )
-            config.validate(params)  # before any file is written
+            config.validate()  # before any file is written
             if args.curvature_csv:
                 export.write_curvature_csv(args.curvature_csv, state, params, echo)
             if args.family == "product-exact":

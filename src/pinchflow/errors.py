@@ -35,7 +35,7 @@ class FixedPointError(PinchflowError):
 class StepUnderflow(PinchflowError):
     """Time step fell below its floor before a terminal event.
 
-    The floor is dt_min on the profile route and 10 ulp(t) in the ODE integrator.
+    The floor is flow.DT_MIN on the profile route and 10 ulp(t) in the ODE integrator.
     """
 
 

@@ -69,7 +69,7 @@ def write_trace_csv(path, trace, config: dict):
     m, state = trace.monitors, trace.state
     if state is None:  # axisymmetric: the grid size on snapshot rows only
         snaps = trace.snapshots
-        param = [str(snaps[i].grid_size) if i in snaps else "" for i in range(len(m))]
+        param = [str(len(snaps[i].profile)) if i in snaps else "" for i in range(len(m))]
     else:
         param = [fmt(v) for v in (state.rho if hasattr(state, "rho") else state.lam)]
     columns = (m.t, m.H_max, m.h2_max, m.h0_2_max, m.gamma_min, m.U_max, m.f_sigma, m.g_sigma)

@@ -80,6 +80,8 @@ GEODESIC_H2 = 1e-12  # times c, sustained for 1/(nc)
 BLOWUP_H2 = 1e6  # times c
 MESH_SAMPLES_TARGET = 200
 CONTOUR_POINTS = 32
+DT_MIN = 1e-12  # floor of the profile route's time step
+EXACT_SAMPLES = 400  # times sampled by the closed-form product trajectory
 
 
 class TerminalKind(enum.Enum):
@@ -108,16 +110,15 @@ class FlowConfig:
     epsilon: float | None = None
     sigma: float = 0.1
     dt_initial: float | None = None
-    dt_min: float = 1e-12
     t_max: float | None = None
     tol: float = 1e-10
 
-    def validate(self, params: PinchingParams):
+    def validate(self):
         if not 0.0 < self.sigma < 1.0:
             raise DomainError(f"sigma must lie in (0, 1), got {self.sigma!r}")
         if self.epsilon is not None and not 0.0 <= self.epsilon < np.inf:
             raise DomainError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        for name in ("t_max", "tol", "dt_initial", "dt_min"):
+        for name in ("t_max", "tol", "dt_initial"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
@@ -130,7 +131,7 @@ class FlowConfig:
         ``initial`` is the curvature data of the initial state; it is read only
         when epsilon is unset.
         """
-        self.validate(params)
+        self.validate()
         eps = self.epsilon if self.epsilon is not None else default_epsilon(initial, params)
         t_max = self.t_max if self.t_max is not None else 1.0 / params.c
         return replace(self, epsilon=eps, t_max=t_max)
@@ -138,20 +139,20 @@ class FlowConfig:
 
 @dataclass
 class MonitorRecord:
-    """Monitors at one time (float fields) or columns over a trace (1-D arrays)."""
+    """Monitor columns: 1-D arrays with one entry per recorded time."""
 
-    t: float | np.ndarray
-    H_max: float | np.ndarray
-    h2_max: float | np.ndarray
-    h0_2_max: float | np.ndarray
-    gamma_min: float | np.ndarray
-    U_max: float | np.ndarray
-    f_sigma: float | np.ndarray
-    g_sigma: float | np.ndarray
-    C0_fit: float | np.ndarray
+    t: np.ndarray
+    H_max: np.ndarray
+    h2_max: np.ndarray
+    h0_2_max: np.ndarray
+    gamma_min: np.ndarray
+    U_max: np.ndarray
+    f_sigma: np.ndarray
+    g_sigma: np.ndarray
+    C0_fit: np.ndarray
 
     def __len__(self) -> int:
-        return np.size(self.t)
+        return len(self.t)
 
 
 @dataclass
@@ -185,27 +186,22 @@ def default_epsilon(data: CurvatureData | axisym.ProfileGeometry, params: Pinchi
 def monitors_update(
     params: PinchingParams,
     config: FlowConfig,
-    data: CurvatureData | axisym.ProfileGeometry,
     t: float | np.ndarray,
-    previous: MonitorRecord | None = None,
+    H: np.ndarray,
+    h2: np.ndarray,
+    h0_2: np.ndarray,
 ) -> MonitorRecord:
-    """Monitor record from pointwise curvature data.
+    """Monitor columns over the times t from pointwise curvature.
 
-    A float t takes data of one state and gives float fields; an array t takes
-    a homogeneous trajectory and gives columns.  The fitted constants are
-    running maxima continued from ``previous``.
+    t is a float or a 1-D array.  H, h2 = |h|^2 and h0_2 = |h0|^2 have shape
+    (points, len(t)), one column per time, or (len(t),) for a homogeneous
+    trajectory.  Every field is a 1-D array of len(t) entries; C0_fit is the
+    running maximum over them.
     """
     n, c = params.n, params.c
     fam = family(params)
-    t = np.asarray(t, dtype=float)
-
-    def pointwise(values):
-        # axis 0 runs over the points of one state; a trajectory adds axis 1 over times
-        if t.ndim:
-            return np.broadcast_to(np.asarray(values, dtype=float), t.shape)[None, :]
-        return np.atleast_1d(np.asarray(values, dtype=float))
-
-    H, h2, h0_2 = pointwise(data.H), pointwise(data.h_norm2), pointwise(data.h0_norm2)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    H, h2, h0_2 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (H, h2, h0_2))
     x = H ** 2
     g, _, _, _ = fam.gamma(x)
     w, _, _ = fam.omega(x)
@@ -217,9 +213,7 @@ def monitors_update(
     growth = np.exp(2.0 * config.sigma * c * t)
     f_sigma = (h0_2 / gamma_ring ** (1.0 - config.sigma)).max(axis=0)
     decay_ratio = (h0_2 * growth / (x + c) ** (1.0 - config.sigma)).max(axis=0)
-    if previous is not None:
-        decay_ratio = np.maximum(decay_ratio, previous.C0_fit)
-    columns = dict(
+    return MonitorRecord(
         t=t,
         H_max=np.abs(H).max(axis=0),
         h2_max=h2.max(axis=0),
@@ -228,11 +222,8 @@ def monitors_update(
         U_max=U.max(axis=0),
         f_sigma=f_sigma,
         g_sigma=f_sigma * growth,
-        C0_fit=np.maximum.accumulate(np.atleast_1d(decay_ratio)),
+        C0_fit=np.maximum.accumulate(decay_ratio),
     )
-    if not t.ndim:
-        columns = {name: column.item() for name, column in columns.items()}
-    return MonitorRecord(**columns)
 
 
 def _resolved_homogeneous(
@@ -251,7 +242,6 @@ def flow_product_exact(
     initial: ProductSn1S1,
     params: PinchingParams,
     config: FlowConfig | None = None,
-    n_samples: int = 400,
 ) -> FlowTrace:
     """Closed-form trajectory of the product family down to the great circle."""
     if not isinstance(initial, ProductSn1S1):
@@ -271,7 +261,7 @@ def flow_product_exact(
     T = -np.log(d) / (2.0 * n * c)
     t_end = min(config.t_max, T)
     # Samples crowd toward the collapse time where the state varies fastest.
-    u = np.linspace(0.0, 1.0, n_samples)
+    u = np.linspace(0.0, 1.0, EXACT_SAMPLES)
     ts = t_end * (1.0 - (1.0 - u) ** 2)
     r1sq = stationary * (1.0 - d * np.exp(2.0 * n * c * ts))
     # The trajectory ends before the first sample at the great circle.
@@ -279,7 +269,7 @@ def flow_product_exact(
     stop = int(np.argmax(collapsed)) if collapsed.any() else len(ts)
     state = ProductSn1S1.from_r1sq(r1sq[:stop], params)
     data = curvature_of(state, params)
-    monitors = monitors_update(params, config, data, ts[:stop])
+    monitors = monitors_update(params, config, ts[:stop], data.H, data.h_norm2, data.h0_norm2)
     trace = FlowTrace("product", params, config, monitors, state=state, curvature=data)
     if T <= config.t_max:
         trace.terminal = TerminalEvent(TerminalKind.GREAT_CIRCLE_COLLAPSE, float(T))
@@ -361,7 +351,7 @@ def flow_ode_numeric(
     y = sol.y[0]
     state = GeodesicSphere(rho=y) if kind == "sphere" else ProductSn1S1.from_r1sq(y, params)
     data = curvature_of(state, params)
-    monitors = monitors_update(params, config, data, sol.t)
+    monitors = monitors_update(params, config, sol.t, data.H, data.h_norm2, data.h0_norm2)
     trace = FlowTrace(kind, params, config, monitors, state=state, curvature=data)
     trace.terminal = _ode_terminal(kind, sol, params, monitors)
     return trace
@@ -407,17 +397,20 @@ def flow_axisymmetric(
     config = (config or FlowConfig()).resolved(geom, params)
 
     t = 0.0
-    prev, records, snapshots, terminal = None, [], {}, None
+    records, snapshots, terminal = [], {}, None
     dt_first = _profile_dt(float(geom.h_norm2.max()), params, config, t)
-    est_steps = max(1, int(config.t_max / max(dt_first, config.dt_min)))
+    est_steps = max(1, int(config.t_max / max(dt_first, DT_MIN)))
     snap_every = max(1, est_steps // MESH_SAMPLES_TARGET)
     step = 0
     while True:
-        prev = monitors_update(params, config, geom, t, prev)
-        records.append(prev)
+        record = monitors_update(
+            params, config, t, geom.H[:, None], geom.h_norm2[:, None], geom.h0_norm2[:, None]
+        )
+        records.append(record)
+        h2_max = float(record.h2_max[0])
         if step % snap_every == 0:
             snapshots[step] = Axisymmetric(np.stack([phi, xi], axis=1))
-        if prev.h2_max > BLOWUP_H2 * c:
+        if h2_max > BLOWUP_H2 * c:
             min_r1sq = float(np.min(np.sin(phi) ** 2) / c)
             kind = (
                 TerminalKind.GREAT_CIRCLE_COLLAPSE
@@ -428,9 +421,9 @@ def flow_axisymmetric(
             break
         if t >= config.t_max:
             break
-        dt = _profile_dt(prev.h2_max, params, config, t)
-        if dt < config.dt_min:
-            raise StepUnderflow(f"time step {dt!r} fell below dt_min before a terminal event")
+        dt = _profile_dt(h2_max, params, config, t)
+        if dt < DT_MIN:
+            raise StepUnderflow(f"time step {dt!r} fell below DT_MIN before a terminal event")
         # The state is phi and xi minus its winding ramp, both periodic; the
         # parametrization is frozen over the step.
         ramp = 2.0 * np.pi * winding * np.arange(len(phi)) / len(phi)
@@ -456,7 +449,8 @@ def flow_axisymmetric(
         t += dt
         step += 1
     names = [f.name for f in fields(MonitorRecord)]
-    monitors = MonitorRecord(**{k: np.array([getattr(r, k) for r in records]) for k in names})
+    monitors = MonitorRecord(**{k: np.concatenate([getattr(r, k) for r in records]) for k in names})
+    monitors.C0_fit = np.maximum.accumulate(monitors.C0_fit)
     trace = FlowTrace("axisymmetric", params, config, monitors, snapshots=snapshots)
     trace.terminal = terminal or _horizon_terminal(monitors, params)
     return trace

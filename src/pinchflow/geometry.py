@@ -90,14 +90,11 @@ class Axisymmetric:
     """Torus-type profile samples (phi, xi) in the orbit space."""
 
     profile: np.ndarray
-    grid_size: int = 0
 
     def __post_init__(self):
         self.profile = np.atleast_2d(np.asarray(self.profile, dtype=float))
         if self.profile.shape[1] != 2:
             raise GeometryError("axisymmetric profile must have shape (N, 2)")
-        if not self.grid_size:
-            self.grid_size = self.profile.shape[0]
 
     @property
     def phi(self) -> np.ndarray:
@@ -221,17 +218,13 @@ def ricci_lower_bound(
     return bound, witness
 
 
-def classify_pinching(
-    data: CurvatureData,
-    params: PinchingParams,
-    tol: float = WEAK_EQUALITY_RTOL,
-) -> PinchingVerdict:
-    """Compare |h|^2 with gamma(H^2); tolerance scales with H^2 + c."""
+def classify_pinching(data: CurvatureData, params: PinchingParams) -> PinchingVerdict:
+    """Compare |h|^2 with gamma(H^2); the tolerance WEAK_EQUALITY_RTOL scales with H^2 + c."""
     fam = family(params)
     x = np.atleast_1d(np.asarray(data.H, dtype=float) ** 2)
     g, _, _, _ = fam.gamma(x)
     margin = g - np.atleast_1d(np.asarray(data.h_norm2, dtype=float))
-    scale = tol * (x + params.c)
+    scale = WEAK_EQUALITY_RTOL * (x + params.c)
     m = float(margin.min())
     if np.any(margin < -scale):
         kind = PinchingClass.VIOLATED

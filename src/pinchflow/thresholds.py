@@ -52,6 +52,8 @@ _MP_DPS = 50
 _ROOT_SCAN_POINTS = 8192
 _ROOT_AGREEMENT_RTOL = 1e-9
 _EXTENSION_SCAN_POINTS = 4001
+_U_MAX = 1e60  # largest x/c; from ~1e62 on, s**2.5 (s ~ u^2) in alpha's d3 overflows
+GRID_X_MAX = 100.0  # times c, the top of default_grid
 
 
 class Branch(enum.Enum):
@@ -275,15 +277,13 @@ class ThresholdFamily:
         Returns (alpha, d1, d2, d3) truncated to order+1 entries.  Derivative
         entries at x = 0 are NaN.
         """
-        x = _abscissa(x, "alpha")
-        n, c = self.params.n, self.params.c
-        return _to_x(_alpha(n, x / c, order), c)
+        u = self._u(x, "alpha")
+        return _to_x(_alpha(self.params.n, u, order), self.params.c)
 
     def beta(self, x):
         """Taylor branch about x0: returns (beta, d1, d2)."""
-        x = _abscissa(x, "beta")
-        c = self.params.c
-        return _to_x(_taylor(self._alpha_taylor, x / c - self.y_n), c)
+        u = self._u(x, "beta")
+        return _to_x(_taylor(self._alpha_taylor, u - self.y_n), self.params.c)
 
     def gamma(self, x):
         """Pinching threshold: alpha for x >= x0, beta below.
@@ -305,14 +305,20 @@ class ThresholdFamily:
 
         Both run at c = 1 on u = x/c; the closed form only on the entries it keeps.
         """
-        x = _abscissa(x, name)
-        c = self.params.c
-        u = np.asarray(x / c)
+        u = self._u(x, name)
         f, d1, d2 = (np.asarray(v) for v in _taylor(taylor, u - self.y_n))
-        on_closed = x >= self.x0
+        on_closed = np.asarray(x, dtype=float) >= self.x0
         for out, v in zip((f, d1, d2), closed(self.params.n, u[on_closed])):
             out[on_closed] = v
-        return (*_to_x((f, d1, d2), c), on_closed)
+        return (*_to_x((f, d1, d2), self.params.c), on_closed)
+
+    def _u(self, x, name: str) -> np.ndarray:
+        """u = x/c as a float array; DomainError unless x >= 0 is finite and u <= _U_MAX."""
+        with np.errstate(over="ignore"):  # u = inf fails the check below
+            u = np.asarray(_abscissa(x, name) / self.params.c)
+        if not (u <= _U_MAX).all():
+            raise DomainError(f"{name} is defined for x/c <= {_U_MAX:g} only")
+        return u
 
     def bundle(self, x: float) -> ThresholdBundle:
         """Everything at one abscissa; alpha derivatives are NaN at x = 0."""
@@ -337,7 +343,7 @@ class ThresholdFamily:
             active_branch=Branch.ALPHA if on_alpha else Branch.BETA,
         )
 
-    def default_grid(self, points: int = 10_000, x_max_factor: float = 100.0):
+    def default_grid(self, points: int = 10_000):
         """Log-spaced below c, linear above, plus the distinguished abscissas.
 
         Needs points >= 3, the fewest that leave both parts non-empty.
@@ -347,10 +353,10 @@ class ThresholdFamily:
         n, c = self.params.n, self.params.c
         n_log = points // 3
         log_part = np.geomspace(1e-8 * c, c, n_log, endpoint=False)
-        lin_part = np.linspace(c, x_max_factor * c, points - n_log)
+        lin_part = np.linspace(c, GRID_X_MAX * c, points - n_log)
         x2 = np.sqrt(2.0 * (n - 1.0)) * (np.sqrt(n - 1.0) - 1.0 / np.sqrt(2.0)) ** 2 * c
         marked = np.array([self.x0, self.x1, (n - 2.0) ** 2 * c, x2])
-        marked = marked[(marked >= 1e-8 * c) & (marked <= x_max_factor * c)]
+        marked = marked[(marked >= 1e-8 * c) & (marked <= GRID_X_MAX * c)]
         return np.unique(np.concatenate([log_part, lin_part, marked]))
 
 

@@ -53,6 +53,9 @@ DEFAULT_NS = tuple(range(3, 13))
 DEFAULT_CS = (0.25, 1.0, 4.0)
 DEFAULT_GRID_POINTS = 10_000
 DEFAULT_SEED = 2024
+ORACLE_POINTS = 100  # random abscissas of check_derivative_oracles
+LAGRANGE_WIDTH = 5  # stencil of _lagrange_derivative
+REACTION_GROWTH_CAP = 2.0  # reaction_residuals stops once |h|^2 grows past this
 
 
 @dataclass
@@ -157,7 +160,7 @@ def _inequality_report(
     )
 
 
-def _identity_report(check_id, params, xs, lhs, rhs, scale, rtol=IDENTITY_RTOL) -> CheckReport:
+def _identity_report(check_id, params, xs, lhs, rhs, scale) -> CheckReport:
     rel = np.abs(lhs - rhs) / scale
     i = int(np.argmax(rel))
     return CheckReport(
@@ -165,9 +168,9 @@ def _identity_report(check_id, params, xs, lhs, rhs, scale, rtol=IDENTITY_RTOL) 
         n=params.n,
         c=params.c,
         grid_size=len(xs),
-        worst_margin=float(rtol - rel[i]),
+        worst_margin=float(IDENTITY_RTOL - rel[i]),
         worst_x=float(xs[i]),
-        passed=bool(rel[i] <= rtol),
+        passed=bool(rel[i] <= IDENTITY_RTOL),
     )
 
 
@@ -447,12 +450,12 @@ def _fd_derivatives(f, x, h):
     return d1, d2, d3
 
 
-def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED, points: int = 100):
+def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
     """Closed-form derivatives vs centered finite differences at random abscissas."""
     fam = family(params)
     n, c = params.n, params.c
     rng = np.random.default_rng(seed + 1000 * n)
-    xs = rng.uniform(0.2 * c, 90.0 * c, points)
+    xs = rng.uniform(0.2 * c, 90.0 * c, ORACLE_POINTS)
     # The radical varies on the scale of x itself, so steps follow x.  Keep
     # stencils away from the branch point, where only C^2 holds.
     h = 0.004 * xs
@@ -516,7 +519,7 @@ def check_okumura(params: PinchingParams, samples: int = 100_000, seed: int = DE
 # ------------------------------------------------------------ flow oracles
 
 
-def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray, width: int = 5) -> np.ndarray:
+def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Derivative of a sampled series on a nonuniform grid (local polynomials).
 
     Vectorized over the sample index.  The products and sums over the stencil
@@ -524,24 +527,24 @@ def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray, width: int = 5) -> np.n
     result bit for bit.
     """
     m = len(ts)
-    half = width // 2
+    half = LAGRANGE_WIDTH // 2
     out = np.full(m, np.nan)
     centers = np.arange(half, m - half)
     window = centers[:, None] + np.arange(-half, half + 1)
     tau = ts[window] - ts[centers, None]
     y = ys[window]
     acc = np.zeros(len(centers))
-    for j in range(width):
+    for j in range(LAGRANGE_WIDTH):
         denom = np.ones(len(centers))
-        for k in range(width):
+        for k in range(LAGRANGE_WIDTH):
             if k != j:
                 denom *= tau[:, j] - tau[:, k]
         num = np.zeros(len(centers))
-        for k in range(width):
+        for k in range(LAGRANGE_WIDTH):
             if k == j:
                 continue
             prod = np.ones(len(centers))
-            for l in range(width):
+            for l in range(LAGRANGE_WIDTH):
                 if l != j and l != k:
                     prod *= -tau[:, l]
             num += prod
@@ -550,13 +553,13 @@ def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray, width: int = 5) -> np.n
     return out
 
 
-def reaction_residuals(trace, params: PinchingParams, growth_cap: float = 2.0):
+def reaction_residuals(trace, params: PinchingParams):
     """Relative residuals of the homogeneous reaction equations along a trace.
 
     Returns (res_H, res_h2): finite-difference d/dt of H and |h|^2 against
     H(|h|^2 + nc) and 4cH^2 + 2|h|^4 - 2nc|h|^2.  The comparison stops once
-    |h|^2 exceeds growth_cap times its initial scale, where the sampled series
-    no longer resolves the approach to the singularity.
+    |h|^2 exceeds REACTION_GROWTH_CAP times its initial scale, where the sampled
+    series no longer resolves the approach to the singularity.
     """
     n, c = params.n, params.c
     ts, H, h2 = trace.times, trace.curvature.H, trace.curvature.h_norm2
@@ -564,7 +567,7 @@ def reaction_residuals(trace, params: PinchingParams, growth_cap: float = 2.0):
     dh2 = _lagrange_derivative(ts, h2)
     rhs_H = H * (h2 + n * c)
     rhs_h2 = 4.0 * c * H ** 2 + 2.0 * h2 ** 2 - 2.0 * n * c * h2
-    ok = ~np.isnan(dH) & (h2 <= growth_cap * (h2[0] + n * c))
+    ok = ~np.isnan(dH) & (h2 <= REACTION_GROWTH_CAP * (h2[0] + n * c))
     scale_H = np.maximum(np.abs(rhs_H), n * c * np.sqrt(c))
     scale_h2 = np.maximum(np.abs(rhs_h2), n * c * c)
     res_H = np.abs(dH - rhs_H)[ok] / scale_H[ok]

@@ -249,10 +249,12 @@ def test_runtime_error_exit_code(capsys):
 
 
 def test_thresholds_nan_abscissa_is_a_runtime_error(tmp_path, capsys):
+    # x/c beyond 1e60 would overflow into a NaN row, so it is rejected as well
     out = tmp_path / "thr.csv"
-    assert main(["thresholds", "--n", "10", "--x", "nan", "--output", str(out)]) == 1
-    assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
+    for c, x in (("1", "nan"), ("1", "1e200"), ("1e-160", "1")):
+        assert main(["thresholds", "--n", "10", "--c", c, "--x", x, "--output", str(out)]) == 1
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,13 @@ from pinchflow import (
     eval_gamma,
     eval_omega,
 )
-from pinchflow.thresholds import _ROOT_SCAN_POINTS, _cubic_residual, _y_n_bisection, family
+from pinchflow.thresholds import (
+    _ROOT_SCAN_POINTS,
+    _U_MAX,
+    _cubic_residual,
+    _y_n_bisection,
+    family,
+)
 
 
 def test_params_validation():
@@ -284,6 +290,23 @@ def test_thresholds_finite_and_silent_for_extreme_c():
                 assert np.all(np.isfinite(values)), (n, k)
 
 
+def test_thresholds_finite_and_silent_up_to_the_u_cap():
+    # x/c = _U_MAX is the largest abscissa accepted; c = 2^k keeps x/c exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (3, 10, 40):
+            for c in (2.0 ** -10, 1.0, 2.0 ** 10):
+                fam = family(PinchingParams(n=n, c=c))
+                x = _U_MAX * c
+                values = [*fam.alpha(x), *fam.beta(x), *fam.gamma(x)[:3], *fam.omega(x)]
+                assert np.all(np.isfinite(values)), (n, c)
+                with pytest.raises(DomainError):
+                    fam.gamma(np.nextafter(x, np.inf))
+        # x/c overflows to inf, which is rejected without a warning
+        with pytest.raises(DomainError):
+            family(PinchingParams(n=10, c=1e-300)).gamma(1e10)
+
+
 def test_omega_log_derivative_identity():
     params = PinchingParams(n=4, c=2.0)
     fam = family(params)
@@ -328,7 +351,7 @@ def test_omega_negative_x_raises():
         eval_omega(PinchingParams(n=5), -0.5)
 
 
-@pytest.mark.parametrize("x", [-0.5, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("x", [-0.5, np.nan, np.inf, -np.inf, 1e200])
 def test_threshold_domain_rejects_negative_and_nonfinite_x(x):
     params = PinchingParams(n=5)
     fam = family(params)
