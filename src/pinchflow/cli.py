@@ -9,6 +9,7 @@ a state and write the trace).  Exit codes: 0 success, 1 check or run failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,6 +28,7 @@ def _add_params(parser):
     parser.add_argument("--c", type=float, default=1.0, help="ambient curvature (default 1)")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so main reuses one per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pinchflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,13 +8,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__ as VERSION
+from .errors import PinchflowError
 
 TOOL = "pinchflow"
-
-
-def fmt(x) -> str:
-    """17 significant digits: repr-exact round trip for doubles."""
-    return format(float(x), ".17g")
 
 
 def provenance_lines(config: dict) -> list[str]:
@@ -34,17 +30,11 @@ def write_threshold_csv(path, fam, xs, config: dict):
     b, _, _ = fam.beta(xs)
     g, g1, g2, on_alpha = fam.gamma(xs)
     w, _, _ = fam.omega(xs)
-    lines = provenance_lines(config)
-    lines.append("n,c,x,alpha,beta,gamma,gamma_d1,gamma_d2,omega,branch")
-    for i, x in enumerate(xs):
-        branch = "alpha" if on_alpha[i] else "beta"
-        lines.append(
-            ",".join(
-                [str(n), fmt(c), fmt(x), fmt(a[i]), fmt(b[i]), fmt(g[i]), fmt(g1[i]),
-                 fmt(g2[i]), fmt(w[i]), branch]
-            )
-        )
-    _write(path, "\n".join(lines) + "\n")
+    _table(
+        path, config, "n,c,x,alpha,beta,gamma,gamma_d1,gamma_d2,omega,branch",
+        f"{n},{float(c):.17g}," + "%.17g," * 7 + "%s",
+        xs, a, b, g, g1, g2, w, np.where(on_alpha, "alpha", "beta"),
+    )
 
 
 def write_constants_json(path, params, constants, config: dict):
@@ -64,18 +54,18 @@ def write_constants_json(path, params, constants, config: dict):
 
 def write_trace_csv(path, trace, config: dict):
     """Trace table: t,family,param,H_max,h2_max,h0_2_max,gamma_min,U_max,f_sigma,g_sigma."""
-    lines = provenance_lines(config)
-    lines.append("t,family,param,H_max,h2_max,h0_2_max,gamma_min,U_max,f_sigma,g_sigma")
     m, state = trace.monitors, trace.state
     if state is None:  # axisymmetric: the grid size on snapshot rows only
         snaps = trace.snapshots
         param = [str(len(snaps[i].profile)) if i in snaps else "" for i in range(len(m))]
     else:
-        param = [fmt(v) for v in (state.rho if hasattr(state, "rho") else state.lam)]
-    columns = (m.t, m.H_max, m.h2_max, m.h0_2_max, m.gamma_min, m.U_max, m.f_sigma, m.g_sigma)
-    for p, t, *values in zip(param, *(col.tolist() for col in columns)):
-        lines.append(",".join([fmt(t), trace.family, p] + [fmt(v) for v in values]))
-    _write(path, "\n".join(lines) + "\n")
+        param = state.rho if hasattr(state, "rho") else state.lam
+    param_format = "%s" if state is None else "%.17g"
+    _table(
+        path, config, "t,family,param,H_max,h2_max,h0_2_max,gamma_min,U_max,f_sigma,g_sigma",
+        f"%.17g,{trace.family.replace('%', '%%')},{param_format}" + ",%.17g" * 7,
+        m.t, param, m.H_max, m.h2_max, m.h0_2_max, m.gamma_min, m.U_max, m.f_sigma, m.g_sigma,
+    )
 
 
 def write_terminal_json(path, trace, config: dict):
@@ -93,20 +83,12 @@ def write_curvature_csv(path, state, params, config: dict):
     from .thresholds import family
 
     data = curvature_of(state, params)
-    H = np.atleast_1d(np.asarray(data.H, dtype=float))
-    h2 = np.atleast_1d(np.asarray(data.h_norm2, dtype=float))
-    h0 = np.atleast_1d(np.asarray(data.h0_norm2, dtype=float))
+    H, h2 = data.H, data.h_norm2
     g, _, _, _ = family(params).gamma(H ** 2)
-    g = np.atleast_1d(g)
-    lines = provenance_lines(config)
-    lines.append("s,H,h2,h0_2,gamma,margin")
-    for i in range(len(H)):
-        lines.append(
-            ",".join(
-                [str(i), fmt(H[i]), fmt(h2[i]), fmt(h0[i]), fmt(g[i]), fmt(g[i] - h2[i])]
-            )
-        )
-    _write(path, "\n".join(lines) + "\n")
+    _table(
+        path, config, "s,H,h2,h0_2,gamma,margin", "%d" + ",%.17g" * 5,
+        np.arange(np.size(H)), H, h2, data.h0_norm2, g, g - h2,
+    )
 
 
 def write_reports_json(path, reports, config: dict):
@@ -129,6 +111,16 @@ def render_report_table(reports) -> str:
     return "\n".join(rows)
 
 
+def _table(path, config: dict, header: str, template: str, *columns):
+    """Provenance lines, the header, then one `template % row` line per row of the columns."""
+    rows = zip(*(np.atleast_1d(col).tolist() for col in columns))
+    lines = provenance_lines(config) + [header] + [template % row for row in rows]
+    _write(path, "\n".join(lines) + "\n")
+
+
 def _write(path, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PinchflowError(f"cannot write {path!r}: {exc}") from exc

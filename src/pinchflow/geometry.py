@@ -78,7 +78,7 @@ class ProductSn1S1:
         c = params.c
         r1sq = np.asarray(r1sq, dtype=float)
         if not np.all((0.0 < r1sq) & (r1sq < 1.0 / c)):
-            raise GeometryError(f"product state needs 0 < r1sq < 1/c, got {r1sq!r}")
+            raise GeometryError(f"product state needs 0 < r1sq < 1/c, got {r1sq.tolist()!r}")
         lam = np.sqrt(1.0 / r1sq - c)
         if r1sq.ndim == 0:
             return ProductSn1S1(lam=float(lam), r1sq_exact=float(r1sq))

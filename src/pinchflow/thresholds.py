@@ -221,13 +221,18 @@ def _to_x(jet, c: float) -> tuple:
     """A c = 1 jet at u = x/c, scaled back to x: the j-th entry times c^(1-j).
 
     Divides by c one step at a time: c^(j-1) itself may leave the double range.
+    DomainError when a finite entry overflows (alpha''' ~ c^-2 at c = 1e-300); NaN stays.
     """
     value, *derivs = jet
-    out = [value * c]
-    for j, d in enumerate(derivs):
-        for _ in range(j):
-            d = d / c
-        out.append(d)
+    try:
+        with np.errstate(over="raise"):
+            out = [value * c]
+            for j, d in enumerate(derivs):
+                for _ in range(j):
+                    d = d / c
+                out.append(d)
+    except FloatingPointError:
+        raise DomainError(f"a derivative leaves the double range at c = {c!r}") from None
     return tuple(out)
 
 

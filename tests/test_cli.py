@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchflow
-from pinchflow.cli import main
+from pinchflow.cli import build_parser, main
+from pinchflow.verify import DEFAULT_CS, DEFAULT_NS
 
 
 def test_constants_command(tmp_path, capsys):
@@ -280,6 +281,44 @@ def test_extreme_curvature_writes_finite_numbers(command, c, name, tmp_path, cap
         assert len(rows) == 1002 and rows[0][-1] == "branch"
         numbers = [float(v) for row in rows[1:] for v in row[:-1]]
     assert np.all(np.isfinite(numbers))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--output", "{missing}"],
+        ["constants", "--output", "{missing}"],
+        ["verify", "--n-values", "3", "--c-values", "1", "--output", "{missing}"],
+        ["simulate", "--output", "{missing}"],
+        ["simulate", "--output", "{tmp}/trace.csv", "--terminal-json", "{missing}"],
+    ],
+)
+def test_unwritable_output_is_a_runtime_error(argv, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out"
+    argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: cannot write {str(missing)!r}")
+    assert "Traceback" not in stderr
+
+
+def test_product_radius_error_shows_a_float(capsys):
+    assert main(["simulate", "--family", "product", "--r1sq", "5"]) == 1
+    stderr = capsys.readouterr().err
+    assert "got 5.0" in stderr and "array(" not in stderr
+
+
+def test_cli_calls_in_one_process_are_independent(tmp_path, capsys):
+    # main reuses one parser per process; no call may leave a value in it
+    assert build_parser() is build_parser()
+    assert main(["verify", "--n-values", "3", "--c-values", "1"]) == 0
+    args = build_parser().parse_args(["verify"])
+    assert args.n_values == list(DEFAULT_NS) and args.c_values == list(DEFAULT_CS)
+    one, table = tmp_path / "one.csv", tmp_path / "table.csv"
+    assert main(["thresholds", "--x", "1", "--output", str(one)]) == 0
+    assert main(["thresholds", "--points", "5", "--output", str(table)]) == 0
+    assert build_parser().parse_args(["thresholds"]).x is None
+    assert len(table.read_text().splitlines()) == 3 + 5
 
 
 @pytest.mark.parametrize(

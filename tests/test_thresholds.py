@@ -307,6 +307,18 @@ def test_thresholds_finite_and_silent_up_to_the_u_cap():
             family(PinchingParams(n=10, c=1e-300)).gamma(1e10)
 
 
+def test_derivative_beyond_the_double_range_is_a_domain_error():
+    # alpha's third derivative ~ c^-2 is ~1e600 at c = 1e-300: a typed error, not -inf
+    params = PinchingParams(n=10, c=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            eval_alpha(params, 1e-300)
+        with pytest.raises(DomainError):
+            eval_gamma(params, 1e-300)
+        assert np.isfinite(eval_alpha(params, 1e-300, order=1)).all()
+
+
 def test_omega_log_derivative_identity():
     params = PinchingParams(n=4, c=2.0)
     fam = family(params)
