@@ -115,7 +115,9 @@ def _load_state(args, params):
     if args.family in ("product", "product-exact"):
         if args.lam is not None:
             return ProductSn1S1(lam=args.lam)
-        r1sq = args.r1sq if args.r1sq is not None else 0.75 / params.c
+        r1sq = args.r1sq
+        if r1sq is None:  # five sixths of the stationary torus (n-1)/(nc); 0.75/c at n = 10
+            r1sq = 5 * (params.n - 1) / (6 * params.n) / params.c
         return ProductSn1S1.from_r1sq(r1sq, params)
     raise PinchflowError("axisymmetric runs need --profile pointing to a state file")
 

@@ -263,7 +263,7 @@ def flow_product_exact(
     # Samples crowd toward the collapse time where the state varies fastest.
     u = np.linspace(0.0, 1.0, EXACT_SAMPLES)
     ts = t_end * (1.0 - (1.0 - u) ** 2)
-    r1sq = stationary * (1.0 - d * np.exp(2.0 * n * c * ts))
+    r1sq = product_r1sq_exact(initial, params, ts)
     # The trajectory ends before the first sample at the great circle.
     collapsed = r1sq <= COLLAPSE_R1SQ / c
     stop = int(np.argmax(collapsed)) if collapsed.any() else len(ts)

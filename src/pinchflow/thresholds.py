@@ -31,7 +31,6 @@ from mpmath import cos as _mcos
 from mpmath import sqrt as _msqrt
 
 from .errors import DerivativeAtZero, DomainError, RootMismatch
-from .jets import variable
 
 __all__ = [
     "Branch",
@@ -201,14 +200,27 @@ def _alpha(n: int, u, order: int) -> list:
 
 
 def _omega(n: int, u):
-    """Printed closed form of omega at c = 1, valid for u >= y_n: (omega, d1, d2)."""
-    uj = variable(u)
-    radical = (uj * uj + 4.0 * (n - 1.0) * uj).sqrt()
-    v = uj / radical
+    """Printed closed form of omega at c = 1, valid for u >= y_n: (omega, d1, d2).
+
+    omega = u^2 b^2 / sqrt(s) with s = u^2 + 4(n-1)u, b = (1 + n^2/u)(R - v)/(R + v),
+    v = u/sqrt(s) and R = n/(n-2).  Its derivatives are omega L1 and omega (L2 + L1^2),
+    with L1, L2 those of log omega = 2 log(u + n^2) - log(s)/2 + 2 log((R - v)/(R + v)).
+    """
+    m = n - 1.0
     ratio = n / (n - 2.0)
-    bracket = (1.0 + (n * n) / uj) * ((ratio - v) / (ratio + v))
-    w = (uj * uj / radical) * bracket * bracket
-    return w.f, w.d1, w.d2
+    s = u * u + 4.0 * m * u
+    inv_r = 1.0 / np.sqrt(s)
+    v = u * inv_r
+    p, q = 1.0 / (ratio - v), 1.0 / (ratio + v)
+    # these products of reciprocals, in this order, fix omega's last bits on x >= x0
+    b = (1.0 + n * n * (1.0 / u)) * ((ratio - v) * q)
+    w = u * u * inv_r * b * b
+    v1 = 2.0 * m * v / s  # v'
+    v2 = -2.0 * v1 * (u + m) / s  # v''
+    e, h = 1.0 / (u + n * n), (u + 2.0 * m) / s  # (log(u + n^2))', (log s)' / 2
+    l1 = 2.0 * e - h - 2.0 * v1 * (p + q)
+    l2 = -2.0 * e * e - 1.0 / s + 2.0 * h * h - 2.0 * (v2 + v1 * v1 * (p - q)) * (p + q)
+    return w, w * l1, w * (l2 + l1 * l1)
 
 
 def _taylor(coeffs, du):
@@ -217,13 +229,13 @@ def _taylor(coeffs, du):
     return f0 + f1 * du + 0.5 * f2 * du * du, f1 + f2 * du, np.full(np.shape(du), f2)
 
 
-def _to_x(jet, c: float) -> tuple:
-    """A c = 1 jet at u = x/c, scaled back to x: the j-th entry times c^(1-j).
+def _to_x(values, c: float) -> tuple:
+    """(f, f', ...) at c = 1 and u = x/c, scaled back to x: the j-th entry times c^(1-j).
 
     Divides by c one step at a time: c^(j-1) itself may leave the double range.
     DomainError when a finite entry overflows (alpha''' ~ c^-2 at c = 1e-300); NaN stays.
     """
-    value, *derivs = jet
+    value, *derivs = values
     try:
         with np.errstate(over="raise"):
             out = [value * c]

@@ -75,6 +75,19 @@ def test_simulate_product_collapse(tmp_path):
     assert len(lines) > 10
 
 
+@pytest.mark.parametrize("family_flag", ["product", "product-exact"])
+@pytest.mark.parametrize("n", [3, 4, 10])
+def test_default_product_state_collapses_for_every_n(family_flag, n, tmp_path):
+    # the default r1^2 = 5(n-1)/(6nc) gives d = 1/6, so the collapse time is log(6)/(2nc)
+    term = tmp_path / "terminal.json"
+    code = main(["simulate", "--family", family_flag, "--n", str(n),
+                 "--output", str(tmp_path / "trace.csv"), "--terminal-json", str(term)])
+    assert code == 0
+    payload = json.loads(term.read_text())
+    assert payload["terminal"] == "GreatCircleCollapse"
+    assert payload["T"] == pytest.approx(np.log(6.0) / (2.0 * n), rel=1e-6)
+
+
 def test_simulate_sphere(tmp_path):
     trace = tmp_path / "trace.csv"
     code = main(

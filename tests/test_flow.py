@@ -219,6 +219,23 @@ def test_integrator_error_scales_at_design_order():
     assert errors[0] / errors[1] > 8.0
 
 
+def test_profile_route_error_falls_at_fourth_order():
+    # a latitude circle has no spatial error, so the error at t = 0.06 is ETDRK4's time error
+    phi, xi = product_profile(P10, 0.75, n_points=64)
+    initial = ProductSn1S1.from_r1sq(0.75, P10)
+    errors = []
+    for cap in (2e-3, 1e-3, 5e-4):
+        trace = flow_axisymmetric(
+            Axisymmetric(np.stack([phi, xi], axis=1)), P10,
+            FlowConfig(epsilon=0.0, t_max=0.06, dt_initial=cap),
+        )
+        last = max(trace.snapshots)
+        r1sq = float(np.mean(np.sin(trace.snapshots[last].phi) ** 2))
+        errors.append(abs(r1sq - product_r1sq_exact(initial, P10, trace.times[last])))
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(14.0 <= r <= 18.0 for r in ratios), ratios
+
+
 def test_perturbed_circle_is_flagged_not_strict():
     # no torus-type state can be strictly pinched; the monitor reports U > 0
     phi, xi = perturbed_product_profile(P10, 0.75, amplitude=0.05, mode=3, n_points=96)

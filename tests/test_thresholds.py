@@ -331,6 +331,28 @@ def test_omega_log_derivative_identity():
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-10
 
 
+@pytest.mark.parametrize("n", [3, 4, 10, 40])
+def test_omega_derivatives_match_a_50_digit_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def omega(x, c):  # the printed closed form in x and c
+        radical = mpmath.sqrt(x * x + 4 * (n - 1) * c * x)
+        v, ratio = x / radical, mpmath.mpf(n) / (n - 2)
+        bracket = (1 + n * n * c / x) * (ratio - v) / (ratio + v)
+        return x * x / radical * bracket * bracket
+
+    for c in (0.25, 1.0, 4.0):
+        fam = family(PinchingParams(n=n, c=c))
+        xs = np.geomspace(fam.x0, fam.x0 + 100.0 * c, 12)  # x0 = 187c at n = 40
+        got = np.array(fam.omega(xs))
+        with mp.workdps(60):
+            cm = mp.mpf(c)
+            ref = [list(mp.diffs(lambda t: omega(t, cm), mp.mpf(x), 2)) for x in xs]
+        ref = np.array(ref, dtype=float).T
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12, c
+
+
 def test_omega_x0_combination_n3():
     # dimensionless, so independent of c
     for c in (0.25, 1.0, 4.0):
