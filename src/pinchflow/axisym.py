@@ -18,10 +18,11 @@ hypersurface reduces to two scalars per profile sample:
 where primes are derivatives in the (arbitrary) curve parameter and
 w = sqrt((phi'^2 + cos^2(phi) xi'^2)/c) is the parametric speed.  Both
 formulas are parametrization invariant; derivatives are taken with 4th-order
-centered differences on a uniform periodic grid.  Profiles are redistributed
-to uniform arc length (chordal estimate, periodic cubic spline resampling)
-before differencing; redistribution is skipped when the input is already
-uniform.
+centered differences on a uniform periodic grid in the curve parameter, which
+needs to be close to arc length only for accuracy.  A profile whose chords
+differ by more than MAX_CHORD_RATIO (max/min) is redistributed to uniform arc
+length (chordal estimate, periodic cubic spline resampling) before
+differencing; a profile within the bound is differenced as it is.
 
 Sign conventions: the unit normal is the clockwise rotation of the tangent in
 the orbit space, which makes the latitude circle phi = const (traversed with
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import GeometryError, NonEmbedded
+from .errors import GeometryError, MeshDegenerate, NonEmbedded
 from .thresholds import PinchingParams
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
     "self_intersects",
 ]
 
-UNIFORM_SKIP_RTOL = 1e-9
+MAX_CHORD_RATIO = 1.02  # max/min chord ratio a profile keeps without redistribution
 MIN_SPACING_FRACTION = 1e-3
 
 
@@ -89,7 +90,11 @@ def embed(phi: np.ndarray, xi: np.ndarray, c: float) -> np.ndarray:
 
 def winding_of(xi: np.ndarray) -> int:
     """Number of 2*pi turns the unwrapped xi makes over one period."""
-    xi = np.unwrap(xi)
+    return _turns(np.unwrap(xi))
+
+
+def _turns(xi: np.ndarray) -> int:
+    """winding_of for an xi that is already unwrapped."""
     # Signed closing increment from the last sample back to the first.
     closing = (xi[0] - xi[-1] + np.pi) % (2.0 * np.pi) - np.pi
     total = (xi[-1] - xi[0]) + closing
@@ -174,11 +179,15 @@ def _periodic_spline(x, y, x_new):
 
 
 def resample_profile(phi, xi, params: PinchingParams):
-    """Redistribute a closed profile to uniform arc length, keeping its sample count.
+    """Redistribute a closed profile to uniform arc length once its mesh has drifted.
 
-    Returns (phi_u, xi_u, spacing, length, winding).  A grid that is already
-    uniform (relative spread below UNIFORM_SKIP_RTOL) is passed through
-    untouched, so exactly represented profiles stay exact.
+    Returns (phi_u, xi_u, spacing, length, winding) with the input's sample
+    count, length the closed chordal length and spacing = length / N.  A
+    profile whose max/min chord ratio is at most MAX_CHORD_RATIO is passed
+    through untouched, so exactly represented profiles stay exact; any other
+    is refit by a periodic cubic spline in chordal arc length and sampled at N
+    equal steps.  A zero chord raises GeometryError, and a chord below
+    MIN_SPACING_FRACTION of the mean raises MeshDegenerate.
     """
     phi = np.asarray(phi, dtype=float)
     xi = np.unwrap(np.asarray(xi, dtype=float))
@@ -187,16 +196,17 @@ def resample_profile(phi, xi, params: PinchingParams):
     length = s[-1]
     if length <= 0.0:
         raise GeometryError("profile has zero length")
-    w = winding_of(xi)
+    w = _turns(xi)
     ramp = 2.0 * np.pi * w
     segments = np.diff(s)
-    uniform = segments.max() - segments.min() <= UNIFORM_SKIP_RTOL * segments.mean()
-    if uniform:
+    if segments.max() <= MAX_CHORD_RATIO * segments.min():
         return phi.copy(), xi.copy(), length / n_in, length, w
     if n_in < 3:
         raise GeometryError("resampling needs at least 3 samples")
     if segments.min() <= 0.0:
         raise GeometryError("profile repeats a sample: zero chord between neighbours")
+    if segments.min() < MIN_SPACING_FRACTION * segments.mean():
+        raise MeshDegenerate("adjacent profile samples collapsed after redistribution")
     both = np.empty((n_in + 1, 2))
     both[:-1, 0] = phi
     both[-1, 0] = phi[0]
@@ -331,7 +341,7 @@ def self_intersects(phi: np.ndarray, xi: np.ndarray) -> bool:
     n = len(pts)
     start = pts
     end = np.roll(pts, -1, axis=0)
-    end[-1, 0] = pts[0, 0] + (winding_of(xi) * 2.0 * np.pi)
+    end[-1, 0] = pts[0, 0] + (_turns(xi) * 2.0 * np.pi)
     end[-1, 1] = pts[0, 1]
     idx_i, idx_j = np.triu_indices(n, k=2)
     # Skip the wrap-adjacent pair (segment n-1 followed by segment 0).

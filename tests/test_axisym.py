@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline  # reference only
 
-from pinchflow import GeometryError, NonEmbedded, PinchingParams
+from pinchflow import GeometryError, MeshDegenerate, NonEmbedded, PinchingParams
 from pinchflow.axisym import (
     _periodic_spline,
     curvature_of_profile,
@@ -76,6 +76,32 @@ def test_resample_skips_uniform_grids():
     assert np.array_equal(phi_u, phi)
     assert np.array_equal(xi_u, xi)
     assert spacing * 128 == pytest.approx(length, rel=1e-14)
+
+
+@pytest.mark.parametrize("skew, redistributed", [(0.005, False), (0.02, True)])
+def test_resample_redistributes_only_past_the_chord_bound(skew, redistributed):
+    # xi = theta + skew sin(theta) spreads the chords of a latitude circle by a
+    # max/min ratio of about (1 + skew)/(1 - skew): 1.010 and 1.041
+    from pinchflow.axisym import MAX_CHORD_RATIO, _chord_arclength
+
+    params = PinchingParams(n=10, c=1.0)
+    phi, theta = product_profile(params, 0.75, n_points=128)
+    xi = theta + skew * np.sin(theta)
+    phi_u, xi_u, spacing, length, _ = resample_profile(phi, xi, params)
+    assert spacing * 128 == pytest.approx(length, rel=1e-14)
+    assert np.array_equal(xi_u, xi) == (not redistributed)
+    chords = np.diff(_chord_arclength(phi_u, xi_u, params.c))
+    assert chords.max() <= MAX_CHORD_RATIO * chords.min()
+
+
+def test_resample_rejects_collapsed_neighbours():
+    params = PinchingParams(n=10, c=1.0)
+    phi, xi = perturbed_product_profile(params, 0.75, 0.05, n_points=32)
+    # a sample 1e-5 of a chord away from its neighbour: far below MIN_SPACING_FRACTION
+    near_phi = phi[3] + 1e-5 * (phi[4] - phi[3])
+    near_xi = xi[3] + 1e-5 * (xi[4] - xi[3])
+    with pytest.raises(MeshDegenerate):
+        resample_profile(np.insert(phi, 4, near_phi), np.insert(xi, 4, near_xi), params)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

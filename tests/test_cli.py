@@ -119,6 +119,22 @@ def test_simulate_axisymmetric_from_state_file(tmp_path):
     assert trace.exists()
 
 
+def test_simulate_axisymmetric_horizon_below_step_floor(tmp_path, capsys):
+    from pinchflow.axisym import product_profile
+    from pinchflow.thresholds import PinchingParams
+
+    state_file, term = tmp_path / "state.json", tmp_path / "terminal.json"
+    _write_profile(state_file, *product_profile(PinchingParams(n=10, c=1.0), 0.75, n_points=48))
+    code = main(
+        ["simulate", "--family", "axisymmetric", "--profile", str(state_file),
+         "--t-max", "1e-13", "--output", str(tmp_path / "trace.csv"),
+         "--terminal-json", str(term)]
+    )
+    assert code == 0
+    payload = json.loads(term.read_text())
+    assert (payload["terminal"], payload["T"]) == ("HorizonReached", 1e-13)
+
+
 def test_simulate_axisymmetric_collapse_prints_a_float_time(tmp_path, capsys):
     from pinchflow.axisym import product_profile
     from pinchflow.thresholds import PinchingParams

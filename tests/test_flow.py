@@ -20,7 +20,7 @@ from pinchflow import (
     monitors_update,
 )
 from pinchflow.axisym import perturbed_product_profile, product_profile
-from pinchflow.flow import MonitorRecord, product_r1sq_exact
+from pinchflow.flow import MonitorRecord, TerminalEvent, product_r1sq_exact
 from pinchflow.verify import reaction_residuals
 
 P10 = PinchingParams(n=10, c=1.0)
@@ -254,6 +254,82 @@ def test_step_underflow_raises():
         flow_axisymmetric(state, P10, FlowConfig(epsilon=0.0, t_max=0.1, dt_initial=1e-13))
 
 
+def test_horizon_below_step_floor_is_reached():
+    # a horizon shorter than DT_MIN is one short step, not an underflow
+    phi, xi = product_profile(P10, 0.75, n_points=64)
+    state = Axisymmetric(np.stack([phi, xi], axis=1))
+    trace = flow_axisymmetric(state, P10, FlowConfig(epsilon=0.0, t_max=1e-13))
+    assert trace.terminal == TerminalEvent(TerminalKind.HORIZON_REACHED, 1e-13)
+    assert list(trace.times) == [0.0, 1e-13]
+
+
+def test_etdrk4_weights_match_an_mpmath_reference():
+    mp = pytest.importorskip("mpmath")
+    from pinchflow.flow import _etdrk4_coefficients
+
+    seam = [np.nextafter(-1.0, 0.0), -1.0, np.nextafter(-1.0, -2.0), -0.999, -1.001]
+    z = np.concatenate([[0.0], seam, -np.logspace(-8.0, 3.0, 401)])
+    dt = 0.37
+    e, e2, *weights = _etdrk4_coefficients(z, dt)
+    worst = 0.0
+    with mp.workdps(50):
+        for i, zi in enumerate(z.tolist()):
+            if zi == 0.0:
+                expected = [mp.mpf(1) / 2, mp.mpf(1) / 6, mp.mpf(1) / 6, mp.mpf(1) / 6]
+            else:
+                x = mp.mpf(zi)
+                ex = mp.exp(x)
+                expected = [
+                    (mp.exp(x / 2) - 1) / x,
+                    (-4 - x + ex * (4 - 3 * x + x * x)) / x ** 3,
+                    (2 + x + ex * (x - 2)) / x ** 3,
+                    (-4 - 3 * x - x * x + ex * (4 - x)) / x ** 3,
+                ]
+            for got, ref in zip(weights, expected):
+                ref = ref * dt
+                worst = max(worst, float(abs((mp.mpf(float(got[i])) - ref) / ref)))
+    assert worst <= 1e-12
+    np.testing.assert_array_equal(e, np.exp(z))
+    np.testing.assert_array_equal(e2, np.exp(z / 2.0))
+
+
+@pytest.mark.parametrize(
+    "r1sq, amplitude, n_points, t_max, kind",
+    [
+        (0.9, 0.05, 256, 0.25, TerminalKind.HORIZON_REACHED),
+        (0.75, 0.01, 128, 0.2, TerminalKind.GREAT_CIRCLE_COLLAPSE),
+    ],
+)
+def test_every_step_starts_from_a_mesh_within_the_chord_bound(
+    r1sq, amplitude, n_points, t_max, kind, monkeypatch
+):
+    from pinchflow import axisym
+
+    meshes, splines = [], []
+    resample, spline = axisym.resample_profile, axisym._periodic_spline
+
+    def recording(*args):
+        out = resample(*args)
+        meshes.append(out)
+        return out
+
+    monkeypatch.setattr(axisym, "resample_profile", recording)
+    monkeypatch.setattr(axisym, "_periodic_spline", lambda *a: splines.append(1) or spline(*a))
+    phi, xi = perturbed_product_profile(P10, r1sq, amplitude, mode=2, n_points=n_points)
+    trace = flow_axisymmetric(
+        Axisymmetric(np.stack([phi, xi], axis=1)), P10, FlowConfig(epsilon=0.0, t_max=t_max)
+    )
+    assert trace.terminal.kind is kind
+    # the initial redistribution and at least one during the run
+    assert len(splines) >= 2
+    # each step starts from the mesh the previous resample returned
+    assert len(meshes) == len(trace.monitors)
+    for phi_m, xi_m, spacing, length, _ in meshes:
+        chords = np.diff(axisym._chord_arclength(phi_m, xi_m, P10.c))
+        assert chords.max() <= axisym.MAX_CHORD_RATIO * chords.min()
+        assert spacing * n_points == pytest.approx(length, rel=1e-14)
+
+
 def test_flow_config_validation():
     with pytest.raises(DomainError):
         FlowConfig(sigma=1.5).validate()
@@ -356,17 +432,17 @@ def test_block_monitors_equal_joined_column_calls():
 def test_default_epsilon_run_validates_the_profile_once(monkeypatch):
     from pinchflow import axisym
 
-    validated, resampled = [], []
-    validate, resample = axisym.validate_profile, axisym.resample_profile
+    validated, splines = [], []
+    validate, spline = axisym.validate_profile, axisym._periodic_spline
     monkeypatch.setattr(axisym, "validate_profile", lambda *a: validated.append(1) or validate(*a))
-    monkeypatch.setattr(axisym, "resample_profile", lambda *a: resampled.append(1) or resample(*a))
+    monkeypatch.setattr(axisym, "_periodic_spline", lambda *a: splines.append(1) or spline(*a))
     phi, xi = perturbed_product_profile(P10, 0.9, amplitude=0.005, mode=2, n_points=64)
     state = Axisymmetric(np.stack([phi, xi], axis=1))
     trace = flow_axisymmetric(state, P10, FlowConfig(t_max=0.02))
     assert trace.config.epsilon is not None
     assert len(validated) == 1
-    # one redistribution for the initial state and one per step
-    assert len(resampled) == len(trace.monitors)
+    # the ripple is redistributed at t = 0 and then only when the mesh drifts
+    assert 1 <= len(splines) <= 3
 
 
 def test_flows_reject_a_state_of_another_family():
@@ -383,16 +459,17 @@ def test_axisymmetric_trace_csv_marks_snapshot_rows(tmp_path, monkeypatch):
     from pinchflow import axisym
     from pinchflow.export import write_trace_csv
 
-    calls = []
-    resample = axisym.resample_profile
-    monkeypatch.setattr(axisym, "resample_profile", lambda *a: calls.append(1) or resample(*a))
+    splines = []
+    spline = axisym._periodic_spline
+    monkeypatch.setattr(axisym, "_periodic_spline", lambda *a: splines.append(1) or spline(*a))
     phi, xi = product_profile(P10, 0.9, n_points=64)
     # long enough (~430 steps of 0.0075) for the snapshots to thin to every other step
     trace = flow_axisymmetric(
         Axisymmetric(np.stack([phi, xi], axis=1)), P10, FlowConfig(epsilon=0.0, t_max=3.2)
     )
-    # one redistribution for the initial state and one per step, one record each
-    assert len(trace.monitors) == len(calls) == len(trace.times)
+    # a latitude circle stays uniform, so it is never redistributed
+    assert len(splines) == 0
+    assert len(trace.monitors) == len(trace.times)
     assert 1 < len(trace.snapshots) < len(trace.monitors)
     out = tmp_path / "trace.csv"
     write_trace_csv(out, trace, {})
