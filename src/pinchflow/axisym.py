@@ -47,7 +47,9 @@ from .errors import GeometryError, MeshDegenerate, NonEmbedded
 from .thresholds import PinchingParams
 
 __all__ = [
+    "CurvatureData",
     "ProfileGeometry",
+    "curvature_data",
     "resample_profile",
     "profile_geometry",
     "product_profile",
@@ -62,23 +64,42 @@ MIN_SPACING_FRACTION = 1e-3
 
 
 @dataclass
-class ProfileGeometry:
-    """Per-sample curvature data of a profile curve (arrays of length N)."""
+class CurvatureData:
+    """Pointwise curvature of a hypersurface with two principal curvatures.
 
-    kappa_orbit: np.ndarray
-    kappa_profile: np.ndarray
-    H: np.ndarray
-    h_norm2: np.ndarray
-    h0_norm2: np.ndarray
+    kappa_orbit has multiplicity n-1 and kappa_profile multiplicity 1, which
+    covers every family here: all are invariant under the rotations of
+    S^{n-1}.  Scalar-valued for one homogeneous state; array-valued for a
+    homogeneous trajectory (one entry per time) and for a profile (one entry
+    per sample).
+    """
+
+    kappa_orbit: float | np.ndarray
+    kappa_profile: float | np.ndarray
+    H: float | np.ndarray
+    h_norm2: float | np.ndarray
+    h0_norm2: float | np.ndarray
+
+
+@dataclass
+class ProfileGeometry(CurvatureData):
+    """Per-sample curvature data of a profile curve (arrays of length N), with its unit normal."""
+
     nu_phi: np.ndarray
     nu_xi: np.ndarray
 
-    def principal(self, n: int) -> np.ndarray:
-        """(N, n) principal curvatures: kappa_orbit n-1 times, then kappa_profile."""
-        return np.concatenate(
-            [np.repeat(self.kappa_orbit[:, None], n - 1, axis=1), self.kappa_profile[:, None]],
-            axis=1,
-        )
+
+def _invariants(n: int, kappa_orbit, kappa_profile):
+    """H, |h|^2 and |h0|^2; |h0|^2 = (n-1)/n (kappa_orbit - kappa_profile)^2 cancels nothing."""
+    H = (n - 1.0) * kappa_orbit + kappa_profile
+    h2 = (n - 1.0) * kappa_orbit ** 2 + kappa_profile ** 2
+    h0_2 = (n - 1.0) / n * (kappa_orbit - kappa_profile) ** 2
+    return H, h2, h0_2
+
+
+def curvature_data(n: int, kappa_orbit, kappa_profile) -> CurvatureData:
+    """Curvature data of principal curvatures kappa_orbit (n-1 times) and kappa_profile."""
+    return CurvatureData(kappa_orbit, kappa_profile, *_invariants(n, kappa_orbit, kappa_profile))
 
 
 def embed(phi: np.ndarray, xi: np.ndarray, c: float) -> np.ndarray:
@@ -206,7 +227,9 @@ def resample_profile(phi, xi, params: PinchingParams):
     if segments.min() <= 0.0:
         raise GeometryError("profile repeats a sample: zero chord between neighbours")
     if segments.min() < MIN_SPACING_FRACTION * segments.mean():
-        raise MeshDegenerate("adjacent profile samples collapsed after redistribution")
+        raise MeshDegenerate(
+            f"adjacent profile samples closer than {MIN_SPACING_FRACTION!r} of the mean chord"
+        )
     both = np.empty((n_in + 1, 2))
     both[:-1, 0] = phi
     both[-1, 0] = phi[0]
@@ -244,20 +267,9 @@ def profile_geometry(
         cos_phi * (ph1 * xi2 - xi1 * ph2)
         - xi1 * sin_phi * (xi1 ** 2 * cos_phi ** 2 + 2.0 * ph1 ** 2)
     ) / (c * speed ** 3)
-    H = (n - 1.0) * kappa_o + kappa_p
-    h2 = (n - 1.0) * kappa_o ** 2 + kappa_p ** 2
-    h0_2 = np.maximum(h2 - H ** 2 / n, 0.0)
     nu_phi = -cos_phi * xi1 / speed
     nu_xi = ph1 / (speed * cos_phi)
-    return ProfileGeometry(
-        kappa_orbit=kappa_o,
-        kappa_profile=kappa_p,
-        H=H,
-        h_norm2=h2,
-        h0_norm2=h0_2,
-        nu_phi=nu_phi,
-        nu_xi=nu_xi,
-    )
+    return ProfileGeometry(kappa_o, kappa_p, *_invariants(n, kappa_o, kappa_p), nu_phi, nu_xi)
 
 
 def curvature_of_profile(phi, xi, params: PinchingParams) -> ProfileGeometry:

@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def state_from_json(payload: dict, params):
+def state_from_json(payload: dict):
     """State from its JSON schema: product (lambda), sphere (rho), or profile."""
     if not isinstance(payload, dict):
         raise PinchflowError(f"a state must be a JSON object, got {type(payload).__name__}")
@@ -100,7 +100,7 @@ def _load_state(args, params):
     if args.profile is not None:
         try:
             with open(args.profile, "r", encoding="utf-8") as fh:
-                state = state_from_json(json.load(fh), params)
+                state = state_from_json(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise PinchflowError(f"cannot read state file {args.profile!r}: {exc}") from exc
         if not isinstance(state, _FAMILY_STATES[args.family]):

@@ -9,6 +9,8 @@ import numpy as np
 
 from . import __version__ as VERSION
 from .errors import PinchflowError
+from .geometry import curvature_of
+from .thresholds import family
 
 TOOL = "pinchflow"
 
@@ -79,9 +81,6 @@ def write_terminal_json(path, trace, config: dict):
 
 def write_curvature_csv(path, state, params, config: dict):
     """Pointwise curvature report: s,H,h2,h0_2,gamma,margin."""
-    from .geometry import curvature_of
-    from .thresholds import family
-
     data = curvature_of(state, params)
     H, h2 = data.H, data.h_norm2
     g, _, _, _ = family(params).gamma(H ** 2)

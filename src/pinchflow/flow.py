@@ -126,9 +126,7 @@ class FlowConfig:
             if value is not None and not 0.0 < value < np.inf:
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
-    def resolved(
-        self, initial: CurvatureData | axisym.ProfileGeometry | None, params: PinchingParams
-    ) -> "FlowConfig":
+    def resolved(self, initial: CurvatureData | None, params: PinchingParams) -> "FlowConfig":
         """Validated copy with epsilon and t_max filled in.
 
         ``initial`` is the curvature data of the initial state; it is read only
@@ -176,7 +174,7 @@ class FlowTrace:
         return self.monitors.t
 
 
-def default_epsilon(data: CurvatureData | axisym.ProfileGeometry, params: PinchingParams) -> float:
+def default_epsilon(data: CurvatureData, params: PinchingParams) -> float:
     """Half the worst pinching slack of the initial curvature data, clipped at zero."""
     fam = family(params)
     x = np.atleast_1d(np.asarray(data.H, dtype=float) ** 2)

@@ -5,6 +5,10 @@ hypersurfaces S^{n-1} x S^1 (two distinct principal curvatures), and
 rotationally invariant hypersurfaces given by a torus-type profile curve
 (curvature from the finite-difference engine in :mod:`pinchflow.axisym`).
 
+Each family has two principal curvatures, kappa_orbit with multiplicity n-1
+and kappa_profile with multiplicity 1 (:class:`pinchflow.axisym.CurvatureData`):
+(k, k) on a sphere and (lam, -c/lam) on a product.
+
 Normal orientation: the product family carries H = (n-1) lam - c/lam with
 lam > 0, and geodesic spheres use the inward normal, so H > 0 for radii below
 the equator.
@@ -19,6 +23,7 @@ from typing import Union
 import numpy as np
 
 from . import axisym
+from .axisym import CurvatureData, curvature_data
 from .errors import GeometryError
 from .thresholds import PinchingParams, family
 
@@ -108,22 +113,6 @@ class Axisymmetric:
 HypersurfaceState = Union[GeodesicSphere, ProductSn1S1, Axisymmetric]
 
 
-@dataclass
-class CurvatureData:
-    """Pointwise curvature quantities.
-
-    Scalar-valued for one homogeneous state; array-valued for a homogeneous
-    trajectory state (one entry per time) and for an axisymmetric state (one
-    entry per profile sample).  ``principal`` has the full multiset of
-    principal curvatures along the last axis.
-    """
-
-    H: float | np.ndarray
-    h_norm2: float | np.ndarray
-    h0_norm2: float | np.ndarray
-    principal: np.ndarray
-
-
 class PinchingClass(enum.Enum):
     STRICT = "strict"
     WEAK_EQUALITY = "weak_equality"
@@ -146,13 +135,6 @@ def product_lambda_for_mean_curvature(params: PinchingParams, H: float) -> float
     return (abs(H) + np.sqrt(H * H + 4.0 * (n - 1.0) * c)) / (2.0 * (n - 1.0))
 
 
-def _principal_to_data(params: PinchingParams, principal: np.ndarray) -> CurvatureData:
-    H = principal.sum(axis=-1)
-    h2 = (principal ** 2).sum(axis=-1)
-    h0_2 = np.maximum(h2 - H ** 2 / params.n, 0.0)
-    return CurvatureData(H=H, h_norm2=h2, h0_norm2=h0_2, principal=principal)
-
-
 def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureData:
     """Full curvature data of a state; a trajectory state gives one entry per time."""
     n, c = params.n, params.c
@@ -164,23 +146,20 @@ def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureD
             )
         root_c = np.sqrt(c)
         k = root_c * np.cos(root_c * rho) / np.sin(root_c * rho)
-        principal = np.repeat(k[..., None], n, axis=-1)
-        return _principal_to_data(params, principal)
+        return curvature_data(n, k, k)
     if isinstance(state, ProductSn1S1):
-        lam = np.asarray(state.lam, dtype=float)[..., None]
-        principal = np.concatenate([np.repeat(lam, n - 1, axis=-1), -c / lam], axis=-1)
-        return _principal_to_data(params, principal)
+        lam = np.asarray(state.lam, dtype=float)
+        return curvature_data(n, lam, -c / lam)
     if isinstance(state, Axisymmetric):
         axisym.validate_profile(state.phi, state.xi)
-        geom = axisym.curvature_of_profile(state.phi, state.xi, params)
-        return _principal_to_data(params, geom.principal(n))
+        return axisym.curvature_of_profile(state.phi, state.xi, params)
     raise GeometryError(f"unsupported hypersurface state {state!r}")
 
 
 def simons_W(data: CurvatureData, params: PinchingParams) -> float | np.ndarray:
     """Reaction term W = H * tr(h^3) - |h|^4 + n c |h0|^2 from the principal curvatures."""
     n, c = params.n, params.c
-    cube_sum = (data.principal ** 3).sum(axis=-1)
+    cube_sum = (n - 1.0) * data.kappa_orbit ** 3 + data.kappa_profile ** 3
     W = data.H * cube_sum - data.h_norm2 ** 2 + n * c * data.h0_norm2
     return float(W) if np.ndim(W) == 0 else W
 

@@ -31,7 +31,7 @@ from .flow import (
     product_r1sq_exact,
 )
 from .geometry import GeodesicSphere, ProductSn1S1, product_lambda_for_mean_curvature
-from .thresholds import PinchingParams, ThresholdFamily, family
+from .thresholds import PinchingParams, family
 
 __all__ = [
     "CheckReport",
@@ -56,6 +56,7 @@ DEFAULT_SEED = 2024
 ORACLE_POINTS = 100  # random abscissas of check_derivative_oracles
 LAGRANGE_WIDTH = 5  # stencil of _lagrange_derivative
 REACTION_GROWTH_CAP = 2.0  # reaction_residuals stops once |h|^2 grows past this
+OKUMURA_SAMPLES = 100_000  # random multisets per check_okumura call
 
 
 @dataclass
@@ -495,11 +496,11 @@ def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
     ]
 
 
-def check_okumura(params: PinchingParams, samples: int = 100_000, seed: int = DEFAULT_SEED):
+def check_okumura(params: PinchingParams, seed: int = DEFAULT_SEED):
     """Traceless cube-sum bound on random principal-curvature multisets."""
     n, c = params.n, params.c
     rng = np.random.default_rng(seed + n)
-    lam = rng.uniform(-10.0 * np.sqrt(c), 10.0 * np.sqrt(c), size=(samples, n))
+    lam = rng.uniform(-10.0 * np.sqrt(c), 10.0 * np.sqrt(c), size=(OKUMURA_SAMPLES, n))
     lam -= lam.mean(axis=1, keepdims=True)  # the traceless part, in place
     # einsum sums the products row by row without (samples, n) temporaries
     cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
@@ -511,7 +512,7 @@ def check_okumura(params: PinchingParams, samples: int = 100_000, seed: int = DE
     return [
         _value_report(
             "okumura_bound", params, margin[i] >= -1e-12, float(margin[i]), float(i),
-            f"{samples} random multisets",
+            f"{OKUMURA_SAMPLES} random multisets",
         )
     ]
 
@@ -676,7 +677,6 @@ def default_suite(
     cs=DEFAULT_CS,
     grid_points: int = DEFAULT_GRID_POINTS,
     seed: int = DEFAULT_SEED,
-    okumura_samples: int = 100_000,
 ) -> list[CheckReport]:
     """Run every check over the (n, c) lattice, serially on the calling thread.
 
@@ -690,7 +690,7 @@ def default_suite(
         reports += check_constants(params, grid_points)
         reports += check_derivative_oracles(params, seed)
     for n in ns:
-        reports += check_okumura(PinchingParams(n=n, c=1.0), okumura_samples, seed)
+        reports += check_okumura(PinchingParams(n=n, c=1.0), seed)
     for c in cs:
         reports += check_flow_oracles(PinchingParams(n=10, c=c))
     reports += check_flow_oracles(PinchingParams(n=3, c=1.0))

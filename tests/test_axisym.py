@@ -100,7 +100,7 @@ def test_resample_rejects_collapsed_neighbours():
     # a sample 1e-5 of a chord away from its neighbour: far below MIN_SPACING_FRACTION
     near_phi = phi[3] + 1e-5 * (phi[4] - phi[3])
     near_xi = xi[3] + 1e-5 * (xi[4] - xi[3])
-    with pytest.raises(MeshDegenerate):
+    with pytest.raises(MeshDegenerate, match="closer than 0.001 of the mean chord"):
         resample_profile(np.insert(phi, 4, near_phi), np.insert(xi, 4, near_xi), params)
 
 

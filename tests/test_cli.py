@@ -193,6 +193,26 @@ def test_simulate_repeated_profile_sample_is_a_runtime_error(tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_simulate_collapsed_profile_neighbours_is_a_runtime_error(tmp_path, capsys):
+    from pinchflow.axisym import perturbed_product_profile
+    from pinchflow.thresholds import PinchingParams
+
+    # the input of test_resample_rejects_collapsed_neighbours, never redistributed
+    phi, xi = perturbed_product_profile(PinchingParams(n=10, c=1.0), 0.75, 0.05, n_points=32)
+    near_phi = phi[3] + 1e-5 * (phi[4] - phi[3])
+    near_xi = xi[3] + 1e-5 * (xi[4] - xi[3])
+    state_file, trace = tmp_path / "state.json", tmp_path / "trace.csv"
+    _write_profile(state_file, np.insert(phi, 4, near_phi), np.insert(xi, 4, near_xi))
+    code = main(
+        ["simulate", "--family", "axisymmetric", "--profile", str(state_file),
+         "--output", str(trace)]
+    )
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert stderr == "error: adjacent profile samples closer than 0.001 of the mean chord\n"
+    assert not trace.exists()
+
+
 def test_verify_subset_green(tmp_path):
     report = tmp_path / "report.json"
     code = main(

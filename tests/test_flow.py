@@ -134,6 +134,15 @@ def test_monitor_umbilic_state_has_zero_decay_ratio():
     assert record.g_sigma.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("n,c", [(3, 1.0), (7, 4.0), (40, 0.3)])
+def test_sphere_trace_is_exactly_umbilic(n, c):
+    params = PinchingParams(n=n, c=c)
+    m = flow_ode_numeric(GeodesicSphere(rho=0.3 * np.pi / np.sqrt(c)), params).monitors
+    assert len(m) > 1
+    for column in (m.h0_2_max, m.f_sigma, m.g_sigma):
+        assert not np.any(column)
+
+
 def test_monitor_weak_equality_flags_epsilon_slack():
     data = curvature_of(ProductSn1S1.from_r1sq(0.75, P10), P10)
     eps = 0.02

@@ -16,7 +16,7 @@ from pinchflow import (
     ricci_lower_bound,
     simons_W,
 )
-from pinchflow.axisym import product_profile
+from pinchflow.axisym import curvature_data, product_profile
 from pinchflow.thresholds import family
 
 
@@ -25,10 +25,8 @@ def test_product_curvature_reference_case():
     data = curvature_of(ProductSn1S1(lam=np.sqrt(1.0 / 3.0)), params)
     assert data.H == pytest.approx(2.0 * np.sqrt(3.0), rel=1e-14)
     assert data.h_norm2 == pytest.approx(6.0, rel=1e-14)
-    values, counts = np.unique(np.round(data.principal, 12), return_counts=True)
-    assert set(counts) == {1, 9}
-    assert values[counts == 9][0] == pytest.approx(np.sqrt(1.0 / 3.0), rel=1e-12)
-    assert values[counts == 1][0] == pytest.approx(-np.sqrt(3.0), rel=1e-12)
+    assert data.kappa_orbit == pytest.approx(np.sqrt(1.0 / 3.0), rel=1e-12)
+    assert data.kappa_profile == pytest.approx(-np.sqrt(3.0), rel=1e-12)
 
 
 def test_product_radii_sum():
@@ -43,7 +41,7 @@ def test_equatorial_sphere_is_totally_geodesic():
     data = curvature_of(GeodesicSphere(rho=np.pi / 2.0), params)
     assert abs(data.H) < 1e-12
     assert data.h_norm2 < 1e-24
-    assert data.h0_norm2 < 1e-24
+    assert data.h0_norm2 == 0.0
 
 
 def test_sphere_radius_validation():
@@ -57,8 +55,25 @@ def test_sphere_radius_validation():
 def test_spheres_are_umbilic():
     params = PinchingParams(n=8, c=0.25)
     data = curvature_of(GeodesicSphere(rho=1.3), params)
-    assert data.h0_norm2 == pytest.approx(0.0, abs=1e-22)
+    assert data.h0_norm2 == 0.0
     assert data.h_norm2 == pytest.approx(data.H ** 2 / params.n, rel=1e-12)
+
+
+def test_sphere_h0_is_exactly_zero():
+    # h2 - H^2/n cancelled to 2.8e-14 here; (n-1)/n (k - k)^2 is 0
+    assert curvature_of(GeodesicSphere(rho=0.3), PinchingParams(n=7)).h0_norm2 == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 10, 40, 200])
+def test_product_h0_matches_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    c = 1.0
+    lams = np.geomspace(0.05, 50.0, 201)
+    data = curvature_of(ProductSn1S1(lam=lams), PinchingParams(n=n, c=c))
+    with mpmath.workdps(50):
+        exact = [(n - 1) * (mpmath.mpf(lam) + c / mpmath.mpf(lam)) ** 2 / n for lam in lams]
+        rel = [abs((mpmath.mpf(h) - e) / e) for h, e in zip(data.h0_norm2, exact)]
+    assert float(max(rel)) <= 4.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -66,13 +81,12 @@ def test_simons_reaction_term_matches_bruteforce(n):
     params = PinchingParams(n=n, c=1.0)
     rng = np.random.default_rng(100 + n)
     for _ in range(200):
-        lam = rng.uniform(-3.0, 3.0, n)
+        draw = rng.uniform(-3.0, 3.0, n)
+        data = curvature_data(n, draw[0], draw[-1])
+        lam = np.append(np.full(n - 1, draw[0]), draw[-1])  # the n-multiset
         H = lam.sum()
         h2 = (lam ** 2).sum()
         h0_2 = h2 - H ** 2 / n
-        from pinchflow.geometry import CurvatureData
-
-        data = CurvatureData(H=H, h_norm2=h2, h0_norm2=h0_2, principal=lam)
         expected = H * (lam ** 3).sum() - h2 ** 2 + n * 1.0 * h0_2
         assert simons_W(data, params) == pytest.approx(expected, abs=1e-12 * max(1.0, abs(expected)))
 
@@ -98,7 +112,8 @@ def test_okumura_cube_bound_on_random_multisets():
 def test_traceless_identities():
     params = PinchingParams(n=9, c=2.0)
     data = curvature_of(ProductSn1S1(lam=1.1), params)
-    ring = data.principal - data.H / params.n
+    principal = np.append(np.full(params.n - 1, data.kappa_orbit), data.kappa_profile)
+    ring = principal - data.H / params.n
     assert ring.sum() == pytest.approx(0.0, abs=1e-12)
     assert (ring ** 2).sum() == pytest.approx(data.h0_norm2, rel=1e-12)
 

@@ -67,7 +67,7 @@ def test_constants_checks():
 def test_derivative_and_okumura_oracles():
     params = PinchingParams(n=6, c=1.0)
     assert all(r.passed for r in check_derivative_oracles(params))
-    assert all(r.passed for r in check_okumura(params, samples=20_000))
+    assert all(r.passed for r in check_okumura(params))
 
 
 def test_flow_oracles_reference_parameters():
@@ -105,7 +105,7 @@ def test_suite_builds_each_family_once(monkeypatch):
 
     monkeypatch.setattr(ThresholdFamily, "__init__", counting_init)
     family.cache_clear()
-    default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000, okumura_samples=1000)
+    default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000)
     assert sorted(built) == [(3, 1.0), (10, 1.0)]
 
 
@@ -121,7 +121,7 @@ def test_suite_certifies_each_n_once(monkeypatch):
     monkeypatch.setattr(thresholds, "_y_n_bisection", counting_bisection)
     family.cache_clear()
     thresholds._unit.cache_clear()
-    default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=3000, okumura_samples=1000)
+    default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=3000)
     assert sorted(certified) == [3, 10]
 
 
