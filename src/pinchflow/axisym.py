@@ -152,8 +152,9 @@ def second_difference_symbol(n_points: int, spacing: float) -> np.ndarray:
 def _chord_arclength(phi: np.ndarray, xi: np.ndarray, c: float):
     """Cumulative chordal arc length (closed), in the orbit-space metric."""
     pts = embed(phi, xi, c)
-    closed = np.vstack([pts, pts[:1]])
-    chords = np.linalg.norm(np.diff(closed, axis=0), axis=1)
+    d = np.diff(pts, axis=0, append=pts[:1])  # the last row is the closing chord
+    # np.linalg.norm(d, axis=1) does the same arithmetic
+    chords = np.sqrt(np.add.reduce(d * d, axis=1))
     return np.concatenate([[0.0], np.cumsum(chords)])
 
 
@@ -211,7 +212,9 @@ def resample_profile(phi, xi, params: PinchingParams):
     MIN_SPACING_FRACTION of the mean raises MeshDegenerate.
     """
     phi = np.asarray(phi, dtype=float)
-    xi = np.unwrap(np.asarray(xi, dtype=float))
+    xi = np.asarray(xi, dtype=float)
+    if not (np.abs(np.diff(xi)) < np.pi).all():  # np.unwrap corrects no smaller step
+        xi = np.unwrap(xi)
     n_in = len(phi)
     s = _chord_arclength(phi, xi, params.c)
     length = s[-1]

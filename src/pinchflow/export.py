@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 import numpy as np
 
@@ -92,7 +91,7 @@ def write_curvature_csv(path, state, params, config: dict):
 
 def write_reports_json(path, reports, config: dict):
     payload = {
-        "reports": [asdict(r) for r in reports],
+        "reports": [vars(r) for r in reports],
         "all_passed": all(r.passed for r in reports),
         "meta": provenance_meta(config),
     }

@@ -13,12 +13,21 @@ dimensionless:
 Approximate literature values carry explicit bands (the x0 weight combination
 for n = 3 lies in [11.2, 11.6]; asymptotic limits are matched to 1% at
 x = 1e6 c).
+
+The three grid checks of one (n, c) share one evaluation of alpha, beta,
+gamma and omega on its default grid (_grid_values: read-only arrays, only the
+latest lattice point kept).  A finite-difference stencil is one family call on
+its seven rows stacked.  check_okumura draws and reduces its samples in blocks
+of _OKUMURA_BLOCK rows, so its memory does not grow with OKUMURA_SAMPLES.  The
+reports are the bits of evaluating each check on its own, all at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +66,7 @@ ORACLE_POINTS = 100  # random abscissas of check_derivative_oracles
 LAGRANGE_WIDTH = 5  # stencil of _lagrange_derivative
 REACTION_GROWTH_CAP = 2.0  # reaction_residuals stops once |h|^2 grows past this
 OKUMURA_SAMPLES = 100_000  # random multisets per check_okumura call
+_OKUMURA_BLOCK = 8192  # rows check_okumura draws and reduces at a time
 
 
 @dataclass
@@ -191,13 +201,41 @@ def _value_report(check_id, params, ok, margin, x=float("nan"), message="") -> C
 # ------------------------------------------------------- threshold lemmas
 
 
+class _GridValues(NamedTuple):
+    """The default grid of one (n, c) and the thresholds on it, each a (f, d1, d2) tuple."""
+
+    xs: np.ndarray
+    alpha: tuple
+    beta: tuple
+    gamma: tuple
+    omega: tuple
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_values(params: PinchingParams, grid_points: int) -> _GridValues:
+    """One evaluation of alpha (to order 2), beta, gamma and omega on the default grid.
+
+    check_lemma_app, check_wpp and check_constants of one lattice point read it
+    in turn.  Every array is read-only, since the cache hands the same arrays
+    to each caller.  The family methods act elementwise, so a masked entry is
+    the same bits as an evaluation on the masked grid.
+    """
+    fam = family(params)
+    xs = fam.default_grid(points=grid_points)
+    values = _GridValues(xs, fam.alpha(xs, order=2), fam.beta(xs), fam.gamma(xs)[:3], fam.omega(xs))
+    for arr in (xs, *values.alpha, *values.beta, *values.gamma, *values.omega):
+        arr.setflags(write=False)
+    return values
+
+
 def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POINTS):
     """Items (i)-(vi) of the structural lemma, plus the two alpha identities."""
     fam = family(params)
     n, c = params.n, params.c
-    xs = fam.default_grid(points=grid_points)
-    a, a1, a2, _ = fam.alpha(xs)
-    g, g1, g2, _ = fam.gamma(xs)
+    grid = _grid_values(params, grid_points)
+    xs = grid.xs
+    a, a1, a2 = grid.alpha
+    g, g1, g2 = grid.gamma
     x_max = xs[-1]
     reports = []
 
@@ -224,7 +262,7 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     reports.append(_inequality_report("app_iii", params, xs, g - xs * g1, scale3))
 
     # (iv) g = min(alpha, beta), as an identity
-    b, _, _ = fam.beta(xs)
+    b = grid.beta[0]
     reports.append(
         _identity_report("app_iv", params, xs, g, np.minimum(a, b), np.maximum(np.abs(g), c))
     )
@@ -273,10 +311,11 @@ def check_wpp(params: PinchingParams, grid_points: int = DEFAULT_GRID_POINTS):
     """Weight function properties: log-derivative identity, x0 combination, limits."""
     fam = family(params)
     n, c = params.n, params.c
-    xs = fam.default_grid(points=grid_points)
-    xs = xs[xs >= fam.x0]
-    w, w1, w2 = fam.omega(xs)
-    a, a1, _, _ = fam.alpha(xs)
+    grid = _grid_values(params, grid_points)
+    on_closed = grid.xs >= fam.x0
+    xs = grid.xs[on_closed]
+    w, w1, w2 = (v[on_closed] for v in grid.omega)
+    a, a1 = (v[on_closed] for v in grid.alpha[:2])
     reports = []
 
     # log-derivative identity on the closed-form branch
@@ -377,8 +416,8 @@ def check_constants(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
         )
     )
 
-    xs = fam.default_grid(points=grid_points)
-    g, _, _, _ = fam.gamma(xs)
+    grid = _grid_values(params, grid_points)
+    xs, g, a = grid.xs, grid.gamma[0], grid.alpha[0]
     floor = 1.8 * np.sqrt(n - 1.0) * c
     margin = g - floor
     i = int(np.argmin(margin))
@@ -390,7 +429,6 @@ def check_constants(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     )
 
     # global minimum of alpha: value 2 sqrt(n-1) c, attained at x1 with alpha' = 0
-    a, a1, a2, _ = fam.alpha(xs)
     a_x1, a1_x1, a2_x1, _ = (float(v) for v in fam.alpha(consts.x1))
     target_min = 2.0 * np.sqrt(n - 1.0) * c
     i_min = int(np.argmin(a))
@@ -441,10 +479,12 @@ def check_constants(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
 
 
 def _fd_derivatives(f, x, h):
-    """4th-order centered finite differences for the first three derivatives."""
-    fm3, fm2, fm1 = f(x - 3 * h), f(x - 2 * h), f(x - h)
-    fp1, fp2, fp3 = f(x + h), f(x + 2 * h), f(x + 3 * h)
-    f0 = f(x)
+    """4th-order centered finite differences for the first three derivatives.
+
+    f must act elementwise: it is called once, on the seven stencil rows stacked.
+    """
+    stencil = np.stack([x - 3 * h, x - 2 * h, x - h, x + h, x + 2 * h, x + 3 * h, x])
+    fm3, fm2, fm1, fp1, fp2, fp3, f0 = f(stencil)
     d1 = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
     d2 = (-(fp2 + fm2) + 16.0 * (fp1 + fm1) - 30.0 * f0) / (12.0 * h * h)
     d3 = (-fp3 + 8.0 * fp2 - 13.0 * fp1 + 13.0 * fm1 - 8.0 * fm2 + fm3) / (8.0 * h ** 3)
@@ -497,21 +537,32 @@ def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
 
 
 def check_okumura(params: PinchingParams, seed: int = DEFAULT_SEED):
-    """Traceless cube-sum bound on random principal-curvature multisets."""
+    """Traceless cube-sum bound on random principal-curvature multisets.
+
+    The OKUMURA_SAMPLES rows come from one generator stream, drawn and reduced
+    _OKUMURA_BLOCK rows at a time.  Every row is reduced on its own, and the
+    strict < keeps the first worst row, as np.argmin over all rows would.
+    """
     n, c = params.n, params.c
     rng = np.random.default_rng(seed + n)
-    lam = rng.uniform(-10.0 * np.sqrt(c), 10.0 * np.sqrt(c), size=(OKUMURA_SAMPLES, n))
-    lam -= lam.mean(axis=1, keepdims=True)  # the traceless part, in place
-    # einsum sums the products row by row without (samples, n) temporaries
-    cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
-    s2 = np.einsum("ij,ij->i", lam, lam)
-    norm3 = s2 * np.sqrt(s2)
-    bound = (n - 2.0) / np.sqrt(n * (n - 1.0)) * norm3
-    margin = (bound - cube) / np.maximum(norm3, 1e-30)
-    i = int(np.argmin(margin))
+    half_width = 10.0 * np.sqrt(c)
+    okumura = (n - 2.0) / np.sqrt(n * (n - 1.0))
+    worst, worst_i = np.inf, 0
+    for start in range(0, OKUMURA_SAMPLES, _OKUMURA_BLOCK):
+        rows = min(_OKUMURA_BLOCK, OKUMURA_SAMPLES - start)
+        lam = rng.uniform(-half_width, half_width, size=(rows, n))
+        lam -= lam.mean(axis=1, keepdims=True)  # the traceless part, in place
+        # einsum sums the products row by row without (rows, n) temporaries
+        cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
+        s2 = np.einsum("ij,ij->i", lam, lam)
+        norm3 = s2 * np.sqrt(s2)
+        margin = (okumura * norm3 - cube) / np.maximum(norm3, 1e-30)
+        j = int(np.argmin(margin))
+        if margin[j] < worst:
+            worst, worst_i = float(margin[j]), start + j
     return [
         _value_report(
-            "okumura_bound", params, margin[i] >= -1e-12, float(margin[i]), float(i),
+            "okumura_bound", params, worst >= -1e-12, worst, float(worst_i),
             f"{OKUMURA_SAMPLES} random multisets",
         )
     ]
@@ -681,6 +732,11 @@ def default_suite(
     """Run every check over the (n, c) lattice, serially on the calling thread.
 
     Deterministic given the seed: the reports always come in the same order.
+    Each lattice point evaluates its thresholds on the default grid once, for
+    check_lemma_app, check_wpp and check_constants together, and each
+    finite-difference stencil of check_derivative_oracles is one family call:
+    14 family calls per (n, c).  check_okumura keeps one block of
+    _OKUMURA_BLOCK draws alive, not all OKUMURA_SAMPLES.
     """
     reports: list[CheckReport] = []
     for n, c in iter_product(ns, cs):

@@ -94,6 +94,31 @@ def test_resample_redistributes_only_past_the_chord_bound(skew, redistributed):
     assert chords.max() <= MAX_CHORD_RATIO * chords.min()
 
 
+@pytest.mark.parametrize("skew", [0.0, 0.02])
+def test_resample_of_wrapped_xi_is_bits_of_unwrapped_copy(skew):
+    # skew 0 passes the profile through, skew 0.02 redistributes it
+    params = PinchingParams(n=10, c=1.0)
+    phi, theta = product_profile(params, 0.75, n_points=96)
+    wrapped = (theta + skew * np.sin(theta) + np.pi) % (2.0 * np.pi) - np.pi
+    assert np.abs(np.diff(wrapped)).max() >= np.pi  # wraps at +-pi
+    got = resample_profile(phi, wrapped, params)
+    ref = resample_profile(phi, np.unwrap(wrapped), params)
+    assert np.array_equal(got[1], np.unwrap(wrapped)) == (skew == 0.0)
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+def test_chord_arclength_is_the_bits_of_a_norm_over_the_closed_polygon():
+    from pinchflow.axisym import _chord_arclength, embed
+
+    params = PinchingParams(n=10, c=4.0)
+    phi, xi = perturbed_product_profile(params, 0.2, 0.05, n_points=97)
+    pts = embed(phi, xi, params.c)
+    chords = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
+    ref = np.concatenate([[0.0], np.cumsum(chords)])
+    assert np.array_equal(_chord_arclength(phi, xi, params.c), ref)
+
+
 def test_resample_rejects_collapsed_neighbours():
     params = PinchingParams(n=10, c=1.0)
     phi, xi = perturbed_product_profile(params, 0.75, 0.05, n_points=32)
@@ -127,6 +152,11 @@ def test_resample_rejects_repeated_samples():
     phi, xi = perturbed_product_profile(params, 0.75, 0.05, n_points=32)
     with pytest.raises(GeometryError, match="repeats a sample"):
         resample_profile(np.insert(phi, 3, phi[3]), np.insert(xi, 3, xi[3]), params)
+
+
+def test_resample_rejects_an_empty_profile():
+    with pytest.raises(GeometryError, match="zero length"):
+        resample_profile([], [], PinchingParams(n=10, c=1.0))
 
 
 def test_resample_recovers_uniform_spacing():

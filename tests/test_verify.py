@@ -1,12 +1,16 @@
 """Verification suite: reports, equality loci, determinism, failure paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pinchflow import CheckFailure, PinchingParams, ThresholdFamily
-from pinchflow import thresholds
+from pinchflow import thresholds, verify
 from pinchflow.thresholds import family
 from pinchflow.verify import (
+    _fd_derivatives,
+    _grid_values,
     _lagrange_derivative,
     check_constants,
     check_derivative_oracles,
@@ -178,3 +182,116 @@ def test_grid_contains_marked_points():
     assert np.min(np.abs(xs - fam.x1)) == 0.0
     assert xs[0] == pytest.approx(1e-8, rel=1e-12)
     assert xs[-1] == pytest.approx(100.0, rel=1e-12)
+
+
+def _okumura_one_shot(params, seed=verify.DEFAULT_SEED):
+    """All OKUMURA_SAMPLES rows drawn and reduced at once: (worst margin, its row)."""
+    n, c = params.n, params.c
+    rng = np.random.default_rng(seed + n)
+    lam = rng.uniform(-10.0 * np.sqrt(c), 10.0 * np.sqrt(c), size=(verify.OKUMURA_SAMPLES, n))
+    lam -= lam.mean(axis=1, keepdims=True)
+    cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
+    s2 = np.einsum("ij,ij->i", lam, lam)
+    norm3 = s2 * np.sqrt(s2)
+    bound = (n - 2.0) / np.sqrt(n * (n - 1.0)) * norm3
+    margin = (bound - cube) / np.maximum(norm3, 1e-30)
+    i = int(np.argmin(margin))
+    return float(margin[i]), float(i)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_blocked_okumura_matches_one_shot_draws(n):
+    # 100,000 rows in blocks of 8,192 end with a partial block of 1,696 rows
+    assert verify.OKUMURA_SAMPLES % verify._OKUMURA_BLOCK == 1696
+    params = PinchingParams(n=n, c=1.0)
+    (report,) = check_okumura(params)
+    assert (report.worst_margin, report.worst_x) == _okumura_one_shot(params)
+    assert report.passed
+
+
+def test_okumura_memory_stays_at_one_block():
+    params = PinchingParams(n=12)
+    check_okumura(params)  # anything loaded lazily is loaded before tracing
+    tracemalloc.start()
+    try:
+        check_okumura(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000  # all 100,000 x 12 draws at once take 9.6 MB
+
+
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("c", [0.25, 4.0])
+def test_fd_stencil_in_one_call_matches_seven_calls(n, c):
+    fam = family(PinchingParams(n=n, c=c))
+    xs = np.random.default_rng(n).uniform(0.2 * c, 90.0 * c, 50)
+    h = 0.004 * xs
+    for f in (
+        lambda t: fam.alpha(t, order=0)[0],
+        lambda t: fam.gamma(t)[0],
+        lambda t: fam.omega(t)[0],
+    ):
+        fm3, fm2, fm1 = f(xs - 3 * h), f(xs - 2 * h), f(xs - h)
+        fp1, fp2, fp3 = f(xs + h), f(xs + 2 * h), f(xs + 3 * h)
+        f0 = f(xs)
+        d1 = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+        d2 = (-(fp2 + fm2) + 16.0 * (fp1 + fm1) - 30.0 * f0) / (12.0 * h * h)
+        d3 = (-fp3 + 8.0 * fp2 - 13.0 * fp1 + 13.0 * fm1 - 8.0 * fm2 + fm3) / (8.0 * h ** 3)
+        for got, ref in zip(_fd_derivatives(f, xs, h), (d1, d2, d3)):
+            assert np.array_equal(got, ref)
+
+
+def _grid_reports(params, order):
+    checks = {"lemma": check_lemma_app, "wpp": check_wpp, "constants": check_constants}
+    return {name: repr(checks[name](params, 3000)) for name in order}
+
+
+def test_grid_checks_do_not_depend_on_the_cache():
+    params = PinchingParams(n=7, c=0.25)
+    _grid_values.cache_clear()
+    forward = _grid_reports(params, ("lemma", "wpp", "constants"))
+    _grid_values.cache_clear()
+    _grid_values(PinchingParams(n=4, c=1.0), 3000)  # another lattice point in the cache
+    backward = _grid_reports(params, ("constants", "wpp", "lemma"))
+    assert forward == backward
+
+
+def test_grid_values_are_the_bits_of_direct_evaluation():
+    params = PinchingParams(n=5, c=4.0)
+    fam = family(params)
+    grid = _grid_values(params, 3000)
+    xs = fam.default_grid(points=3000)
+    assert np.array_equal(grid.xs, xs)
+    for got, ref in zip(grid.alpha, fam.alpha(xs)):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(grid.gamma + grid.beta, fam.gamma(xs)[:3] + fam.beta(xs)):
+        assert np.array_equal(got, ref)
+    # check_wpp masks the cached omega; the parent evaluated on the masked grid
+    on_closed = xs >= fam.x0
+    for got, ref in zip(grid.omega, fam.omega(xs[on_closed])):
+        assert np.array_equal(got[on_closed], ref)
+
+
+def test_cached_grid_values_are_read_only():
+    grid = _grid_values(PinchingParams(n=6, c=1.0), 3000)
+    for arr in (grid.xs, *grid.alpha, *grid.beta, *grid.gamma, *grid.omega):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_grid_checks_build_the_grid_once(monkeypatch):
+    builds = []
+    default_grid = ThresholdFamily.default_grid
+
+    def counting_grid(self, points=10_000):
+        builds.append(points)
+        return default_grid(self, points)
+
+    monkeypatch.setattr(ThresholdFamily, "default_grid", counting_grid)
+    _grid_values.cache_clear()
+    params = PinchingParams(n=8, c=1.0)
+    check_lemma_app(params, 3000)
+    check_wpp(params, 3000)
+    check_constants(params, 3000)
+    assert builds == [3000]
