@@ -8,8 +8,9 @@ The homogeneous families reduce to scalar ODEs:
 The product ODE has the exact solution r1^2 = (n-1)/(nc) (1 - d e^{2nct}) with
 d fixed by the initial radius and collapse time T = -log(d)/(2nc); the numeric
 route integrates the same reductions with the package's scalar Dormand–Prince
-5(4) integrator (``pinchflow.ode``), whose events end the run at a round point,
-a great circle or a blowup.
+5(4) integrator (``pinchflow.ode``).  Its events are levels of the scalar
+state, each naming its terminal: a round point, a great circle or a blowup,
+reached a closed-form tail after the level.
 
 Torus-type profiles evolve by the method of lines: normal velocity H at every
 sample and exponential-time-differencing RK4 steps (ETDRK4; Cox & Matthews
@@ -72,6 +73,7 @@ __all__ = [
     "FlowTrace",
     "default_epsilon",
     "flow_product_exact",
+    "product_collapse_time",
     "flow_ode_numeric",
     "flow_axisymmetric",
     "monitors_update",
@@ -258,16 +260,16 @@ def flow_product_exact(
         raise DomainError(
             f"exact product flow needs r1^2 < (n-1)/(nc); got {r1sq0!r} > {stationary!r}"
         )
-    d = 1.0 - n * c * r1sq0 / (n - 1.0)
-    T = -np.log(d) / (2.0 * n * c)
+    T = product_collapse_time(r1sq0, params)
     t_end = min(config.t_max, T)
     # Samples crowd toward the collapse time where the state varies fastest.
     u = np.linspace(0.0, 1.0, EXACT_SAMPLES)
     ts = t_end * (1.0 - (1.0 - u) ** 2)
     r1sq = product_r1sq_exact(initial, params, ts)
-    # The trajectory ends before the first sample at the great circle.
-    collapsed = r1sq <= COLLAPSE_R1SQ / c
-    stop = int(np.argmax(collapsed)) if collapsed.any() else len(ts)
+    # The trajectory ends before the first later sample at the great circle;
+    # the initial state is kept even when it lies there already.
+    collapsed = r1sq[1:] <= COLLAPSE_R1SQ / c
+    stop = 1 + int(np.argmax(collapsed)) if collapsed.any() else len(ts)
     state = ProductSn1S1.from_r1sq(r1sq[:stop], params)
     data = curvature_of(state, params)
     monitors = monitors_update(params, config, ts[:stop], data.H, data.h_norm2, data.h0_norm2)
@@ -277,6 +279,12 @@ def flow_product_exact(
     else:
         trace.terminal = TerminalEvent(TerminalKind.HORIZON_REACHED, float(config.t_max))
     return trace
+
+
+def product_collapse_time(r1sq, params: PinchingParams):
+    """Time the product flow takes from r1^2 = r1sq < (n-1)/(nc) to the great circle r1 = 0."""
+    n, c = params.n, params.c
+    return -np.log(1.0 - n * c * r1sq / (n - 1.0)) / (2.0 * n * c)
 
 
 def product_r1sq_exact(initial: ProductSn1S1, params: PinchingParams, t) -> np.ndarray:
@@ -291,35 +299,41 @@ def product_r1sq_exact(initial: ProductSn1S1, params: PinchingParams, t) -> np.n
 
 
 def _ode_rhs_and_events(state, params: PinchingParams):
-    """Float right-hand side, (event, direction) pairs and initial value of a reduction."""
+    """Float right-hand side y' = rhs(y), events and initial value of a reduction.
+
+    An event is (level, direction, kind, tail): the run ends where y reaches
+    level moving in direction, and the flow ends in a ``kind`` terminal
+    ``tail`` later.
+    """
     n, c = params.n, params.c
     root_c = math.sqrt(c)
     if isinstance(state, GeodesicSphere):
 
-        def rhs(t, y):
+        def rhs(y):
             return -n * root_c * math.cos(root_c * y) / math.sin(root_c * y)
 
-        def collapse(t, y):
-            return y - ROUND_POINT_RHO / root_c
-
-        def antipodal(t, y):
-            return y - (math.pi - ROUND_POINT_RHO) / root_c
-
-        return rhs, [(collapse, -1), (antipodal, 1)], float(state.rho)
+        # quadratic tail of d(rho)/dt = -n/rho + O(rho) from the level to 0
+        tail = (ROUND_POINT_RHO / np.sqrt(c)) ** 2 / (2.0 * n)
+        events = [
+            (ROUND_POINT_RHO / root_c, -1, TerminalKind.ROUND_POINT, tail),
+            ((math.pi - ROUND_POINT_RHO) / root_c, 1, TerminalKind.ROUND_POINT, tail),
+        ]
+        return rhs, events, float(state.rho)
 
     if isinstance(state, ProductSn1S1):
 
-        def rhs(t, y):
+        def rhs(y):
             return 2.0 - 2.0 * n + 2.0 * n * c * y
 
-        def collapse(t, y):
-            return y - COLLAPSE_R1SQ / c
-
-        def fatten(t, y):
+        collapse = COLLAPSE_R1SQ / c
+        # exact linear-ODE tail from the level to r1^2 = 0
+        collapse_tail = product_collapse_time(collapse, params)
+        events = [
+            (collapse, -1, TerminalKind.GREAT_CIRCLE_COLLAPSE, collapse_tail),
             # lam^2 = 1/r1^2 - c small <=> |h|^2 ~ c^2/lam^2 large
-            return y - 1.0 / (c + c / BLOWUP_H2)
-
-        return rhs, [(collapse, -1), (fatten, 1)], float(initial_r1sq(state, params))
+            (1.0 / (c + c / BLOWUP_H2), 1, TerminalKind.BLOWUP, 0.0),
+        ]
+        return rhs, events, float(initial_r1sq(state, params))
 
     raise GeometryError(f"ODE flow supports homogeneous states only, got {state!r}")
 
@@ -341,42 +355,23 @@ def flow_ode_numeric(
     rhs, events, y0 = _ode_rhs_and_events(initial, params)
     sol = solve_ivp(
         rhs,
-        (0.0, config.t_max),
+        config.t_max,
         y0,
         rtol=config.tol,
         atol=config.tol * max(abs(y0), 1.0 / params.c),
-        events=events,
-        first_step=config.dt_initial,
-        max_step=config.dt_initial or math.inf,
+        events=[(level, direction) for level, direction, _, _ in events],
+        max_step=config.dt_initial,
     )
-    y = sol.y[0]
-    state = GeodesicSphere(rho=y) if kind == "sphere" else ProductSn1S1.from_r1sq(y, params)
+    state = GeodesicSphere(rho=sol.y) if kind == "sphere" else ProductSn1S1.from_r1sq(sol.y, params)
     data = curvature_of(state, params)
     monitors = monitors_update(params, config, sol.t, data.H, data.h_norm2, data.h0_norm2)
     trace = FlowTrace(kind, params, config, monitors, state=state, curvature=data)
-    trace.terminal = _ode_terminal(kind, sol, params, monitors)
+    if sol.event is None:
+        trace.terminal = _horizon_terminal(monitors, params)
+    else:
+        _, _, terminal, tail = events[sol.event]
+        trace.terminal = TerminalEvent(terminal, float(sol.t[-1] + tail))
     return trace
-
-
-def _ode_terminal(kind, sol, params, monitors: MonitorRecord) -> TerminalEvent:
-    n, c = params.n, params.c
-    if sol.status == 1:  # a terminal event fired
-        if kind == "sphere":
-            t_hit = None
-            for te in sol.t_events:
-                if len(te):
-                    t_hit = float(te[0])
-            rho_hit = ROUND_POINT_RHO / np.sqrt(c)
-            # quadratic tail of d(rho)/dt = -n/rho + O(rho)
-            return TerminalEvent(TerminalKind.ROUND_POINT, float(t_hit + rho_hit ** 2 / (2.0 * n)))
-        if len(sol.t_events[0]):  # great-circle collapse
-            t_hit = float(sol.t_events[0][0])
-            y_hit = COLLAPSE_R1SQ / c
-            # exact linear-ODE tail from the event to r1^2 = 0
-            tail = -np.log(1.0 - n * c * y_hit / (n - 1.0)) / (2.0 * n * c)
-            return TerminalEvent(TerminalKind.GREAT_CIRCLE_COLLAPSE, float(t_hit + tail))
-        return TerminalEvent(TerminalKind.BLOWUP, float(sol.t_events[1][0]))
-    return _horizon_terminal(monitors, params)
 
 
 # ---------------------------------------------------------------- PDE route

@@ -1,17 +1,19 @@
-"""Scalar Dormand–Prince 5(4) integration with terminal events, in Python floats.
+"""Scalar autonomous Dormand–Prince 5(4) integration with level events, in Python floats.
 
 The pair is Dormand & Prince (J. Comput. Appl. Math. 6, 1980), advanced with
 the 5th-order solution (local extrapolation).  Step control follows Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.4, with the constants of scipy's RK45:
 safety factor 0.9, step factors clamped to [0.2, 10], error exponent -1/5, no
-growth right after a rejection, and the same initial-step heuristic.  Events
-are located on the step's 4th-order dense output (§II.6) by bisection to
-adjacent floats, and every event is terminal: the solution ends at the first
-root.
+growth right after a rejection, and the same initial-step heuristic.  An
+event is a level of y and a direction.  Events are located on the step's
+4th-order dense output (§II.6) by bisection to adjacent floats, and every
+event is terminal: the solution ends at the first root, and an initial value
+already on or past a level ends it at t = 0.
 
-Both homogeneous flow reductions are scalar, so the state is one float and a
-step costs six right-hand-side calls and a few dozen float operations.
-Integration runs forward in time only.
+Both homogeneous flow reductions are scalar and autonomous, so the state is
+one float, the right-hand side takes y alone, and a step costs six
+right-hand-side calls and a few dozen float operations.  Integration runs
+forward in time from t = 0.
 """
 
 from __future__ import annotations
@@ -41,80 +43,81 @@ P = (
 
 @dataclass
 class OdeSolution:
-    """Accepted times ``t`` and states ``y`` (shape (1, m)), as scipy's solve_ivp returns them.
+    """Accepted times ``t`` and states ``y`` (1-D), and the right-hand-side calls ``nfev``.
 
-    status is 0 at the end of the interval and 1 after a terminal event;
-    ``t_events[i]`` holds the root of event i if it ended the run.
+    ``event`` is the index of the event that ended the run at ``t[-1]``, or
+    None when the run reached the end of the interval.
     """
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    status: int
-    t_events: list
-    message: str
+    event: int | None
 
 
-def _initial_step(rhs, t0, y0, f0, t_bound, max_step, rtol, atol):
+def _initial_step(rhs, y0, f0, t_bound, rtol, atol):
     """Hairer–Nørsett–Wanner starting step for an error estimate of order 4."""
-    span = t_bound - t0
     scale = atol + abs(y0) * rtol
     d0, d1 = abs(y0) / scale, abs(f0) / scale
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    d2 = abs(rhs(t0 + h0, y0 + h0 * f0) - f0) / scale / h0
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    d2 = abs(rhs(y0 + h0 * f0) - f0) / scale / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, span, max_step)
+    return min(100.0 * h0, h1, t_bound)
 
 
-def _crossed(g_old, g_new, direction):
-    """Whether an event value crossed zero over a step in its direction."""
-    return g_old <= 0.0 <= g_new if direction > 0 else g_new <= 0.0 <= g_old
+def _past(y, level, direction):
+    """Whether y lies on or past an event level, seen in the event's direction."""
+    return y >= level if direction > 0 else y <= level
 
 
-def _locate(g, dense, lo, hi):
-    """Root of g(t, dense(t)) in [lo, hi], given a sign change.
+def _locate(level, dense, lo, hi):
+    """Root of dense(t) - level in [lo, hi], given a sign change.
 
     Bisection runs until lo and hi are adjacent floats, well inside 4 eps:
     near a round point |y'| reaches ~1e8, so an error in t shows in y.
     """
-    g_lo = g(lo, dense(lo))
+    g_lo = dense(lo) - level
     if g_lo == 0.0:
         return lo
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return hi
-        g_mid = g(mid, dense(mid))
+        g_mid = dense(mid) - level
         if (g_mid > 0.0) == (g_lo > 0.0) and g_mid != 0.0:
             lo, g_lo = mid, g_mid
         else:
             hi = mid
 
 
-def solve_ivp(rhs, t_span, y0, *, rtol, atol, events=(), first_step=None, max_step=math.inf):
-    """Integrate y' = rhs(t, y) for a float y over t_span = (t0, t_bound), t_bound > t0.
+def solve_ivp(rhs, t_bound, y0, *, rtol, atol, events=(), max_step=None):
+    """Integrate y' = rhs(y) for a float y from t = 0 to t_bound > 0.
 
-    ``events`` are (g, direction) pairs: g(t, y) is a float, and the event
-    fires when g crosses zero upward (direction > 0) or downward (< 0).  A step
-    below 10 ulp(t) raises StepUnderflow.
+    ``events`` are (level, direction) pairs: event i fires when y reaches its
+    level moving up (direction > 0) or down (< 0).  Before each step y lies
+    strictly on the near side of every level, so an event fires exactly when
+    a step ends on or past its level; a y0 already there ends the run at
+    t = 0 with no step taken.  ``max_step``, when given, bounds every step and
+    is the first step; otherwise the starting-step heuristic picks the first
+    step.  A step below 10 ulp(t) raises StepUnderflow.
     """
-    t, t_bound = float(t_span[0]), float(t_span[1])
-    y = float(y0)
-    f = rhs(t, y)
+    t, y = 0.0, float(y0)
+    ts, ys = [t], [y]
+    event = next((i for i, (level, sense) in enumerate(events) if _past(y, level, sense)), None)
+    if event is not None:
+        return OdeSolution(np.array(ts), np.array(ys), 0, event)
+    f = rhs(y)
     nfev = 1
-    if first_step is None:
-        h_abs = _initial_step(rhs, t, y, f, t_bound, max_step, rtol, atol)
+    if max_step is None:
+        max_step = math.inf
+        h_abs = _initial_step(rhs, y, f, t_bound, rtol, atol)
         nfev += 1
     else:
-        h_abs = first_step
-    ts, ys = [t], [y]
-    g_old = [g(t, y) for g, _ in events]
-    t_events = [[] for _ in events]
-    status = None
-    while status is None:
+        h_abs = max_step
+    while t < t_bound and event is None:
         min_step = 10.0 * math.ulp(t)
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
@@ -124,17 +127,17 @@ def solve_ivp(rhs, t_span, y0, *, rtol, atol, events=(), first_step=None, max_st
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             k1 = f
-            k2 = rhs(t + h / 5, y + h * (k1 / 5))
-            k3 = rhs(t + 3 * h / 10, y + h * (3 / 40 * k1 + 9 / 40 * k2))
-            k4 = rhs(t + 4 * h / 5, y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
-            k5 = rhs(t + 8 * h / 9, y + h * (
+            k2 = rhs(y + h * (k1 / 5))
+            k3 = rhs(y + h * (3 / 40 * k1 + 9 / 40 * k2))
+            k4 = rhs(y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+            k5 = rhs(y + h * (
                 19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3 - 212 / 729 * k4))
-            k6 = rhs(t_new, y + h * (
+            k6 = rhs(y + h * (
                 9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3 + 49 / 176 * k4
                 - 5103 / 18656 * k5))
             y_new = y + h * (
                 35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4 - 2187 / 6784 * k5 + 11 / 84 * k6)
-            k7 = rhs(t_new, y_new)
+            k7 = rhs(y_new)
             nfev += 6
             err = h * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7)
             error_norm = abs(err) / (atol + max(abs(y), abs(y_new)) * rtol)
@@ -146,10 +149,7 @@ def solve_ivp(rhs, t_span, y0, *, rtol, atol, events=(), first_step=None, max_st
             rejected = True
         t_old, y_old, ks = t, y, (k1, k3, k4, k5, k6, k7)
         t, y, f = t_new, y_new, k7
-        if t >= t_bound:
-            status = 0
-        g_new = [g(t, y) for g, _ in events]
-        fired = [i for i, (_, sense) in enumerate(events) if _crossed(g_old[i], g_new[i], sense)]
+        fired = [i for i, (level, sense) in enumerate(events) if _past(y, level, sense)]
         if fired:
             q = [sum(k * row[j] for k, row in zip(ks, P)) for j in range(4)]
 
@@ -157,13 +157,8 @@ def solve_ivp(rhs, t_span, y0, *, rtol, atol, events=(), first_step=None, max_st
                 x = (s - t_old) / h
                 return y_old + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
 
-            root, i = min((_locate(events[i][0], dense, t_old, t), i) for i in fired)
-            t_events[i].append(root)
-            t, y, status = root, dense(root), 1
-        g_old = g_new
+            t, event = min((_locate(events[i][0], dense, t_old, t), i) for i in fired)
+            y = dense(t)
         ts.append(t)
         ys.append(y)
-    message = "A termination event occurred." if status else "Reached the end of the interval."
-    return OdeSolution(
-        np.array(ts), np.array([ys]), nfev, status, [np.array(te) for te in t_events], message
-    )
+    return OdeSolution(np.array(ts), np.array(ys), nfev, event)

@@ -16,10 +16,12 @@ x = 1e6 c).
 
 The three grid checks of one (n, c) share one evaluation of alpha, beta,
 gamma and omega on its default grid (_grid_values: read-only arrays, only the
-latest lattice point kept).  A finite-difference stencil is one family call on
-its seven rows stacked.  check_okumura draws and reduces its samples in blocks
-of _OKUMURA_BLOCK rows, so its memory does not grow with OKUMURA_SAMPLES.  The
-reports are the bits of evaluating each check on its own, all at once.
+latest lattice point kept).  check_derivative_oracles makes one family call
+per function, on its seven stencil rows stacked, and reads the closed-form
+derivatives off the last row.  check_okumura draws and reduces its samples in
+blocks of _OKUMURA_BLOCK rows, so its memory does not grow with
+OKUMURA_SAMPLES.  The reports are the bits of evaluating each check on its
+own, all at once: 11 family calls per (n, c) for the four lattice checks.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .flow import (
     TerminalKind,
     flow_ode_numeric,
     flow_product_exact,
+    product_collapse_time,
     product_r1sq_exact,
 )
 from .geometry import GeodesicSphere, ProductSn1S1, product_lambda_for_mean_curvature
@@ -478,13 +481,12 @@ def check_constants(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
 # ----------------------------------------------------- derivative oracles
 
 
-def _fd_derivatives(f, x, h):
+def _fd_derivatives(rows, h):
     """4th-order centered finite differences for the first three derivatives.
 
-    f must act elementwise: it is called once, on the seven stencil rows stacked.
+    rows are the values at x - 3h, x - 2h, x - h, x + h, x + 2h, x + 3h and x.
     """
-    stencil = np.stack([x - 3 * h, x - 2 * h, x - h, x + h, x + 2 * h, x + 3 * h, x])
-    fm3, fm2, fm1, fp1, fp2, fp3, f0 = f(stencil)
+    fm3, fm2, fm1, fp1, fp2, fp3, f0 = rows
     d1 = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
     d2 = (-(fp2 + fm2) + 16.0 * (fp1 + fm1) - 30.0 * f0) / (12.0 * h * h)
     d3 = (-fp3 + 8.0 * fp2 - 13.0 * fp1 + 13.0 * fm1 - 8.0 * fm2 + fm3) / (8.0 * h ** 3)
@@ -502,32 +504,17 @@ def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
     h = 0.004 * xs
     xs = xs[np.abs(xs - fam.x0) > 4.0 * h]
     h = 0.004 * xs
-
+    # The family acts elementwise: one call per function on the stencil rows
+    # stacked, whose last row is xs, where the closed-form derivatives are read.
+    stencil = np.stack([xs - 3 * h, xs - 2 * h, xs - h, xs + h, xs + 2 * h, xs + 3 * h, xs])
     worst = 0.0
     worst_x = float("nan")
-
-    def track(rel, where):
-        nonlocal worst, worst_x
-        i = int(np.argmax(rel))
-        if rel[i] > worst:
-            worst, worst_x = float(rel[i]), float(where[i])
-
-    a, a1, a2, a3 = fam.alpha(xs)
-    d1, d2, d3 = _fd_derivatives(lambda t: fam.alpha(t, order=0)[0], xs, h)
-    track(np.abs(d1 - a1) / np.maximum(np.abs(a1), 1e-3), xs)
-    track(np.abs(d2 - a2) / np.maximum(np.abs(a2), 1e-3 / c), xs)
-    track(np.abs(d3 - a3) / np.maximum(np.abs(a3), 1e-3 / c ** 2), xs)
-
-    g, g1, g2, _ = fam.gamma(xs)
-    e1, e2, _ = _fd_derivatives(lambda t: fam.gamma(t)[0], xs, h)
-    track(np.abs(e1 - g1) / np.maximum(np.abs(g1), 1e-3), xs)
-    track(np.abs(e2 - g2) / np.maximum(np.abs(g2), 1e-3 / c), xs)
-
-    w, w1, w2 = fam.omega(xs)
-    o1, o2, _ = _fd_derivatives(lambda t: fam.omega(t)[0], xs, h)
-    track(np.abs(o1 - w1) / np.maximum(np.abs(w1), 1e-3), xs)
-    track(np.abs(o2 - w2) / np.maximum(np.abs(w2), 1e-3 / c), xs)
-
+    for f, *closed in (fam.alpha(stencil), fam.gamma(stencil)[:3], fam.omega(stencil)):
+        for j, (fd, exact) in enumerate(zip(_fd_derivatives(f, h), closed), start=1):
+            rel = np.abs(fd - exact[-1]) / np.maximum(np.abs(exact[-1]), 1e-3 / c ** (j - 1))
+            i = int(np.argmax(rel))
+            if rel[i] > worst:
+                worst, worst_x = float(rel[i]), float(xs[i])
     return [
         _value_report(
             "derivative_oracles", params, worst <= 1e-6, 1e-6 - worst, worst_x,
@@ -634,7 +621,8 @@ def check_flow_oracles(params: PinchingParams):
     config = FlowConfig(epsilon=0.0, tol=1e-12, t_max=10.0 / c)
 
     # numeric product trajectory vs closed form
-    initial = ProductSn1S1.from_r1sq(0.8 * (n - 1.0) / (n * c), params)
+    r1sq0 = 0.8 * (n - 1.0) / (n * c)
+    initial = ProductSn1S1.from_r1sq(r1sq0, params)
     numeric = flow_ode_numeric(initial, params, config)
     exact = product_r1sq_exact(initial, params, numeric.times)
     r1sq_num = numeric.state.r1sq_exact
@@ -646,8 +634,7 @@ def check_flow_oracles(params: PinchingParams):
             f"max |r1^2 - exact| * c = {err:.3e}",
         )
     )
-    exact_trace = flow_product_exact(initial, params, config)
-    T_exact = exact_trace.terminal.time
+    T_exact = float(product_collapse_time(r1sq0, params))
     T_num = numeric.terminal.time
     ok_T = (
         numeric.terminal.kind == TerminalKind.GREAT_CIRCLE_COLLAPSE
@@ -734,8 +721,8 @@ def default_suite(
     Deterministic given the seed: the reports always come in the same order.
     Each lattice point evaluates its thresholds on the default grid once, for
     check_lemma_app, check_wpp and check_constants together, and each
-    finite-difference stencil of check_derivative_oracles is one family call:
-    14 family calls per (n, c).  check_okumura keeps one block of
+    check_derivative_oracles evaluates alpha, gamma and omega once each on its
+    stacked stencil: 11 family calls per (n, c).  check_okumura keeps one block of
     _OKUMURA_BLOCK draws alive, not all OKUMURA_SAMPLES.
     """
     reports: list[CheckReport] = []

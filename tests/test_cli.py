@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -398,6 +400,58 @@ def test_simulate_negative_horizon_writes_nothing(tmp_path):
     )
     assert code == 1
     assert not trace.exists() and not curv.exists()
+
+
+@pytest.fixture
+def deadline():
+    """Fail a run that outlasts 5 s with TimeoutError instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the run did not end within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+# States already on or past an event level, with their terminal and the exact
+# time (None: a blowup, reported at t = 0).  No step can cross a level these
+# states already lie past, so only the check on the initial value ends them;
+# without it rho oscillates across the axis and r1^2 integrates through 0 or 1/c.
+PAST_LEVEL_RUNS = [
+    (["--family", "sphere", "--rho", "1e-7"], "RoundPoint", -np.log(np.cos(1e-7)) / 10.0),
+    (["--family", "sphere", "--rho", "3.1415926"], "RoundPoint",
+     -np.log(np.cos(np.pi - 3.1415926)) / 10.0),
+    (["--family", "product", "--r1sq", "1e-9"], "GreatCircleCollapse",
+     -np.log1p(-10.0 * 1e-9 / 9.0) / 20.0),
+    (["--family", "product", "--r1sq", "0.99999999999"], "Blowup", None),
+    (["--family", "product", "--lam", "1e-4"], "Blowup", None),
+    (["--family", "product-exact", "--r1sq", "1e-9"], "GreatCircleCollapse",
+     -np.log1p(-10.0 * 1e-9 / 9.0) / 20.0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, kind, exact", PAST_LEVEL_RUNS,
+    ids=["sphere-near-0", "sphere-near-pi", "product-collapsed", "product-r1sq-fat",
+         "product-lam-fat", "product-exact-collapsed"],
+)
+def test_state_past_an_event_level_ends_at_once(argv, kind, exact, tmp_path, deadline):
+    trace, term = tmp_path / "trace.csv", tmp_path / "terminal.json"
+    start = time.perf_counter()
+    code = main(["simulate", *argv, "--output", str(trace), "--terminal-json", str(term)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    rows = [l for l in trace.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 1 and float(rows[0].split(",")[0]) == 0.0
+    payload = json.loads(term.read_text())
+    assert payload["terminal"] == kind
+    if exact is None:
+        assert payload["T"] == 0.0
+    else:
+        assert abs(payload["T"] - exact) <= 2.5e-9
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

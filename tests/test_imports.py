@@ -32,3 +32,43 @@ def test_package_modules_use_every_import():
     assert len(modules) > 5
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level _name functions and classes that nothing outside their own definition names.
+
+    A reference is a Name, an attribute or an imported name anywhere in the
+    given modules; a helper that only calls itself counts as unreferenced.
+    """
+    helpers, referenced = [], set()
+    for source in sources.values():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                if not stmt.name.startswith("__"):
+                    helpers.append(stmt.name)
+                names.discard(stmt.name)
+            referenced |= names
+    return [name for name in helpers if name not in referenced]
+
+
+def test_unreferenced_helpers_are_found():
+    sources = {
+        "a.py": "def _dead(n):\n    return _dead(n - 1)\n\nclass _Used:\n    pass\n"
+        "def _imported():\n    pass\n\ndef _attr():\n    pass\n",
+        "b.py": "from a import _imported\nimport a\nx = _Used()\na._attr()\n",
+    }
+    assert unreferenced_helpers(sources) == ["_dead"]
+
+
+def test_package_private_helpers_have_callers():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 5
+    assert unreferenced_helpers(sources) == []

@@ -1,6 +1,4 @@
-"""Scalar Dormand–Prince integrator: agreement with scipy's RK45, events, failure modes."""
-
-import math
+"""Scalar Dormand–Prince integrator: agreement with scipy's RK45, level events, failure modes."""
 
 import numpy as np
 import pytest
@@ -14,9 +12,15 @@ from pinchflow import (
     StepUnderflow,
     TerminalKind,
     flow_ode_numeric,
+    flow_product_exact,
 )
 from pinchflow import flow
-from pinchflow.flow import _ode_rhs_and_events
+from pinchflow.flow import (
+    COLLAPSE_R1SQ,
+    ROUND_POINT_RHO,
+    _ode_rhs_and_events,
+    product_collapse_time,
+)
 from pinchflow.ode import solve_ivp
 
 P10 = PinchingParams(n=10, c=1.0)
@@ -24,18 +28,25 @@ STATES = {
     "sphere": GeodesicSphere(rho=0.4 * np.pi),
     "product": ProductSn1S1.from_r1sq(0.8 * 0.9, P10),
 }
+LATTICE = [(3, 1.0), (10, 0.25), (40, 7.3)]
+
+
+def _levels(state, params):
+    """rhs, (level, direction) pairs and y0 of a reduction, as flow_ode_numeric passes them."""
+    rhs, events, y0 = _ode_rhs_and_events(state, params)
+    return rhs, [(level, direction) for level, direction, _, _ in events], y0
 
 
 def _scipy_rk45(rhs, events, y0, t_max, rtol, atol, step):
-    def terminal(g, direction):
+    def terminal(level, direction):
         def event(t, y):
-            return g(t, y[0])
+            return y[0] - level
 
         event.terminal, event.direction = True, direction
         return event
 
     return scipy_solve_ivp(
-        lambda t, y: [rhs(t, y[0])], (0.0, t_max), [y0], method="RK45", rtol=rtol, atol=atol,
+        lambda t, y: [rhs(y[0])], (0.0, t_max), [y0], method="RK45", rtol=rtol, atol=atol,
         events=[terminal(*e) for e in events], first_step=step, max_step=step or np.inf,
     )
 
@@ -43,85 +54,141 @@ def _scipy_rk45(rhs, events, y0, t_max, rtol, atol, step):
 @pytest.mark.parametrize("step", [None, 1.0 / 5000.0])
 @pytest.mark.parametrize("name", sorted(STATES))
 def test_matches_scipy_rk45_at_tight_tolerance(name, step):
-    rhs, events, y0 = _ode_rhs_and_events(STATES[name], P10)
+    rhs, events, y0 = _levels(STATES[name], P10)
     rtol, atol = 1e-12, 1e-12 * max(abs(y0), 1.0)
-    ours = solve_ivp(
-        rhs, (0.0, 10.0), y0, rtol=rtol, atol=atol, events=events,
-        first_step=step, max_step=step or math.inf,
-    )
+    ours = solve_ivp(rhs, 10.0, y0, rtol=rtol, atol=atol, events=events, max_step=step)
     ref = _scipy_rk45(rhs, events, y0, 10.0, rtol, atol, step)
-    assert ours.status == ref.status == 1
-    assert ours.y.shape == (1, len(ours.t))
+    assert ref.status == 1
+    assert ours.event == next(i for i, te in enumerate(ref.t_events) if len(te))
+    assert ours.y.shape == ours.t.shape == (len(ours.t),)
     assert abs(len(ours.t) - len(ref.t)) <= 5
-    assert [len(te) for te in ours.t_events] == [len(te) for te in ref.t_events]
-    t_end, y_end = ours.t[-1], ours.y[0, -1]
+    t_end, y_end = ours.t[-1], ours.y[-1]
     assert t_end == pytest.approx(ref.t[-1], rel=1e-13, abs=0.0)
     # the run ends on the event's root, located in t to well inside 4 eps
-    fired = next(i for i, te in enumerate(ours.t_events) if len(te))
-    residual = abs(events[fired][0](t_end, y_end))
-    assert residual <= abs(rhs(t_end, y_end)) * 8.0 * np.finfo(float).eps * (1.0 + t_end)
+    residual = abs(y_end - events[ours.event][0])
+    assert residual <= abs(rhs(y_end)) * 8.0 * np.finfo(float).eps * (1.0 + t_end)
 
 
 def test_event_fires_only_in_its_direction():
-    # y' = 1 crosses y = 0.5 upward at t = 0.5
-    def rhs(t, y):
+    # y' = 1 from 0 crosses y = 0.5 upward at t = 0.5 and never reaches -0.5
+    def rhs(y):
         return 1.0
 
-    def half(t, y):
-        return y - 0.5
+    down = solve_ivp(rhs, 1.0, 0.0, rtol=1e-10, atol=1e-10, events=[(-0.5, -1)])
+    assert down.event is None and down.t[-1] == 1.0
+    up = solve_ivp(rhs, 1.0, 0.0, rtol=1e-10, atol=1e-10, events=[(0.5, 1)])
+    assert up.event == 0
+    assert up.t[-1] == pytest.approx(0.5, abs=1e-15)
+    assert up.y[-1] == pytest.approx(0.5, abs=1e-15)
 
-    down = solve_ivp(rhs, (0.0, 1.0), 0.0, rtol=1e-10, atol=1e-10, events=[(half, -1)])
-    assert down.status == 0 and down.t[-1] == 1.0 and len(down.t_events[0]) == 0
-    up = solve_ivp(rhs, (0.0, 1.0), 0.0, rtol=1e-10, atol=1e-10, events=[(half, 1)])
-    assert up.status == 1
-    assert up.t_events[0][0] == pytest.approx(0.5, abs=1e-15)
-    assert up.t[-1] == up.t_events[0][0] and up.y[0, -1] == pytest.approx(0.5, abs=1e-15)
+
+def test_earliest_of_two_events_ends_the_run():
+    # y' = -1 from 1 reaches 0.75 before 0.25, whatever the list order
+    def rhs(y):
+        return -1.0
+
+    sol = solve_ivp(rhs, 2.0, 1.0, rtol=1e-10, atol=1e-10, events=[(0.25, -1), (0.75, -1)])
+    assert sol.event == 1 and sol.t[-1] == pytest.approx(0.25, abs=1e-15)
+
+
+@pytest.mark.parametrize("y0, event", [(0.5, 0), (0.7, 0), (-0.5, 1), (-0.7, 1)])
+def test_initial_value_on_or_past_a_level_ends_at_zero(y0, event):
+    # no right-hand-side call and no step: the rhs would raise
+    def rhs(y):
+        raise AssertionError("rhs called")
+
+    sol = solve_ivp(rhs, 1.0, y0, rtol=1e-10, atol=1e-10, events=[(0.5, 1), (-0.5, -1)])
+    assert sol.event == event and sol.nfev == 0
+    assert sol.t.tolist() == [0.0] and sol.y.tolist() == [y0]
 
 
 def test_product_above_stationary_torus_fattens():
     # r1^2 grows away from (n-1)/(nc): the upward fatten event ends the run, not collapse
     state = ProductSn1S1.from_r1sq(0.95, P10)
-    rhs, events, y0 = _ode_rhs_and_events(state, P10)
-    sol = solve_ivp(rhs, (0.0, 10.0), y0, rtol=1e-10, atol=1e-10, events=events)
-    assert sol.status == 1
-    assert len(sol.t_events[0]) == 0 and len(sol.t_events[1]) == 1
+    rhs, events, y0 = _levels(state, P10)
+    sol = solve_ivp(rhs, 10.0, y0, rtol=1e-10, atol=1e-10, events=events)
+    assert sol.event == 1
     trace = flow_ode_numeric(state, P10, FlowConfig(epsilon=0.0, t_max=10.0))
     assert trace.terminal.kind is TerminalKind.BLOWUP
+    assert trace.terminal.time == trace.times[-1]
 
 
 def test_finite_time_blowup_underflows():
     # y' = y^2 from y(0) = 1 blows up at t = 1; the step shrinks below 10 ulp(t)
     with pytest.raises(StepUnderflow):
-        solve_ivp(lambda t, y: y * y, (0.0, 2.0), 1.0, rtol=1e-10, atol=1e-10)
+        solve_ivp(lambda y: y * y, 2.0, 1.0, rtol=1e-10, atol=1e-10)
 
 
 def test_horizon_run_ends_exactly_at_t_max():
-    rhs, events, y0 = _ode_rhs_and_events(STATES["product"], P10)
-    sol = solve_ivp(rhs, (0.0, 0.003), y0, rtol=1e-10, atol=1e-10, events=events)
-    assert sol.status == 0
+    rhs, events, y0 = _levels(STATES["product"], P10)
+    sol = solve_ivp(rhs, 0.003, y0, rtol=1e-10, atol=1e-10, events=events)
+    assert sol.event is None
     assert sol.t[-1] == 0.003
-    assert all(len(te) == 0 for te in sol.t_events)
     assert np.all(np.diff(sol.t) > 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(STATES))
 def test_nfev_counts_six_calls_per_step(name):
-    rhs, events, y0 = _ode_rhs_and_events(STATES[name], P10)
-    sol = solve_ivp(rhs, (0.0, 10.0), y0, rtol=1e-12, atol=1e-12, events=events)
+    rhs, events, y0 = _levels(STATES[name], P10)
+    sol = solve_ivp(rhs, 10.0, y0, rtol=1e-12, atol=1e-12, events=events)
     assert sol.nfev >= 6 * (len(sol.t) - 1)
 
 
-def test_flow_calls_the_module_level_solve_ivp(monkeypatch):
-    # flow_ode_numeric integrates through flow.solve_ivp, so it can be wrapped from outside
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_max_step_is_the_first_step(name):
+    rhs, events, y0 = _levels(STATES[name], P10)
+    step = 1.0 / 5000.0
+    capped = solve_ivp(rhs, 10.0, y0, rtol=1e-12, atol=1e-12, events=events, max_step=step)
+    assert capped.t[1] == step
+    assert (capped.nfev - 1) % 6 == 0  # the first rhs call, then six per step tried
+    free = solve_ivp(rhs, 10.0, y0, rtol=1e-12, atol=1e-12, events=events)
+    assert (free.nfev - 1) % 6 == 1  # plus the starting-step heuristic's probe
+
+
+def _capture_solutions(monkeypatch):
     calls = []
 
-    def counting(*args, **kwargs):
+    def capturing(*args, **kwargs):
         sol = solve_ivp(*args, **kwargs)
         calls.append(sol)
         return sol
 
-    monkeypatch.setattr(flow, "solve_ivp", counting)
+    monkeypatch.setattr(flow, "solve_ivp", capturing)
+    return calls
+
+
+@pytest.mark.parametrize("n, c", LATTICE)
+def test_terminal_times_keep_the_closed_form_tails(n, c, monkeypatch):
+    # the tail is evaluated at the event level, not at the located y
+    params = PinchingParams(n=n, c=c)
+    calls = _capture_solutions(monkeypatch)
+    config = FlowConfig(epsilon=0.0, t_max=10.0 / c)
+    sphere = flow_ode_numeric(GeodesicSphere(rho=0.4 * np.pi / np.sqrt(c)), params, config)
+    rho_hit = ROUND_POINT_RHO / np.sqrt(c)
+    assert sphere.terminal.kind is TerminalKind.ROUND_POINT
+    assert sphere.terminal.time == float(calls[-1].t[-1] + rho_hit ** 2 / (2.0 * n))
+    r1sq0 = 0.8 * (n - 1.0) / (n * c)
+    product = flow_ode_numeric(ProductSn1S1.from_r1sq(r1sq0, params), params, config)
+    y_hit = COLLAPSE_R1SQ / c
+    tail = -np.log(1.0 - n * c * y_hit / (n - 1.0)) / (2.0 * n * c)
+    assert product.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
+    assert product.terminal.time == float(calls[-1].t[-1] + tail)
+
+
+@pytest.mark.parametrize("n, c", LATTICE)
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.8, 0.99])
+def test_product_collapse_time_is_the_exact_terminal(n, c, frac):
+    params = PinchingParams(n=n, c=c)
+    r1sq0 = frac * (n - 1.0) / (n * c)
+    exact = flow_product_exact(ProductSn1S1.from_r1sq(r1sq0, params), params, FlowConfig())
+    assert exact.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
+    assert product_collapse_time(r1sq0, params) == exact.terminal.time
+
+
+def test_flow_calls_the_module_level_solve_ivp(monkeypatch):
+    # flow_ode_numeric integrates through flow.solve_ivp, so it can be wrapped from outside
+    calls = _capture_solutions(monkeypatch)
     trace = flow_ode_numeric(STATES["sphere"], P10, FlowConfig(epsilon=0.0))
     assert len(calls) == 1
     sol = calls[0]
-    assert len(trace.times) == len(sol.t) and sol.nfev > 0 and sol.message
+    assert len(trace.times) == len(sol.t) and sol.nfev > 0 and sol.event == 0

@@ -238,8 +238,26 @@ def test_fd_stencil_in_one_call_matches_seven_calls(n, c):
         d1 = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
         d2 = (-(fp2 + fm2) + 16.0 * (fp1 + fm1) - 30.0 * f0) / (12.0 * h * h)
         d3 = (-fp3 + 8.0 * fp2 - 13.0 * fp1 + 13.0 * fm1 - 8.0 * fm2 + fm3) / (8.0 * h ** 3)
-        for got, ref in zip(_fd_derivatives(f, xs, h), (d1, d2, d3)):
+        stencil = np.stack([xs - 3 * h, xs - 2 * h, xs - h, xs + h, xs + 2 * h, xs + 3 * h, xs])
+        for got, ref in zip(_fd_derivatives(f(stencil), h), (d1, d2, d3)):
             assert np.array_equal(got, ref)
+
+
+def test_derivative_oracles_make_one_family_call_per_function(monkeypatch):
+    # alpha, gamma and omega once each on the stacked stencil, whose last row is xs
+    calls = []
+    for name in ("alpha", "beta", "gamma", "omega"):
+        method = getattr(ThresholdFamily, name)
+
+        def counting(self, x, *args, _name=name, _method=method, **kwargs):
+            calls.append((_name, np.shape(x)))
+            return _method(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(ThresholdFamily, name, counting)
+    (report,) = check_derivative_oracles(PinchingParams(n=10, c=1.0))
+    assert report.passed
+    assert [name for name, _ in calls] == ["alpha", "gamma", "omega"]
+    assert all(shape[0] == 7 for _, shape in calls)
 
 
 def _grid_reports(params, order):
