@@ -1,11 +1,11 @@
 """Finite-difference curvature engine for rotationally invariant hypersurfaces.
 
 A hypersurface invariant under the block rotation group is described by a
-closed profile curve in the orbit space, a round hemisphere of radius
-1/sqrt(c) with coordinates (phi, xi) and metric (dphi^2 + cos^2(phi) dxi^2)/c.
-The ambient embedding is
+closed profile curve in the orbit space.  The engine works at c = 1, where
+the orbit space is the unit hemisphere with coordinates (phi, xi) and metric
+dphi^2 + cos^2(phi) dxi^2, and the ambient embedding is
 
-    X = (sin(phi) * w, cos(phi) cos(xi), cos(phi) sin(xi)) / sqrt(c),
+    X = (sin(phi) * w, cos(phi) cos(xi), cos(phi) sin(xi)),
 
 with w on the unit (n-1)-sphere.  The shape operator splits into one profile
 direction and n-1 equal orbit directions, so the full curvature of the
@@ -13,10 +13,10 @@ hypersurface reduces to two scalars per profile sample:
 
     kappa_orbit   = xi' cos^2(phi) / (w sin(phi)),
     kappa_profile = [cos(phi)(phi' xi'' - xi' phi'')
-                     - xi' sin(phi)(xi'^2 cos^2(phi) + 2 phi'^2)] / (c w^3),
+                     - xi' sin(phi)(xi'^2 cos^2(phi) + 2 phi'^2)] / w^3,
 
 where primes are derivatives in the (arbitrary) curve parameter and
-w = sqrt((phi'^2 + cos^2(phi) xi'^2)/c) is the parametric speed.  Both
+w = sqrt(phi'^2 + cos^2(phi) xi'^2) is the parametric speed.  Both
 formulas are parametrization invariant; derivatives are taken with 4th-order
 centered differences on a uniform periodic grid in the curve parameter, which
 needs to be close to arc length only for accuracy.  A profile whose chords
@@ -24,11 +24,14 @@ differ by more than MAX_CHORD_RATIO (max/min) is redistributed to uniform arc
 length (chordal estimate, periodic cubic spline resampling) before
 differencing; a profile within the bound is differenced as it is.
 
+The same (phi, xi) describe the hypersurface in S^{n+1}(1/sqrt(c)), whose
+orbit space is the hemisphere of radius 1/sqrt(c): lengths there are 1/sqrt(c)
+times those above and curvatures sqrt(c) times, which curvature_of_profile applies.
+
 Sign conventions: the unit normal is the clockwise rotation of the tangent in
 the orbit space, which makes the latitude circle phi = const (traversed with
-increasing xi) carry kappa_orbit = sqrt(c) cot(phi) > 0 and
-kappa_profile = -sqrt(c) tan(phi), matching the product-family conventions
-used by the flow.
+increasing xi) carry kappa_orbit = cot(phi) > 0 and kappa_profile = -tan(phi),
+matching the product-family conventions used by the flow.
 
 Torus-type profiles keep phi strictly inside (0, pi/2).  The engine itself
 only needs sin(phi) != 0 at the samples, which lets tests drive it with
@@ -102,11 +105,9 @@ def curvature_data(n: int, kappa_orbit, kappa_profile) -> CurvatureData:
     return CurvatureData(kappa_orbit, kappa_profile, *_invariants(n, kappa_orbit, kappa_profile))
 
 
-def embed(phi: np.ndarray, xi: np.ndarray, c: float) -> np.ndarray:
-    """Orbit-space points on the radius-1/sqrt(c) hemisphere in R^3."""
-    return np.stack(
-        [np.sin(phi), np.cos(phi) * np.cos(xi), np.cos(phi) * np.sin(xi)], axis=1
-    ) / np.sqrt(c)
+def embed(phi: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Orbit-space points on the unit hemisphere in R^3."""
+    return np.stack([np.sin(phi), np.cos(phi) * np.cos(xi), np.cos(phi) * np.sin(xi)], axis=1)
 
 
 def winding_of(xi: np.ndarray) -> int:
@@ -149,9 +150,9 @@ def second_difference_symbol(n_points: int, spacing: float) -> np.ndarray:
     return (-2.0 * np.cos(2.0 * theta) + 32.0 * np.cos(theta) - 30.0) / (12.0 * spacing ** 2)
 
 
-def _chord_arclength(phi: np.ndarray, xi: np.ndarray, c: float):
+def _chord_arclength(phi: np.ndarray, xi: np.ndarray):
     """Cumulative chordal arc length (closed), in the orbit-space metric."""
-    pts = embed(phi, xi, c)
+    pts = embed(phi, xi)
     d = np.diff(pts, axis=0, append=pts[:1])  # the last row is the closing chord
     # np.linalg.norm(d, axis=1) does the same arithmetic
     chords = np.sqrt(np.add.reduce(d * d, axis=1))
@@ -200,11 +201,12 @@ def _periodic_spline(x, y, x_new):
     return y[i] + d[i] * h + c1[i] * (h * h) + c0[i] * (h * h * h)
 
 
-def resample_profile(phi, xi, params: PinchingParams):
+def resample_profile(phi, xi):
     """Redistribute a closed profile to uniform arc length once its mesh has drifted.
 
     Returns (phi_u, xi_u, spacing, length, winding) with the input's sample
-    count, length the closed chordal length and spacing = length / N.  A
+    count, length the closed chordal length on the unit hemisphere and
+    spacing = length / N.  A
     profile whose max/min chord ratio is at most MAX_CHORD_RATIO is passed
     through untouched, so exactly represented profiles stay exact; any other
     is refit by a periodic cubic spline in chordal arc length and sampled at N
@@ -216,7 +218,7 @@ def resample_profile(phi, xi, params: PinchingParams):
     if not (np.abs(np.diff(xi)) < np.pi).all():  # np.unwrap corrects no smaller step
         xi = np.unwrap(xi)
     n_in = len(phi)
-    s = _chord_arclength(phi, xi, params.c)
+    s = _chord_arclength(phi, xi)
     length = s[-1]
     if length <= 0.0:
         raise GeometryError("profile has zero length")
@@ -249,14 +251,9 @@ def resample_profile(phi, xi, params: PinchingParams):
 
 
 def profile_geometry(
-    phi: np.ndarray,
-    xi: np.ndarray,
-    params: PinchingParams,
-    spacing: float,
-    winding: int,
+    phi: np.ndarray, xi: np.ndarray, n: int, spacing: float, winding: int
 ) -> ProfileGeometry:
-    """Curvature data of a uniformly parametrized closed profile."""
-    n, c = params.n, params.c
+    """Curvature data at c = 1 of a uniformly parametrized closed profile in dimension n."""
     sin_phi = np.sin(phi)
     cos_phi = np.cos(phi)
     if np.any(sin_phi == 0.0):
@@ -264,21 +261,22 @@ def profile_geometry(
     ramp = 2.0 * np.pi * winding
     ph1, ph2 = periodic_derivatives(phi, spacing)
     xi1, xi2 = periodic_derivatives(xi, spacing, ramp)
-    speed = np.sqrt((ph1 ** 2 + cos_phi ** 2 * xi1 ** 2) / c)
+    speed = np.sqrt(ph1 ** 2 + cos_phi ** 2 * xi1 ** 2)
     kappa_o = xi1 * cos_phi ** 2 / (speed * sin_phi)
     kappa_p = (
         cos_phi * (ph1 * xi2 - xi1 * ph2)
         - xi1 * sin_phi * (xi1 ** 2 * cos_phi ** 2 + 2.0 * ph1 ** 2)
-    ) / (c * speed ** 3)
+    ) / speed ** 3
     nu_phi = -cos_phi * xi1 / speed
     nu_xi = ph1 / (speed * cos_phi)
     return ProfileGeometry(kappa_o, kappa_p, *_invariants(n, kappa_o, kappa_p), nu_phi, nu_xi)
 
 
-def curvature_of_profile(phi, xi, params: PinchingParams) -> ProfileGeometry:
-    """Resample to uniform arc length, then evaluate the curvature."""
-    phi_u, xi_u, spacing, _, w = resample_profile(phi, xi, params)
-    return profile_geometry(phi_u, xi_u, params, spacing, w)
+def curvature_of_profile(phi, xi, params: PinchingParams) -> CurvatureData:
+    """Resample to uniform arc length, then evaluate the curvature at params.c."""
+    phi_u, xi_u, spacing, _, w = resample_profile(phi, xi)
+    geom, root_c = profile_geometry(phi_u, xi_u, params.n, spacing, w), np.sqrt(params.c)
+    return curvature_data(params.n, geom.kappa_orbit * root_c, geom.kappa_profile * root_c)
 
 
 # -------------------------------------------------------- profile builders

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the overflow guard that raises one."""
 
 from __future__ import annotations
+
+import contextlib
+
+import numpy as np
 
 
 class PinchflowError(Exception):
@@ -9,6 +13,16 @@ class PinchflowError(Exception):
 
 class DomainError(PinchflowError):
     """Input outside the mathematical domain of an operation."""
+
+
+@contextlib.contextmanager
+def double_range(what: str, c: float):
+    """Raise DomainError where numpy overflows inside the block: ``what`` leaves the range at c."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise DomainError(f"{what} leaves the double range at c = {c!r}") from None
 
 
 class DerivativeAtZero(DomainError):

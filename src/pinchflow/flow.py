@@ -1,22 +1,27 @@
 """Mean curvature flow on the supported families, with pinching and decay monitors.
 
-The homogeneous families reduce to scalar ODEs:
+Every route runs at c = 1: the flow in S^{n+1}(1/sqrt(c)) is the flow at
+c = 1 under t -> ct, rho -> sqrt(c) rho, r1^2 -> c r1^2 and x -> x/c (Huisken,
+Math. Z. 195, 1987).  A state enters its route in those units and its trace
+is mapped back where it is built, so the constants below are c = 1 numbers.
+The homogeneous families reduce to scalar ODEs in y and the time ct:
 
-    geodesic sphere:  d(rho)/dt   = -n sqrt(c) cot(sqrt(c) rho)
-    product torus:    d(r1^2)/dt  = 2 - 2n + 2 n c r1^2
+    geodesic sphere:  y = sqrt(c) rho,  dy/dt = -n cot(y)
+    product torus:    y = c r1^2,       dy/dt = 2 - 2n + 2 n y
 
-The product ODE has the exact solution r1^2 = (n-1)/(nc) (1 - d e^{2nct}) with
-d fixed by the initial radius and collapse time T = -log(d)/(2nc); the numeric
+The product ODE has the exact solution y = (n-1)/n (1 - d e^{2nt}) with d
+fixed by the initial radius and collapse time T = -log(d)/(2n); the numeric
 route integrates the same reductions with the package's scalar Dormand–Prince
-5(4) integrator (``pinchflow.ode``).  Its events are levels of the scalar
-state, each naming its terminal: a round point, a great circle or a blowup,
-reached a closed-form tail after the level.
+5(4) integrator (``pinchflow.ode``).  Its events are levels of y, each naming
+its terminal: a round point, a great circle or a blowup, reached a
+closed-form tail after the level.
 
-Torus-type profiles evolve by the method of lines: normal velocity H at every
-sample and exponential-time-differencing RK4 steps (ETDRK4; Cox & Matthews
-2002).  ETDRK4 integrates the stiff part of the velocity, the periodic
-second-difference stencil, exactly in Fourier space, so the step is bounded
-only by the reaction rate 0.15/(nc + |h|^2), not by the grid spacing.  After
+Torus-type profiles, the same (phi, xi) at every c, evolve by the method of
+lines: normal velocity H at every sample and exponential-time-differencing
+RK4 steps (ETDRK4; Cox & Matthews 2002).  ETDRK4 integrates the stiff part of
+the velocity, the periodic second-difference stencil, exactly in Fourier
+space, so the step is bounded only by the reaction rate 0.15/(n + |h|^2), not
+by the grid spacing.  After
 each step ``axisym.resample_profile`` measures the chords of the new mesh and
 redistributes it to uniform arc length by a periodic cubic spline only when
 their max/min ratio exceeds axisym.MAX_CHORD_RATIO = 1.02.  The mesh drifts
@@ -26,8 +31,8 @@ ripple at N = 256, and 14 times in 40 steps for a 1% ripple collapsing to the
 great circle at N = 128.  Between redistributions the parameter is kept and
 the spacing follows the chordal length of the curve.
 
-Monitors recorded at every accepted step: the pinching excess
-U = |h|^2 - gamma + eps*omega (pointwise max), the decay ratio
+Monitors recorded at every accepted step, in the ambient units of c: the
+pinching excess U = |h|^2 - gamma + eps*omega (pointwise max), the decay ratio
 f_sigma = |h0|^2 / ring(gamma)^{1-sigma} with ring(gamma) = gamma - H^2/n, its
 rescaling g_sigma = f_sigma e^{2 sigma c t}, and the running fitted constant
 C0_fit of the decay bound.
@@ -44,6 +49,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +60,7 @@ from .errors import (
     FixedPointError,
     GeometryError,
     StepUnderflow,
+    double_range,
 )
 from .geometry import (
     Axisymmetric,
@@ -79,14 +86,15 @@ __all__ = [
     "monitors_update",
 ]
 
-ROUND_POINT_RHO = 1e-6  # times 1/sqrt(c)
-COLLAPSE_R1SQ = 1e-8  # times 1/c, ODE route
-COLLAPSE_R1SQ_PDE = 1e-4  # times 1/c; |h|^2 blowup triggers first on profiles
-GEODESIC_H2 = 1e-12  # times c, sustained for 1/(nc)
-BLOWUP_H2 = 1e6  # times c
+ROUND_POINT_RHO = 1e-6  # the sphere's round-point level of y = sqrt(c) rho
+COLLAPSE_R1SQ = 1e-8  # the ODE route's great-circle level of y = c r1^2
+COLLAPSE_R1SQ_PDE = 1e-4  # min sin(phi)^2 of a profile collapse; |h|^2 blowup triggers first
+GEODESIC_H2 = 1e-12  # |h|^2 of a totally geodesic end, sustained over the time 1/n
+BLOWUP_H2 = 1e6  # |h|^2 of a blowup
 MESH_SAMPLES_TARGET = 200
 DT_MIN = 1e-12  # floor of the profile route's time step
 EXACT_SAMPLES = 400  # times sampled by the closed-form product trajectory
+TOL_MIN = 100 * np.finfo(float).eps  # the smallest tol, scipy RK45's floor on rtol
 
 
 class TerminalKind(enum.Enum):
@@ -107,9 +115,10 @@ class TerminalEvent:
 class FlowConfig:
     """Run parameters; epsilon defaults from the initial state.
 
-    dt_initial bounds the adaptive integrator from above as well (initial and
-    maximum step), which pins the accuracy of finite differences taken on the
-    accepted steps.
+    t_max and dt_initial are ambient times (the routes step in ct), and tol
+    is at least TOL_MIN.  dt_initial bounds the adaptive integrator from above
+    as well (initial and maximum step), which pins the accuracy of finite
+    differences taken on the accepted steps.
     """
 
     epsilon: float | None = None
@@ -127,15 +136,17 @@ class FlowConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        if self.tol < TOL_MIN:
+            raise DomainError(f"tol must be at least 100 eps = {TOL_MIN!r}, got {self.tol!r}")
 
-    def resolved(self, initial: CurvatureData | None, params: PinchingParams) -> "FlowConfig":
+    def resolved(self, initial: Callable[[], CurvatureData], params: PinchingParams) -> FlowConfig:
         """Validated copy with epsilon and t_max filled in.
 
-        ``initial`` is the curvature data of the initial state; it is read only
-        when epsilon is unset.
+        ``initial()`` gives the curvature data of the initial state at params;
+        it is called only when epsilon is unset.
         """
         self.validate()
-        eps = self.epsilon if self.epsilon is not None else default_epsilon(initial, params)
+        eps = self.epsilon if self.epsilon is not None else default_epsilon(initial(), params)
         t_max = self.t_max if self.t_max is not None else 1.0 / params.c
         return replace(self, epsilon=eps, t_max=t_max)
 
@@ -229,13 +240,17 @@ def monitors_update(
     )
 
 
-def _resolved_homogeneous(
-    config: FlowConfig | None, initial: GeodesicSphere | ProductSn1S1, params: PinchingParams
-) -> FlowConfig:
-    """Resolved config of a homogeneous route; curvature_of runs only for the default epsilon."""
-    config = config or FlowConfig()
-    data = curvature_of(initial, params) if config.epsilon is None else None
-    return config.resolved(data, params)
+def _ambient_trace(kind: str, y, t, params: PinchingParams, config: FlowConfig) -> FlowTrace:
+    """Trace at c of a trajectory y = sqrt(c) rho or c r1^2 at the times ct of the flow at c = 1."""
+    c = params.c
+    with double_range("the flow's curvature", c):
+        if kind == "sphere":
+            state = GeodesicSphere(rho=y / math.sqrt(c))
+        else:
+            state = ProductSn1S1.from_r1sq(y / c, params)
+        data = curvature_of(state, params)
+        monitors = monitors_update(params, config, t / c, data.H, data.h_norm2, data.h0_norm2)
+    return FlowTrace(kind, params, config, monitors, state=state, curvature=data)
 
 
 # ----------------------------------------------------------- exact product
@@ -246,36 +261,34 @@ def flow_product_exact(
     params: PinchingParams,
     config: FlowConfig | None = None,
 ) -> FlowTrace:
-    """Closed-form trajectory of the product family down to the great circle."""
+    """Closed-form trajectory of the product family down to the great circle, at c = 1."""
     if not isinstance(initial, ProductSn1S1):
         kind = type(initial).__name__
         raise GeometryError(f"exact product flow needs a product state, got {kind}")
-    config = _resolved_homogeneous(config, initial, params)
+    config = (config or FlowConfig()).resolved(lambda: curvature_of(initial, params), params)
     n, c = params.n, params.c
     r1sq0 = initial_r1sq(initial, params)
-    stationary = (n - 1.0) / (n * c)
-    if np.isclose(r1sq0, stationary, rtol=1e-12, atol=0.0):
+    y0, stationary = c * r1sq0, (n - 1.0) / n
+    if np.isclose(y0, stationary, rtol=1e-12, atol=0.0):
         raise FixedPointError("initial product state is the stationary minimal torus")
-    if r1sq0 > stationary:
+    if y0 > stationary:
         raise DomainError(
-            f"exact product flow needs r1^2 < (n-1)/(nc); got {r1sq0!r} > {stationary!r}"
+            f"exact product flow needs r1^2 < (n-1)/(nc); got {r1sq0!r} > {stationary / c!r}"
         )
-    T = product_collapse_time(r1sq0, params)
-    t_end = min(config.t_max, T)
+    unit = PinchingParams(n)
+    T = product_collapse_time(y0, unit)
+    t_max = config.t_max * c
     # Samples crowd toward the collapse time where the state varies fastest.
     u = np.linspace(0.0, 1.0, EXACT_SAMPLES)
-    ts = t_end * (1.0 - (1.0 - u) ** 2)
-    r1sq = product_r1sq_exact(initial, params, ts)
+    ts = min(t_max, T) * (1.0 - (1.0 - u) ** 2)
+    y = product_r1sq_exact(ProductSn1S1.from_r1sq(y0, unit), unit, ts)
     # The trajectory ends before the first later sample at the great circle;
     # the initial state is kept even when it lies there already.
-    collapsed = r1sq[1:] <= COLLAPSE_R1SQ / c
+    collapsed = y[1:] <= COLLAPSE_R1SQ
     stop = 1 + int(np.argmax(collapsed)) if collapsed.any() else len(ts)
-    state = ProductSn1S1.from_r1sq(r1sq[:stop], params)
-    data = curvature_of(state, params)
-    monitors = monitors_update(params, config, ts[:stop], data.H, data.h_norm2, data.h0_norm2)
-    trace = FlowTrace("product", params, config, monitors, state=state, curvature=data)
-    if T <= config.t_max:
-        trace.terminal = TerminalEvent(TerminalKind.GREAT_CIRCLE_COLLAPSE, float(T))
+    trace = _ambient_trace("product", y[:stop], ts[:stop], params, config)
+    if T <= t_max:
+        trace.terminal = TerminalEvent(TerminalKind.GREAT_CIRCLE_COLLAPSE, float(T / c))
     else:
         trace.terminal = TerminalEvent(TerminalKind.HORIZON_REACHED, float(config.t_max))
     return trace
@@ -284,7 +297,7 @@ def flow_product_exact(
 def product_collapse_time(r1sq, params: PinchingParams):
     """Time the product flow takes from r1^2 = r1sq < (n-1)/(nc) to the great circle r1 = 0."""
     n, c = params.n, params.c
-    return -np.log(1.0 - n * c * r1sq / (n - 1.0)) / (2.0 * n * c)
+    return -np.log(1.0 - n * (c * r1sq) / (n - 1.0)) / (2.0 * n) / c
 
 
 def product_r1sq_exact(initial: ProductSn1S1, params: PinchingParams, t) -> np.ndarray:
@@ -299,41 +312,40 @@ def product_r1sq_exact(initial: ProductSn1S1, params: PinchingParams, t) -> np.n
 
 
 def _ode_rhs_and_events(state, params: PinchingParams):
-    """Float right-hand side y' = rhs(y), events and initial value of a reduction.
+    """Right-hand side y' = rhs(y) of a reduction at c = 1, its events and y0.
 
-    An event is (level, direction, kind, tail): the run ends where y reaches
-    level moving in direction, and the flow ends in a ``kind`` terminal
-    ``tail`` later.
+    y is sqrt(c) rho (sphere) or c r1^2 (product), and ' is d/d(ct).  An
+    event is (level, direction, kind, tail): the run ends where y reaches
+    level moving in direction, and the flow ends in a ``kind`` terminal a
+    time ``tail`` (at c = 1) later.
     """
-    n, c = params.n, params.c
-    root_c = math.sqrt(c)
+    n = params.n
     if isinstance(state, GeodesicSphere):
 
         def rhs(y):
-            return -n * root_c * math.cos(root_c * y) / math.sin(root_c * y)
+            return -n * math.cos(y) / math.sin(y)
 
-        # quadratic tail of d(rho)/dt = -n/rho + O(rho) from the level to 0
-        tail = (ROUND_POINT_RHO / np.sqrt(c)) ** 2 / (2.0 * n)
+        # quadratic tail of dy/dt = -n/y + O(y) from the level to 0
+        tail = ROUND_POINT_RHO ** 2 / (2.0 * n)
         events = [
-            (ROUND_POINT_RHO / root_c, -1, TerminalKind.ROUND_POINT, tail),
-            ((math.pi - ROUND_POINT_RHO) / root_c, 1, TerminalKind.ROUND_POINT, tail),
+            (ROUND_POINT_RHO, -1, TerminalKind.ROUND_POINT, tail),
+            (math.pi - ROUND_POINT_RHO, 1, TerminalKind.ROUND_POINT, tail),
         ]
-        return rhs, events, float(state.rho)
+        return rhs, events, math.sqrt(params.c) * float(state.rho)
 
     if isinstance(state, ProductSn1S1):
 
         def rhs(y):
-            return 2.0 - 2.0 * n + 2.0 * n * c * y
+            return 2.0 - 2.0 * n + 2.0 * n * y
 
-        collapse = COLLAPSE_R1SQ / c
-        # exact linear-ODE tail from the level to r1^2 = 0
-        collapse_tail = product_collapse_time(collapse, params)
+        # exact linear-ODE tail from the level to y = 0
+        collapse_tail = product_collapse_time(COLLAPSE_R1SQ, PinchingParams(n))
         events = [
-            (collapse, -1, TerminalKind.GREAT_CIRCLE_COLLAPSE, collapse_tail),
-            # lam^2 = 1/r1^2 - c small <=> |h|^2 ~ c^2/lam^2 large
-            (1.0 / (c + c / BLOWUP_H2), 1, TerminalKind.BLOWUP, 0.0),
+            (COLLAPSE_R1SQ, -1, TerminalKind.GREAT_CIRCLE_COLLAPSE, collapse_tail),
+            # lam^2 = 1/y - 1 small <=> |h|^2 ~ 1/lam^2 large
+            (1.0 / (1.0 + 1.0 / BLOWUP_H2), 1, TerminalKind.BLOWUP, 0.0),
         ]
-        return rhs, events, float(initial_r1sq(state, params))
+        return rhs, events, params.c * initial_r1sq(state, params)
 
     raise GeometryError(f"ODE flow supports homogeneous states only, got {state!r}")
 
@@ -349,28 +361,26 @@ def flow_ode_numeric(
     params: PinchingParams,
     config: FlowConfig | None = None,
 ) -> FlowTrace:
-    """Adaptive Dormand–Prince 5(4) integration of the homogeneous reductions."""
-    config = _resolved_homogeneous(config, initial, params)
-    kind = "sphere" if isinstance(initial, GeodesicSphere) else "product"
+    """Adaptive Dormand–Prince 5(4) integration of the homogeneous reductions at c = 1."""
+    config = (config or FlowConfig()).resolved(lambda: curvature_of(initial, params), params)
+    c = params.c
     rhs, events, y0 = _ode_rhs_and_events(initial, params)
     sol = solve_ivp(
         rhs,
-        config.t_max,
+        config.t_max * c,
         y0,
         rtol=config.tol,
-        atol=config.tol * max(abs(y0), 1.0 / params.c),
+        atol=config.tol * max(abs(y0), 1.0),
         events=[(level, direction) for level, direction, _, _ in events],
-        max_step=config.dt_initial,
+        max_step=None if config.dt_initial is None else config.dt_initial * c,
     )
-    state = GeodesicSphere(rho=sol.y) if kind == "sphere" else ProductSn1S1.from_r1sq(sol.y, params)
-    data = curvature_of(state, params)
-    monitors = monitors_update(params, config, sol.t, data.H, data.h_norm2, data.h0_norm2)
-    trace = FlowTrace(kind, params, config, monitors, state=state, curvature=data)
+    kind = "sphere" if isinstance(initial, GeodesicSphere) else "product"
+    trace = _ambient_trace(kind, sol.y, sol.t, params, config)
     if sol.event is None:
-        trace.terminal = _horizon_terminal(monitors, params)
+        trace.terminal = _horizon_terminal(trace.monitors, params)
     else:
         _, _, terminal, tail = events[sol.event]
-        trace.terminal = TerminalEvent(terminal, float(sol.t[-1] + tail))
+        trace.terminal = TerminalEvent(terminal, float((sol.t[-1] + tail) / c))
     return trace
 
 
@@ -382,51 +392,57 @@ def flow_axisymmetric(
     params: PinchingParams,
     config: FlowConfig | None = None,
 ) -> FlowTrace:
-    """Method-of-lines flow of a torus-type profile by normal velocity H."""
+    """Method-of-lines flow of a torus-type profile by normal velocity H, stepped at c = 1."""
     if not isinstance(initial, Axisymmetric):
         kind = type(initial).__name__
         raise GeometryError(f"axisymmetric flow needs a profile state, got {kind}")
-    c = params.c
+    n, c = params.n, params.c
     axisym.validate_profile(initial.phi, initial.xi)
-    phi, xi, spacing, _, winding = axisym.resample_profile(initial.phi, initial.xi, params)
-    geom = axisym.profile_geometry(phi, xi, params, spacing, winding)
-    config = (config or FlowConfig()).resolved(geom, params)
+    phi, xi, spacing, _, winding = axisym.resample_profile(initial.phi, initial.xi)
+    geom = axisym.profile_geometry(phi, xi, n, spacing, winding)
+    root_c = math.sqrt(c)
+    config = (config or FlowConfig()).resolved(
+        lambda: axisym.curvature_data(n, geom.kappa_orbit * root_c, geom.kappa_profile * root_c),
+        params,
+    )
+    t_max = config.t_max * c
+    dt_cap = None if config.dt_initial is None else config.dt_initial * c
 
-    t = 0.0
+    t = 0.0  # the time ct
     records, snapshots, terminal = [], {}, None
-    dt_first = _profile_dt(float(geom.h_norm2.max()), params, config)
-    est_steps = max(1, int(config.t_max / max(dt_first, DT_MIN)))
+    dt_first = _profile_dt(float(geom.h_norm2.max()), n, dt_cap)
+    est_steps = max(1, int(t_max / max(dt_first, DT_MIN)))
     snap_every = max(1, est_steps // MESH_SAMPLES_TARGET)
     step = 0
     while True:
-        record = monitors_update(
-            params, config, t, geom.H[:, None], geom.h_norm2[:, None], geom.h0_norm2[:, None]
-        )
-        records.append(record)
-        h2_max = float(record.h2_max[0])
+        with double_range("the flow's curvature", c):
+            records.append(monitors_update(
+                params, config, t / c,
+                geom.H[:, None] * root_c, geom.h_norm2[:, None] * c, geom.h0_norm2[:, None] * c,
+            ))
+        h2_max = float(geom.h_norm2.max())
         if step % snap_every == 0:
             snapshots[step] = Axisymmetric(np.stack([phi, xi], axis=1))
-        if h2_max > BLOWUP_H2 * c:
-            min_r1sq = float(np.min(np.sin(phi) ** 2) / c)
+        if h2_max > BLOWUP_H2:
             kind = (
                 TerminalKind.GREAT_CIRCLE_COLLAPSE
-                if min_r1sq < COLLAPSE_R1SQ_PDE / c
+                if np.min(np.sin(phi) ** 2) < COLLAPSE_R1SQ_PDE
                 else TerminalKind.BLOWUP
             )
-            terminal = TerminalEvent(kind, float(t))
+            terminal = TerminalEvent(kind, float(t / c))
             break
-        if t >= config.t_max:
+        if t >= t_max:
             break
-        dt = _profile_dt(h2_max, params, config)
+        dt = _profile_dt(h2_max, n, dt_cap)
         if dt < DT_MIN:
             raise StepUnderflow(f"time step {dt!r} fell below DT_MIN before a terminal event")
-        dt = min(dt, config.t_max - t)
+        dt = min(dt, t_max - t)
         # The state is phi and xi minus its winding ramp, both periodic; the
         # parametrization is frozen over the step.
         ramp = 2.0 * np.pi * winding * np.arange(len(phi)) / len(phi)
 
         def velocity(u):
-            g = axisym.profile_geometry(u[0], u[1] + ramp, params, spacing, winding)
+            g = axisym.profile_geometry(u[0], u[1] + ramp, n, spacing, winding)
             return np.stack([g.H * g.nu_phi, g.H * g.nu_xi])
 
         u = _etdrk4_step(
@@ -438,10 +454,10 @@ def flow_axisymmetric(
         )
         phi, xi = u[0], u[1] + ramp
         if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
-            terminal = TerminalEvent(TerminalKind.BLOWUP, float(t))
+            terminal = TerminalEvent(TerminalKind.BLOWUP, float(t / c))
             break
-        phi, xi, spacing, _, winding = axisym.resample_profile(phi, xi, params)
-        geom = axisym.profile_geometry(phi, xi, params, spacing, winding)
+        phi, xi, spacing, _, winding = axisym.resample_profile(phi, xi)
+        geom = axisym.profile_geometry(phi, xi, n, spacing, winding)
         t += dt
         step += 1
     names = [f.name for f in fields(MonitorRecord)]
@@ -452,16 +468,14 @@ def flow_axisymmetric(
     return trace
 
 
-def _profile_dt(h2_max: float, params: PinchingParams, config: FlowConfig) -> float:
-    """Reaction-rate step bound, capped by dt_initial; the caller clamps it to the horizon.
+def _profile_dt(h2_max: float, n: int, dt_cap: float | None) -> float:
+    """Reaction-rate step bound at c = 1, capped by dt_cap; the caller clamps it to the horizon.
 
     Near a collapse |h|^2 ~ 1/(T - t), so the step shrinks geometrically and
     cannot overshoot the singularity.
     """
-    dt = 0.15 / (params.n * params.c + h2_max)
-    if config.dt_initial is not None:
-        dt = min(dt, config.dt_initial)
-    return dt
+    dt = 0.15 / (n + h2_max)
+    return dt if dt_cap is None else min(dt, dt_cap)
 
 
 # Taylor coefficients of Q/dt, f1/dt, f2/dt and f3/dt in z, rows j = 0..19:
@@ -541,11 +555,10 @@ def _etdrk4_step(u, v0, velocity, symbol, dt):
 
 
 def _horizon_terminal(monitors: MonitorRecord, params: PinchingParams) -> TerminalEvent:
-    """Horizon reached: totally geodesic if |h|^2 stayed ~0 over the trailing 1/(nc)."""
+    """Horizon reached: totally geodesic if |h|^2 stayed ~0 over the trailing time 1/n, at c = 1."""
     n, c = params.n, params.c
-    window = 1.0 / (n * c)
-    ts = monitors.t
-    recent = ts >= ts[-1] - window
-    if ts[-1] >= window and np.all(monitors.h2_max[recent] < GEODESIC_H2 * c):
-        return TerminalEvent(TerminalKind.TOTALLY_GEODESIC, float(ts[-1]))
-    return TerminalEvent(TerminalKind.HORIZON_REACHED, float(ts[-1]))
+    ts = monitors.t * c
+    recent = ts >= ts[-1] - 1.0 / n
+    if ts[-1] >= 1.0 / n and np.all(monitors.h2_max[recent] / c < GEODESIC_H2):
+        return TerminalEvent(TerminalKind.TOTALLY_GEODESIC, float(monitors.t[-1]))
+    return TerminalEvent(TerminalKind.HORIZON_REACHED, float(monitors.t[-1]))

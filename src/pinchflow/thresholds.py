@@ -30,7 +30,7 @@ from mpmath import atan as _matan
 from mpmath import cos as _mcos
 from mpmath import sqrt as _msqrt
 
-from .errors import DerivativeAtZero, DomainError, RootMismatch
+from .errors import DerivativeAtZero, DomainError, RootMismatch, double_range
 
 __all__ = [
     "Branch",
@@ -236,15 +236,12 @@ def _to_x(values, c: float) -> tuple:
     DomainError when a finite entry overflows (alpha''' ~ c^-2 at c = 1e-300); NaN stays.
     """
     value, *derivs = values
-    try:
-        with np.errstate(over="raise"):
-            out = [value * c]
-            for j, d in enumerate(derivs):
-                for _ in range(j):
-                    d = d / c
-                out.append(d)
-    except FloatingPointError:
-        raise DomainError(f"a derivative leaves the double range at c = {c!r}") from None
+    with double_range("a derivative", c):
+        out = [value * c]
+        for j, d in enumerate(derivs):
+            for _ in range(j):
+                d = d / c
+            out.append(d)
     return tuple(out)
 
 

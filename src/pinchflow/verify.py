@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckFailure
+from .errors import CheckFailure, DomainError
 from .flow import (
     FlowConfig,
     TerminalKind,
@@ -509,9 +509,15 @@ def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
     stencil = np.stack([xs - 3 * h, xs - 2 * h, xs - h, xs + h, xs + 2 * h, xs + 3 * h, xs])
     worst = 0.0
     worst_x = float("nan")
+    # derivative j is compared in units of u = x/c: c^(j-1) times the one in x
     for f, *closed in (fam.alpha(stencil), fam.gamma(stencil)[:3], fam.omega(stencil)):
-        for j, (fd, exact) in enumerate(zip(_fd_derivatives(f, h), closed), start=1):
-            rel = np.abs(fd - exact[-1]) / np.maximum(np.abs(exact[-1]), 1e-3 / c ** (j - 1))
+        for j, (fd, exact) in enumerate(zip(_fd_derivatives(f / c, h / c), closed), start=1):
+            exact = exact[-1]
+            if not np.all(np.abs(exact) >= np.finfo(float).tiny):
+                raise DomainError(f"a derivative underflows the double range at c = {c!r}")
+            for _ in range(j - 1):
+                exact = exact * c
+            rel = np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-3)
             i = int(np.argmax(rel))
             if rel[i] > worst:
                 worst, worst_x = float(rel[i]), float(xs[i])
@@ -595,20 +601,21 @@ def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def reaction_residuals(trace, params: PinchingParams):
     """Relative residuals of the homogeneous reaction equations along a trace.
 
+    The trace is compared at c = 1, as times ct, H/sqrt(c) and |h|^2/c.
     Returns (res_H, res_h2): finite-difference d/dt of H and |h|^2 against
-    H(|h|^2 + nc) and 4cH^2 + 2|h|^4 - 2nc|h|^2.  The comparison stops once
+    H(|h|^2 + n) and 4H^2 + 2|h|^4 - 2n|h|^2.  The comparison stops once
     |h|^2 exceeds REACTION_GROWTH_CAP times its initial scale, where the sampled
     series no longer resolves the approach to the singularity.
     """
     n, c = params.n, params.c
-    ts, H, h2 = trace.times, trace.curvature.H, trace.curvature.h_norm2
+    ts, H, h2 = trace.times * c, trace.curvature.H / np.sqrt(c), trace.curvature.h_norm2 / c
     dH = _lagrange_derivative(ts, H)
     dh2 = _lagrange_derivative(ts, h2)
-    rhs_H = H * (h2 + n * c)
-    rhs_h2 = 4.0 * c * H ** 2 + 2.0 * h2 ** 2 - 2.0 * n * c * h2
-    ok = ~np.isnan(dH) & (h2 <= REACTION_GROWTH_CAP * (h2[0] + n * c))
-    scale_H = np.maximum(np.abs(rhs_H), n * c * np.sqrt(c))
-    scale_h2 = np.maximum(np.abs(rhs_h2), n * c * c)
+    rhs_H = H * (h2 + n)
+    rhs_h2 = 4.0 * H ** 2 + 2.0 * h2 ** 2 - 2.0 * n * h2
+    ok = ~np.isnan(dH) & (h2 <= REACTION_GROWTH_CAP * (h2[0] + n))
+    scale_H = np.maximum(np.abs(rhs_H), n)
+    scale_h2 = np.maximum(np.abs(rhs_h2), n)
     res_H = np.abs(dH - rhs_H)[ok] / scale_H[ok]
     res_h2 = np.abs(dh2 - rhs_h2)[ok] / scale_h2[ok]
     return res_H, res_h2

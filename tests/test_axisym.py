@@ -71,7 +71,7 @@ def test_second_order_convergence_under_refinement():
 def test_resample_skips_uniform_grids():
     params = PinchingParams(n=10, c=1.0)
     phi, xi = product_profile(params, 0.75, n_points=128)
-    phi_u, xi_u, spacing, length, winding = resample_profile(phi, xi, params)
+    phi_u, xi_u, spacing, length, winding = resample_profile(phi, xi)
     assert winding == 1
     assert np.array_equal(phi_u, phi)
     assert np.array_equal(xi_u, xi)
@@ -87,10 +87,10 @@ def test_resample_redistributes_only_past_the_chord_bound(skew, redistributed):
     params = PinchingParams(n=10, c=1.0)
     phi, theta = product_profile(params, 0.75, n_points=128)
     xi = theta + skew * np.sin(theta)
-    phi_u, xi_u, spacing, length, _ = resample_profile(phi, xi, params)
+    phi_u, xi_u, spacing, length, _ = resample_profile(phi, xi)
     assert spacing * 128 == pytest.approx(length, rel=1e-14)
     assert np.array_equal(xi_u, xi) == (not redistributed)
-    chords = np.diff(_chord_arclength(phi_u, xi_u, params.c))
+    chords = np.diff(_chord_arclength(phi_u, xi_u))
     assert chords.max() <= MAX_CHORD_RATIO * chords.min()
 
 
@@ -101,8 +101,8 @@ def test_resample_of_wrapped_xi_is_bits_of_unwrapped_copy(skew):
     phi, theta = product_profile(params, 0.75, n_points=96)
     wrapped = (theta + skew * np.sin(theta) + np.pi) % (2.0 * np.pi) - np.pi
     assert np.abs(np.diff(wrapped)).max() >= np.pi  # wraps at +-pi
-    got = resample_profile(phi, wrapped, params)
-    ref = resample_profile(phi, np.unwrap(wrapped), params)
+    got = resample_profile(phi, wrapped)
+    ref = resample_profile(phi, np.unwrap(wrapped))
     assert np.array_equal(got[1], np.unwrap(wrapped)) == (skew == 0.0)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
@@ -113,10 +113,10 @@ def test_chord_arclength_is_the_bits_of_a_norm_over_the_closed_polygon():
 
     params = PinchingParams(n=10, c=4.0)
     phi, xi = perturbed_product_profile(params, 0.2, 0.05, n_points=97)
-    pts = embed(phi, xi, params.c)
+    pts = embed(phi, xi)
     chords = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
     ref = np.concatenate([[0.0], np.cumsum(chords)])
-    assert np.array_equal(_chord_arclength(phi, xi, params.c), ref)
+    assert np.array_equal(_chord_arclength(phi, xi), ref)
 
 
 def test_resample_rejects_collapsed_neighbours():
@@ -126,7 +126,7 @@ def test_resample_rejects_collapsed_neighbours():
     near_phi = phi[3] + 1e-5 * (phi[4] - phi[3])
     near_xi = xi[3] + 1e-5 * (xi[4] - xi[3])
     with pytest.raises(MeshDegenerate, match="closer than 0.001 of the mean chord"):
-        resample_profile(np.insert(phi, 4, near_phi), np.insert(xi, 4, near_xi), params)
+        resample_profile(np.insert(phi, 4, near_phi), np.insert(xi, 4, near_xi))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -151,12 +151,12 @@ def test_resample_rejects_repeated_samples():
     params = PinchingParams(n=10, c=1.0)
     phi, xi = perturbed_product_profile(params, 0.75, 0.05, n_points=32)
     with pytest.raises(GeometryError, match="repeats a sample"):
-        resample_profile(np.insert(phi, 3, phi[3]), np.insert(xi, 3, xi[3]), params)
+        resample_profile(np.insert(phi, 3, phi[3]), np.insert(xi, 3, xi[3]))
 
 
 def test_resample_rejects_an_empty_profile():
     with pytest.raises(GeometryError, match="zero length"):
-        resample_profile([], [], PinchingParams(n=10, c=1.0))
+        resample_profile([], [])
 
 
 def test_resample_recovers_uniform_spacing():
@@ -164,12 +164,12 @@ def test_resample_recovers_uniform_spacing():
     rng = np.random.default_rng(3)
     base = np.sort(rng.uniform(0.0, 2.0 * np.pi, 160))
     phi = np.full_like(base, 0.9) + 0.05 * np.sin(3.0 * base)
-    phi_u, xi_u, spacing, length, winding = resample_profile(phi, base, params)
+    phi_u, xi_u, spacing, length, winding = resample_profile(phi, base)
     # spacings in the orbit metric are uniform after redistribution, up to
     # the interpolation error of the redistribution itself
     from pinchflow.axisym import _chord_arclength
 
-    s = _chord_arclength(phi_u, xi_u, params.c)
+    s = _chord_arclength(phi_u, xi_u)
     seg = np.diff(s)
     assert seg.max() - seg.min() < 1e-2 * seg.mean()
 

@@ -454,6 +454,47 @@ def test_state_past_an_event_level_ends_at_once(argv, kind, exact, tmp_path, dea
         assert abs(payload["T"] - exact) <= 2.5e-9
 
 
+# Default states at n = 10: the sphere rho = 0.3 pi/sqrt(c), the product and
+# the profile circle r1^2 = 0.75/c; c times the exact collapse time of each.
+UNIT_COLLAPSE_TIMES = {
+    "sphere": -np.log(np.cos(0.3 * np.pi)) / 10.0,
+    "product": np.log(6.0) / 20.0,
+    "product-exact": np.log(6.0) / 20.0,
+    "axisymmetric": np.log(6.0) / 20.0,
+}
+
+
+def test_every_family_runs_or_fails_typed_across_c(tmp_path, capsys, deadline):
+    # c = 2^k from 2^-1000 to 2^1000: a run ends in finite rows and its closed-form
+    # time, or in a typed error; no other exception leaves main
+    profile = tmp_path / "circle.json"
+    xi = np.arange(64) * (2.0 * np.pi / 64)
+    _write_profile(profile, np.full(64, np.arcsin(np.sqrt(0.75))), xi)
+    trace, term = tmp_path / "trace.csv", tmp_path / "terminal.json"
+    ran = 0
+    for family_flag, unit_time in UNIT_COLLAPSE_TIMES.items():
+        rtol = 1e-5 if family_flag == "axisymmetric" else 1e-7
+        for k in (-1000, -500, -200, -40, 0, 40, 200, 500, 1000):
+            c = 2.0 ** k
+            argv = ["simulate", "--family", family_flag, "--c", repr(c), "--output", str(trace),
+                    "--terminal-json", str(term)]
+            if family_flag == "axisymmetric":
+                argv += ["--profile", str(profile)]
+            code = main(argv)
+            stderr = capsys.readouterr().err
+            if code == 1:
+                assert stderr.startswith("error: "), (family_flag, k, stderr)
+                continue
+            assert code == 0, (family_flag, k)
+            rows = [l.split(",") for l in trace.read_text().splitlines() if not l.startswith("#")]
+            values = [float(v) for row in rows[1:] for v in row[:1] + row[3:]]
+            assert np.all(np.isfinite(values)), (family_flag, k)
+            T = json.loads(term.read_text())["T"]
+            assert abs(T * c - unit_time) <= rtol * unit_time, (family_flag, k, T * c)
+            ran += 1
+    assert ran >= 4 * 8  # every family runs to its end up to c = 2^500
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(pinchflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -465,6 +506,34 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(out.read_text())["k_n"] == pytest.approx(6.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", ["1e-30", "1e-320", "2.2e-14"])
+def test_tolerance_below_the_integrator_floor_is_a_runtime_error(tol, tmp_path, capsys, deadline):
+    # below 100 eps the step count grows like tol^(-1/5) without gaining digits
+    trace = tmp_path / "trace.csv"
+    start = time.perf_counter()
+    assert main(["simulate", "--family", "sphere", "--tol", tol, "--output", str(trace)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: tol must be at least 100 eps")
+    assert not trace.exists()
+
+
+def test_verify_past_the_double_range_exits_without_a_traceback(tmp_path):
+    # at c = 1e200 the third derivative of alpha (~ c^-2) underflows to zero:
+    # a typed error, not a crash
+    src = str(Path(pinchflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pinchflow", "verify", "--n-values", "3", "--c-values", "1e200",
+         "--grid-points", "50"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode in (0, 1)
+    assert "Traceback" not in done.stderr
+    if done.returncode == 1:
+        assert "error: " in done.stderr
 
 
 def test_cli_import_loads_no_heavy_scipy_module():

@@ -334,7 +334,7 @@ def test_every_step_starts_from_a_mesh_within_the_chord_bound(
     # each step starts from the mesh the previous resample returned
     assert len(meshes) == len(trace.monitors)
     for phi_m, xi_m, spacing, length, _ in meshes:
-        chords = np.diff(axisym._chord_arclength(phi_m, xi_m, P10.c))
+        chords = np.diff(axisym._chord_arclength(phi_m, xi_m))
         assert chords.max() <= axisym.MAX_CHORD_RATIO * chords.min()
         assert spacing * n_points == pytest.approx(length, rel=1e-14)
 
@@ -488,3 +488,51 @@ def test_axisymmetric_trace_csv_marks_snapshot_rows(tmp_path, monkeypatch):
     assert marked == set(trace.snapshots)
     assert all(rows[i][2] == "64" for i in marked)
     assert [float(row[0]) for row in rows] == list(trace.times)
+
+
+# Each route with default options at c = 2^k against c = 1: the flow at c is
+# the flow at c = 1 under t -> ct, rho -> sqrt(c) rho, r1^2 -> c r1^2, so the
+# routes take the same steps.  The sphere runs at c = 4^k, where sqrt(c) is
+# exact; the profile is the same (phi, xi) at every c.
+HOMOGENEITY_KS = (-200, -199, -101, -100, -37, -2, -1, 1, 2, 37, 100, 101, 199, 200)
+
+
+def _default_run(route, c):
+    params = PinchingParams(n=10, c=c)
+    if route == "sphere":
+        return flow_ode_numeric(GeodesicSphere(rho=0.3 * np.pi / np.sqrt(c)), params)
+    if route == "profile":
+        phi, xi = perturbed_product_profile(P10, 0.75, amplitude=0.01, n_points=64)
+        return flow_axisymmetric(Axisymmetric(np.stack([phi, xi], axis=1)), params)
+    flow = flow_product_exact if route == "product-exact" else flow_ode_numeric
+    return flow(ProductSn1S1.from_r1sq(0.75 / c, params), params)
+
+
+@pytest.mark.parametrize("route", ["sphere", "product", "product-exact", "profile"])
+def test_every_route_at_c_is_the_route_at_one_scaled(route):
+    ref = _default_run(route, 1.0)
+    unit = ref.monitors
+    for k in HOMOGENEITY_KS[::2] if route == "sphere" else HOMOGENEITY_KS:
+        c = 2.0 ** (2 * k if route == "sphere" else k)
+        trace = _default_run(route, c)
+        m = trace.monitors
+        assert trace.terminal.kind is ref.terminal.kind
+        assert trace.terminal.time * c == ref.terminal.time, k
+        assert np.array_equal(m.t * c, unit.t), k
+        # same bits where sqrt(c) is exact; otherwise sqrt(c) and lam = sqrt(1/r1^2 - c)
+        # are rounded at c, a few ulp
+        for name, scale in (("H_max", np.sqrt(c)), ("h2_max", c), ("h0_2_max", c)):
+            got, want = getattr(m, name) / scale, getattr(unit, name)
+            if k % 2 == 0 or route == "sphere":
+                assert np.array_equal(got, want), (name, k)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
+        # gamma scales as c and the sigma-weighted ratios as c^sigma, itself rounded;
+        # U = |h|^2 - gamma + eps omega cancels to rounding on the product's
+        # weak-equality branch, so it is held to the scale of |h|^2
+        for name, scale in (("gamma_min", c), ("f_sigma", c ** 0.1), ("g_sigma", c ** 0.1),
+                            ("C0_fit", c ** 0.1)):
+            np.testing.assert_allclose(
+                getattr(m, name) / scale, getattr(unit, name), rtol=1e-13, atol=0.0, err_msg=name
+            )
+        assert np.all(np.abs(m.U_max / c - unit.U_max) <= 1e-13 * unit.h2_max), k

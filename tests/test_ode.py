@@ -159,20 +159,19 @@ def _capture_solutions(monkeypatch):
 
 @pytest.mark.parametrize("n, c", LATTICE)
 def test_terminal_times_keep_the_closed_form_tails(n, c, monkeypatch):
-    # the tail is evaluated at the event level, not at the located y
+    # the tail is evaluated at the event level, not at the located y; the
+    # integrator runs at c = 1, so the terminal time is (t_end + tail)/c
     params = PinchingParams(n=n, c=c)
     calls = _capture_solutions(monkeypatch)
     config = FlowConfig(epsilon=0.0, t_max=10.0 / c)
     sphere = flow_ode_numeric(GeodesicSphere(rho=0.4 * np.pi / np.sqrt(c)), params, config)
-    rho_hit = ROUND_POINT_RHO / np.sqrt(c)
     assert sphere.terminal.kind is TerminalKind.ROUND_POINT
-    assert sphere.terminal.time == float(calls[-1].t[-1] + rho_hit ** 2 / (2.0 * n))
+    assert sphere.terminal.time == float((calls[-1].t[-1] + ROUND_POINT_RHO ** 2 / (2.0 * n)) / c)
     r1sq0 = 0.8 * (n - 1.0) / (n * c)
     product = flow_ode_numeric(ProductSn1S1.from_r1sq(r1sq0, params), params, config)
-    y_hit = COLLAPSE_R1SQ / c
-    tail = -np.log(1.0 - n * c * y_hit / (n - 1.0)) / (2.0 * n * c)
+    tail = -np.log(1.0 - n * COLLAPSE_R1SQ / (n - 1.0)) / (2.0 * n)
     assert product.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
-    assert product.terminal.time == float(calls[-1].t[-1] + tail)
+    assert product.terminal.time == float((calls[-1].t[-1] + tail) / c)
 
 
 @pytest.mark.parametrize("n, c", LATTICE)
