@@ -24,7 +24,7 @@ import numpy as np
 
 from . import axisym
 from .axisym import CurvatureData, curvature_data
-from .errors import GeometryError
+from .errors import GeometryError, double_range
 from .thresholds import PinchingParams, family
 
 __all__ = [
@@ -75,7 +75,7 @@ class ProductSn1S1:
         if self.r1sq_exact is not None:
             return np.sqrt(self.r1sq_exact), np.sqrt(np.maximum(0.0, 1.0 / c - self.r1sq_exact))
         r1 = 1.0 / np.sqrt(c + self.lam ** 2)
-        r2 = self.lam / np.sqrt(c * c + c * self.lam ** 2)
+        r2 = self.lam / (np.sqrt(c) * np.sqrt(c + self.lam ** 2))
         return r1, r2
 
     @staticmethod
@@ -84,7 +84,8 @@ class ProductSn1S1:
         r1sq = np.asarray(r1sq, dtype=float)
         if not np.all((0.0 < r1sq) & (r1sq < 1.0 / c)):
             raise GeometryError(f"product state needs 0 < r1sq < 1/c, got {r1sq.tolist()!r}")
-        lam = np.sqrt(1.0 / r1sq - c)
+        with double_range("the product curvature", c):
+            lam = np.sqrt(1.0 / r1sq - c)
         if r1sq.ndim == 0:
             return ProductSn1S1(lam=float(lam), r1sq_exact=float(r1sq))
         return ProductSn1S1(lam=lam, r1sq_exact=r1sq)
@@ -136,23 +137,24 @@ def product_lambda_for_mean_curvature(params: PinchingParams, H: float) -> float
 
 
 def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureData:
-    """Full curvature data of a state; a trajectory state gives one entry per time."""
+    """Curvature data of a state, one entry per time of a trajectory; DomainError on overflow."""
     n, c = params.n, params.c
-    if isinstance(state, GeodesicSphere):
-        rho = np.asarray(state.rho, dtype=float)
-        if not np.all((0.0 < rho) & (rho < np.pi / np.sqrt(c))):
-            raise GeometryError(
-                f"geodesic sphere radius must lie in (0, pi/sqrt(c)), got {state.rho!r}"
-            )
-        root_c = np.sqrt(c)
-        k = root_c * np.cos(root_c * rho) / np.sin(root_c * rho)
-        return curvature_data(n, k, k)
-    if isinstance(state, ProductSn1S1):
-        lam = np.asarray(state.lam, dtype=float)
-        return curvature_data(n, lam, -c / lam)
-    if isinstance(state, Axisymmetric):
-        axisym.validate_profile(state.phi, state.xi)
-        return axisym.curvature_of_profile(state.phi, state.xi, params)
+    with double_range("the curvature", c):
+        if isinstance(state, GeodesicSphere):
+            rho = np.asarray(state.rho, dtype=float)
+            if not np.all((0.0 < rho) & (rho < np.pi / np.sqrt(c))):
+                raise GeometryError(
+                    f"geodesic sphere radius must lie in (0, pi/sqrt(c)), got {state.rho!r}"
+                )
+            root_c = np.sqrt(c)
+            k = root_c * np.cos(root_c * rho) / np.sin(root_c * rho)
+            return curvature_data(n, k, k)
+        if isinstance(state, ProductSn1S1):
+            lam = np.asarray(state.lam, dtype=float)
+            return curvature_data(n, lam, -c / lam)
+        if isinstance(state, Axisymmetric):
+            axisym.validate_profile(state.phi, state.xi)
+            return axisym.curvature_of_profile(state.phi, state.xi, params)
     raise GeometryError(f"unsupported hypersurface state {state!r}")
 
 

@@ -493,6 +493,12 @@ def test_every_family_runs_or_fails_typed_across_c(tmp_path, capsys, deadline):
             assert abs(T * c - unit_time) <= rtol * unit_time, (family_flag, k, T * c)
             ran += 1
     assert ran >= 4 * 8  # every family runs to its end up to c = 2^500
+    # near the top of the double range the initial state's curvature overflows
+    for argv in (["--family", "sphere", "--c", "1.7e308"],
+                 ["--family", "product", "--c", "1.7e308"],
+                 ["--family", "product", "--lam", "0.5", "--c", "1e200"]):
+        assert main(["simulate", *argv, "--output", str(trace)]) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -520,20 +526,23 @@ def test_tolerance_below_the_integrator_floor_is_a_runtime_error(tol, tmp_path, 
 
 
 def test_verify_past_the_double_range_exits_without_a_traceback(tmp_path):
-    # at c = 1e200 the third derivative of alpha (~ c^-2) underflows to zero:
-    # a typed error, not a crash
+    # the lattice checks run at c = 1, so c = 1e-200 and 1e200 pass without a
+    # warning; at 1e300 the flows' curvature leaves the double range: a typed error
     src = str(Path(pinchflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "pinchflow", "verify", "--n-values", "3", "--c-values", "1e200",
-         "--grid-points", "50"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-        timeout=120,
-    )
-    assert done.returncode in (0, 1)
-    assert "Traceback" not in done.stderr
-    if done.returncode == 1:
-        assert "error: " in done.stderr
+    for c, code in (("1e-200", 0), ("1e200", 0), ("1e300", 1)):
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "pinchflow", "verify",
+             "--n-values", "3", "10", "--c-values", c, "--grid-points", "50"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.returncode == code, (c, done.stderr)
+        assert "Traceback" not in done.stderr, c
+        if code == 0:
+            assert done.stdout.rstrip().endswith("56/56 checks passed"), c
+        else:
+            assert done.stderr.startswith("error: "), c
 
 
 def test_cli_import_loads_no_heavy_scipy_module():
@@ -558,7 +567,7 @@ def test_cli_import_loads_no_heavy_scipy_module():
 # points, and verify on one (n, c).
 BAD_VALUES = ["0", "-1", "-2.5", "nan", "inf", "-inf"]
 SIZE_VALUES = ["1", "3", "50"]
-PARAM_FLAGS = {"--n": ["3", "10"], "--c": ["1", "0.25", "4"]}
+PARAM_FLAGS = {"--n": ["3", "10"], "--c": ["1", "0.25", "4", "1e-200", "1e200"]}
 FUZZ_FLAGS = {
     "thresholds": {
         **PARAM_FLAGS, "--x": ["0", "2.5"], "--x-min": ["0", "1"], "--x-max": ["10", "50"],
@@ -575,7 +584,10 @@ FUZZ_FLAGS = {
 }
 REQUIRED_FLAGS = {
     "thresholds": {"--points": SIZE_VALUES},
-    "verify": {"--n-values": ["3"], "--c-values": ["1", "0.25"], "--grid-points": SIZE_VALUES},
+    "verify": {
+        "--n-values": ["3"], "--c-values": ["1", "0.25", "1e-200", "1e200"],
+        "--grid-points": SIZE_VALUES,
+    },
 }
 OPTIONAL_OUTPUTS = {"simulate": ["--terminal-json", "--curvature-csv"]}
 
@@ -633,7 +645,7 @@ def test_simulate_family_must_match_state_file(family_flag, payload, tmp_path, c
     assert not trace.exists()
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
     argv = data.draw(cli_argv(fuzz_dir))

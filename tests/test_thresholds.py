@@ -262,12 +262,14 @@ def test_alpha_and_beta_have_c2_contact_at_x0(point):
     u=st.one_of(st.just(0.0), st.floats(1e-8, 100.0)),
 )
 def test_thresholds_are_homogeneous_in_c(n, k, u):
-    # f(x; c) = c f(x/c; 1), so the j-th derivative scales by c^(1-j); exact for c = 2^k
+    # f(x; c) = c f(x/c; 1), so the j-th derivative scales by c^(1-j); exact for c = 2^k.
+    # alpha to order 3 where its third derivative, ~c^-2, stays a normal double
     c = 2.0 ** k
     scaled, unit = family(PinchingParams(n=n, c=c)), family(PinchingParams(n=n, c=1.0))
     x = u * c
+    order = 3 if abs(k) <= 400 else 1
     for name, got, ref in [
-        ("alpha", scaled.alpha(x, order=1), unit.alpha(u, order=1)),
+        ("alpha", scaled.alpha(x, order=order), unit.alpha(u, order=order)),
         ("beta", scaled.beta(x), unit.beta(u)),
         ("gamma", scaled.gamma(x)[:3], unit.gamma(u)[:3]),
         ("omega", scaled.omega(x), unit.omega(u)),

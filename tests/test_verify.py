@@ -1,6 +1,7 @@
 """Verification suite: reports, equality loci, determinism, failure paths."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -186,9 +187,9 @@ def test_grid_contains_marked_points():
 
 def _okumura_one_shot(params, seed=verify.DEFAULT_SEED):
     """All OKUMURA_SAMPLES rows drawn and reduced at once: (worst margin, its row)."""
-    n, c = params.n, params.c
+    n = params.n
     rng = np.random.default_rng(seed + n)
-    lam = rng.uniform(-10.0 * np.sqrt(c), 10.0 * np.sqrt(c), size=(verify.OKUMURA_SAMPLES, n))
+    lam = rng.uniform(-10.0, 10.0, size=(verify.OKUMURA_SAMPLES, n))
     lam -= lam.mean(axis=1, keepdims=True)
     cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
     s2 = np.einsum("ij,ij->i", lam, lam)
@@ -276,19 +277,36 @@ def test_grid_checks_do_not_depend_on_the_cache():
 
 
 def test_grid_values_are_the_bits_of_direct_evaluation():
-    params = PinchingParams(n=5, c=4.0)
-    fam = family(params)
-    grid = _grid_values(params, 3000)
-    xs = fam.default_grid(points=3000)
-    assert np.array_equal(grid.xs, xs)
-    for got, ref in zip(grid.alpha, fam.alpha(xs)):
-        assert np.array_equal(got, ref)
-    for got, ref in zip(grid.gamma + grid.beta, fam.gamma(xs)[:3] + fam.beta(xs)):
-        assert np.array_equal(got, ref)
-    # check_wpp masks the cached omega; the parent evaluated on the masked grid
-    on_closed = xs >= fam.x0
-    for got, ref in zip(grid.omega, fam.omega(xs[on_closed])):
-        assert np.array_equal(got[on_closed], ref)
+    # the ambient grid of (n, c), and the unit family of n evaluated at u = xs / c
+    unit = family(PinchingParams(n=5))
+    for c in (4.0, 0.3):
+        grid = _grid_values(PinchingParams(n=5, c=c), 3000)
+        xs = family(PinchingParams(n=5, c=c)).default_grid(points=3000)
+        us = xs / c
+        assert np.array_equal(grid.xs, xs) and np.array_equal(grid.us, us)
+        for got, ref in zip(grid.alpha, unit.alpha(us)):
+            assert np.array_equal(got, ref)
+        for got, ref in zip(grid.gamma + grid.beta, unit.gamma(us)[:3] + unit.beta(us)):
+            assert np.array_equal(got, ref)
+        # check_wpp masks the cached omega; the masked grid gives the same bits
+        on_closed = us >= unit.x0
+        for got, ref in zip(grid.omega, unit.omega(us[on_closed])):
+            assert np.array_equal(got[on_closed], ref)
+
+
+def test_lattice_checks_pass_silently_across_c():
+    # the lattice checks compute at c = 1, so c near either end of the double
+    # range neither overflows nor warns; grid points are reported in x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300):
+            params = PinchingParams(n=3, c=c)
+            reports = check_lemma_app(params, 50) + check_wpp(params, 50)
+            reports += check_constants(params, 50) + check_derivative_oracles(params)
+            failed = [r.check_id for r in reports if not r.passed]
+            assert not failed, (c, failed)
+            grid_x = [r.worst_x for r in reports if r.grid_size]
+            assert all(1e-8 * c <= x <= 100.0 * c for x in grid_x), c
 
 
 def test_cached_grid_values_are_read_only():
