@@ -278,8 +278,9 @@ class ThresholdFamily:
     def __init__(self, params: PinchingParams):
         self.params = params
         unit, self._alpha_taylor, self._omega_taylor = _unit(params.n)
-        c = params.c
-        self.constants = replace(unit, x0=unit.x0 * c, x1=unit.x1 * c)
+        with double_range("the threshold family", params.c):
+            x0, x1 = np.multiply((unit.x0, unit.x1), params.c)
+        self.constants = replace(unit, x0=float(x0), x1=x1)
         self.y_n = self.constants.y_n
         self.x0 = self.constants.x0
         self.x1 = self.constants.x1
@@ -358,20 +359,25 @@ class ThresholdFamily:
         )
 
     def default_grid(self, points: int = 10_000):
-        """Log-spaced below c, linear above, plus the distinguished abscissas.
+        """c times the grid of n at c = 1, so exact for c = 2^k.
 
+        The c = 1 grid is log-spaced on [1e-8, 1), linear on [1, GRID_X_MAX],
+        plus y_n, x1, (n-2)^2 and the n-dependent marker x2 that fall inside.
         Needs points >= 3, the fewest that leave both parts non-empty.
         """
         if points < 3:
             raise DomainError(f"default grid needs at least 3 points, got {points!r}")
-        n, c = self.params.n, self.params.c
+        n = self.params.n
+        unit = _unit(n)[0]
         n_log = points // 3
-        log_part = np.geomspace(1e-8 * c, c, n_log, endpoint=False)
-        lin_part = np.linspace(c, GRID_X_MAX * c, points - n_log)
-        x2 = np.sqrt(2.0 * (n - 1.0)) * (np.sqrt(n - 1.0) - 1.0 / np.sqrt(2.0)) ** 2 * c
-        marked = np.array([self.x0, self.x1, (n - 2.0) ** 2 * c, x2])
-        marked = marked[(marked >= 1e-8 * c) & (marked <= GRID_X_MAX * c)]
-        return np.unique(np.concatenate([log_part, lin_part, marked]))
+        log_part = np.geomspace(1e-8, 1.0, n_log, endpoint=False)
+        lin_part = np.linspace(1.0, GRID_X_MAX, points - n_log)
+        x2 = np.sqrt(2.0 * (n - 1.0)) * (np.sqrt(n - 1.0) - 1.0 / np.sqrt(2.0)) ** 2
+        marked = np.array([unit.x0, unit.x1, (n - 2.0) ** 2, x2])
+        marked = marked[(marked >= 1e-8) & (marked <= GRID_X_MAX)]
+        grid = np.unique(np.concatenate([log_part, lin_part, marked]))
+        with double_range("the default grid", self.params.c):
+            return grid * self.params.c
 
 
 @functools.cache

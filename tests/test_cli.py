@@ -337,6 +337,25 @@ def test_extreme_curvature_writes_finite_numbers(command, c, name, tmp_path, cap
 @pytest.mark.parametrize(
     "argv",
     [
+        ["constants", "--n", "10", "--c", "3e307", "--output", "{out}"],
+        ["verify", "--n-values", "10", "--c-values", "1e307", "--grid-points", "50",
+         "--output", "{out}"],
+    ],
+)
+def test_family_past_the_double_range_is_a_runtime_error(argv, tmp_path, capsys):
+    # x0 = y_n c and the top of the grid, 100 c, overflow: a typed error, no
+    # warning, and nothing written (no "x0": Infinity in the JSON)
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([a.format(out=out) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["thresholds", "--output", "{missing}"],
         ["constants", "--output", "{missing}"],
         ["verify", "--n-values", "3", "--c-values", "1", "--output", "{missing}"],

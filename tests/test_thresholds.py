@@ -415,6 +415,27 @@ def test_default_grid_needs_three_points():
     assert xs[0] == 1e-8 and 1.0 in xs and xs[-1] == 100.0
 
 
+@pytest.mark.parametrize("n", [3, 10, 40])
+def test_default_grid_is_c_times_the_unit_grid(n):
+    # homogeneous like every other method, so exact at c = 2^k
+    unit = family(PinchingParams(n=n)).default_grid(points=600)
+    for k in range(-200, 201):
+        c = 2.0 ** k
+        np.testing.assert_array_equal(
+            family(PinchingParams(n=n, c=c)).default_grid(points=600), unit * c, err_msg=k
+        )
+
+
+def test_family_past_the_double_range_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="double range"):
+            family(PinchingParams(n=10, c=3e307))  # x0 = 12 c
+        fam = family(PinchingParams(n=10, c=1e307))  # x0 = 1.2e308 is still a double
+        with pytest.raises(DomainError, match="double range"):
+            fam.default_grid(points=50)  # its top, 100 c, is not
+
+
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_curvature_flux_combination_decreasing_with_limit(n):
     # 2x a'' + a' decreases strictly from its branch-point value to 1/(n-1)

@@ -271,27 +271,25 @@ def test_grid_checks_do_not_depend_on_the_cache():
     _grid_values.cache_clear()
     forward = _grid_reports(params, ("lemma", "wpp", "constants"))
     _grid_values.cache_clear()
-    _grid_values(PinchingParams(n=4, c=1.0), 3000)  # another lattice point in the cache
+    _grid_values(4, 3000)  # another n in the cache
     backward = _grid_reports(params, ("constants", "wpp", "lemma"))
     assert forward == backward
 
 
 def test_grid_values_are_the_bits_of_direct_evaluation():
-    # the ambient grid of (n, c), and the unit family of n evaluated at u = xs / c
+    # the default grid of n at c = 1, and the family of n evaluated on it
     unit = family(PinchingParams(n=5))
-    for c in (4.0, 0.3):
-        grid = _grid_values(PinchingParams(n=5, c=c), 3000)
-        xs = family(PinchingParams(n=5, c=c)).default_grid(points=3000)
-        us = xs / c
-        assert np.array_equal(grid.xs, xs) and np.array_equal(grid.us, us)
-        for got, ref in zip(grid.alpha, unit.alpha(us)):
-            assert np.array_equal(got, ref)
-        for got, ref in zip(grid.gamma + grid.beta, unit.gamma(us)[:3] + unit.beta(us)):
-            assert np.array_equal(got, ref)
-        # check_wpp masks the cached omega; the masked grid gives the same bits
-        on_closed = us >= unit.x0
-        for got, ref in zip(grid.omega, unit.omega(us[on_closed])):
-            assert np.array_equal(got[on_closed], ref)
+    grid = _grid_values(5, 3000)
+    us = unit.default_grid(points=3000)
+    assert np.array_equal(grid.us, us)
+    for got, ref in zip(grid.alpha, unit.alpha(us)):
+        assert np.array_equal(got, ref)
+    for got, ref in zip(grid.gamma + grid.beta, unit.gamma(us)[:3] + unit.beta(us)):
+        assert np.array_equal(got, ref)
+    # check_wpp masks the cached omega; the masked grid gives the same bits
+    on_closed = us >= unit.x0
+    for got, ref in zip(grid.omega, unit.omega(us[on_closed])):
+        assert np.array_equal(got[on_closed], ref)
 
 
 def test_lattice_checks_pass_silently_across_c():
@@ -310,8 +308,8 @@ def test_lattice_checks_pass_silently_across_c():
 
 
 def test_cached_grid_values_are_read_only():
-    grid = _grid_values(PinchingParams(n=6, c=1.0), 3000)
-    for arr in (grid.xs, *grid.alpha, *grid.beta, *grid.gamma, *grid.omega):
+    grid = _grid_values(6, 3000)
+    for arr in (grid.us, *grid.alpha, *grid.beta, *grid.gamma, *grid.omega):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -331,3 +329,51 @@ def test_grid_checks_build_the_grid_once(monkeypatch):
     check_wpp(params, 3000)
     check_constants(params, 3000)
     assert builds == [3000]
+
+
+def _lattice_suite(monkeypatch, cs, ns=(3, 4), grid_points=300):
+    """default_suite's lattice reports, with the okumura and flow checks left out."""
+    monkeypatch.setattr(verify, "check_okumura", lambda params, seed: [])
+    monkeypatch.setattr(verify, "check_flow_oracles", lambda params: [])
+    return default_suite(ns=ns, cs=cs, grid_points=grid_points)
+
+
+def test_lattice_reports_at_c_are_the_unit_reports_scaled(monkeypatch):
+    # each lattice check runs at c = 1; at c it reports x = c u, for every c
+    cs = (0.25, 0.3, 1.0, 4.0)
+    reports = _lattice_suite(monkeypatch, cs)
+    at_one = {(r.n, r.check_id): r for r in reports if r.c == 1.0}
+    assert len(reports) == len(cs) * len(at_one)
+    for r in reports:
+        u = at_one[r.n, r.check_id]
+        assert (r.worst_margin, r.passed, r.grid_size, r.message) == (
+            u.worst_margin, u.passed, u.grid_size, u.message
+        )
+        assert np.array_equal(r.worst_x, u.worst_x * r.c, equal_nan=True)
+        assert r.equality_loci == [[a * r.c, b * r.c] for a, b in u.equality_loci]
+    # the public checks take the same path
+    params = PinchingParams(n=4, c=0.3)
+    direct = check_lemma_app(params, 300) + check_wpp(params, 300)
+    direct += check_constants(params, 300) + check_derivative_oracles(params)
+    assert repr(direct) == repr([r for r in reports if (r.n, r.c) == (4, 0.3)])
+
+
+def test_lattice_family_calls_do_not_grow_with_c(monkeypatch):
+    # 11 family calls per n, whatever the number of c
+    calls = []
+    for name in ("alpha", "beta", "gamma", "omega"):
+        method = getattr(ThresholdFamily, name)
+
+        def counting(self, x, *args, _method=method, **kwargs):
+            calls.append(self.params.c)
+            return _method(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(ThresholdFamily, name, counting)
+    counts = []
+    for cs in ((1.0,), (0.25, 0.3, 1.0, 4.0)):
+        _grid_values.cache_clear()
+        calls.clear()
+        _lattice_suite(monkeypatch, cs)
+        assert set(calls) == {1.0}
+        counts.append(len(calls))
+    assert counts == [2 * 11, 2 * 11]
