@@ -64,6 +64,7 @@ __all__ = [
 
 MAX_CHORD_RATIO = 1.02  # max/min chord ratio a profile keeps without redistribution
 MIN_SPACING_FRACTION = 1e-3
+SWEEP_CHUNK = 1 << 14  # segment pairs self_intersects tests at once
 
 
 @dataclass
@@ -123,18 +124,20 @@ def _turns(xi: np.ndarray) -> int:
     return int(np.round(total / (2.0 * np.pi)))
 
 
-def periodic_derivatives(vals: np.ndarray, spacing: float, ramp: float = 0.0):
+def periodic_derivatives(vals: np.ndarray, spacing: float, ramp=0.0):
     """4th-order centered first and second derivatives on a periodic grid.
 
-    ramp is the total increase of vals over one period (winding coordinates).
+    vals holds one or more rows along its last axis; ramp is the total
+    increase of a row over one period (winding coordinates), a float or one
+    entry per row broadcast as ``vals[..., :1]``.
     """
-    n = len(vals)
-    padded = np.empty(n + 4)
-    padded[2:-2] = vals
-    padded[:2] = vals[-2:] - ramp
-    padded[-2:] = vals[:2] + ramp
-    m2, m1 = padded[0:n], padded[1 : n + 1]
-    p1, p2 = padded[3 : n + 3], padded[4 : n + 4]
+    n = vals.shape[-1]
+    padded = np.empty(vals.shape[:-1] + (n + 4,))
+    padded[..., 2:-2] = vals
+    padded[..., :2] = vals[..., -2:] - ramp
+    padded[..., -2:] = vals[..., :2] + ramp
+    m2, m1 = padded[..., 0:n], padded[..., 1 : n + 1]
+    p1, p2 = padded[..., 3 : n + 3], padded[..., 4 : n + 4]
     d1 = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * spacing)
     d2 = (-(p2 + m2) + 16.0 * (p1 + m1) - 30.0 * vals) / (12.0 * spacing * spacing)
     return d1, d2
@@ -258,9 +261,9 @@ def profile_geometry(
     cos_phi = np.cos(phi)
     if np.any(sin_phi == 0.0):
         raise GeometryError("profile sample on the rotation axis (sin(phi) = 0)")
-    ramp = 2.0 * np.pi * winding
-    ph1, ph2 = periodic_derivatives(phi, spacing)
-    xi1, xi2 = periodic_derivatives(xi, spacing, ramp)
+    # phi and xi in one pass; phi has no ramp
+    ramps = np.array([[0.0], [2.0 * np.pi * winding]])
+    (ph1, xi1), (ph2, xi2) = periodic_derivatives(np.array([phi, xi]), spacing, ramps)
     speed = np.sqrt(ph1 ** 2 + cos_phi ** 2 * xi1 ** 2)
     kappa_o = xi1 * cos_phi ** 2 / (speed * sin_phi)
     kappa_p = (
@@ -347,8 +350,44 @@ def _segments_intersect(p, q, r, s):
     return ((d1 * d2) < 0) & ((d3 * d4) < 0)
 
 
+def _meeting_pairs(lo, hi, shift):
+    """Index pairs (i, j) whose xi-extents [lo_i, hi_i] and [lo_j + shift, hi_j + shift] meet.
+
+    Sort and sweep: with both lists sorted by their start, a pair meets when
+    the later start lies in the other's extent, which searchsorted finds as
+    one range per segment.  Yields chunks of about SWEEP_CHUNK pairs (more
+    only for a single segment that meets more), so memory stays bounded when
+    every pair meets.
+    """
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    lo_s, hi_s = lo + shift, hi + shift  # rounding is monotone, so still sorted
+    # j starts in [lo_i, hi_i], then i starts in (lo_j', hi_j']: each pair once
+    for lo_a, hi_a, starts, side, swap in ((lo, hi, lo_s, "left", False),
+                                           (lo_s, hi_s, lo, "right", True)):
+        first = np.searchsorted(starts, lo_a, side=side)
+        counts = np.searchsorted(starts, hi_a, side="right") - first  # >= 0 as lo_a <= hi_a
+        ends = np.cumsum(counts)
+        row = 0
+        while row < len(counts):
+            stop = max(row + 1, int(np.searchsorted(ends, ends[row] - counts[row] + SWEEP_CHUNK,
+                                                    side="right")))
+            k = counts[row:stop]
+            a = np.repeat(np.arange(row, stop), k)
+            b = np.arange(len(a)) - np.repeat(np.cumsum(k) - k, k) + np.repeat(first[row:stop], k)
+            row = stop
+            yield (order[b], order[a]) if swap else (order[a], order[b])
+
+
 def self_intersects(phi: np.ndarray, xi: np.ndarray) -> bool:
-    """Segment test for profile self-intersection on the (xi, phi) cylinder."""
+    """Segment test for profile self-intersection on the (xi, phi) cylinder.
+
+    Segment i runs from sample i to sample i + 1 (the last closes the curve
+    with its winding).  Each pair of non-adjacent segments i < j is tested
+    with segment j shifted by -2 pi, 0 and 2 pi in xi, but only where their
+    xi-extents meet, found by a sort and sweep (Shamos & Hoey, FOCS 1976):
+    segments whose extents are apart cannot cross.
+    """
     xi = np.unwrap(np.asarray(xi, dtype=float))
     pts = np.stack([xi, np.asarray(phi, dtype=float)], axis=1)
     n = len(pts)
@@ -356,17 +395,15 @@ def self_intersects(phi: np.ndarray, xi: np.ndarray) -> bool:
     end = np.roll(pts, -1, axis=0)
     end[-1, 0] = pts[0, 0] + (_turns(xi) * 2.0 * np.pi)
     end[-1, 1] = pts[0, 1]
-    idx_i, idx_j = np.triu_indices(n, k=2)
-    # Skip the wrap-adjacent pair (segment n-1 followed by segment 0).
-    keep = ~((idx_i == 0) & (idx_j == n - 1))
-    idx_i, idx_j = idx_i[keep], idx_j[keep]
+    lo, hi = np.minimum(start[:, 0], end[:, 0]), np.maximum(start[:, 0], end[:, 0])
     for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
         offset = np.array([shift, 0.0])
-        hit = _segments_intersect(
-            start[idx_i], end[idx_i], start[idx_j] + offset, end[idx_j] + offset
-        )
-        if np.any(hit):
-            return True
+        for i, j in _meeting_pairs(lo, hi, shift):
+            # i < j and not adjacent, nor the wrap-adjacent pair (n-1, 0)
+            keep = (j >= i + 2) & ~((i == 0) & (j == n - 1))
+            i, j = i[keep], j[keep]
+            if np.any(_segments_intersect(start[i], end[i], start[j] + offset, end[j] + offset)):
+                return True
     return False
 
 

@@ -40,8 +40,14 @@ C0_fit of the decay bound.
 A FlowTrace is columnar: one MonitorRecord of arrays, one entry per recorded
 step.  A homogeneous trace keeps its trajectory as one array-valued state
 (rho, or lam with the exact r1^2) and its curvature data, both evaluated once.
-An axisymmetric trace keeps profile snapshots keyed by record index; its
-step size depends on the current |h|^2, so it takes monitors step by step.
+An axisymmetric trace keeps profile snapshots keyed by record index.  Its
+step size depends on the current |h|^2, which the step reads from the c = 1
+curvature; the monitors are not evaluated step by step but on the initial
+state alone, so a state out of range at c fails before the first step, and
+then once per block of MONITOR_BLOCK samples (points x steps).  Each column
+is computed on its own, so the record has the same bits; an error in a
+block, such as a range error at c, surfaces at the end of that block (or
+before a flow error of a later step) with the type and message it had.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .errors import (
     DomainError,
     FixedPointError,
     GeometryError,
+    PinchflowError,
     StepUnderflow,
     double_range,
 )
@@ -93,6 +100,7 @@ GEODESIC_H2 = 1e-12  # |h|^2 of a totally geodesic end, sustained over the time 
 BLOWUP_H2 = 1e6  # |h|^2 of a blowup
 MESH_SAMPLES_TARGET = 200
 DT_MIN = 1e-12  # floor of the profile route's time step
+MONITOR_BLOCK = 8192  # curvature samples (points x steps) per monitors_update of the profile route
 EXACT_SAMPLES = 400  # times sampled by the closed-form product trajectory
 TOL_MIN = 100 * np.finfo(float).eps  # the smallest tol, scipy RK45's floor on rtol
 
@@ -406,60 +414,81 @@ def flow_axisymmetric(
         params,
     )
     t_max = config.t_max * c
+    if t_max == math.inf:  # the step count estimate below needs a finite horizon
+        raise DomainError(f"the flow's horizon t_max c leaves the double range at c = {c!r}")
     dt_cap = None if config.dt_initial is None else config.dt_initial * c
 
     t = 0.0  # the time ct
     records, snapshots, terminal = [], {}, None
+    # (t, H, |h|^2, |h0|^2) at c = 1 of the steps whose monitors are pending
+    pending: list[tuple] = []
+
+    def monitor_pending():
+        ts, H, h2, h0_2 = (np.stack(col, axis=-1) for col in zip(*pending))
+        pending.clear()
+        with double_range("the flow's curvature", c):
+            H *= root_c
+            h2 *= c
+            h0_2 *= c
+            records.append(monitors_update(params, config, ts / c, H, h2, h0_2))
+
     dt_first = _profile_dt(float(geom.h_norm2.max()), n, dt_cap)
     est_steps = max(1, int(t_max / max(dt_first, DT_MIN)))
     snap_every = max(1, est_steps // MESH_SAMPLES_TARGET)
+    block_steps = max(1, MONITOR_BLOCK // len(phi))
     step = 0
-    while True:
-        with double_range("the flow's curvature", c):
-            records.append(monitors_update(
-                params, config, t / c,
-                geom.H[:, None] * root_c, geom.h_norm2[:, None] * c, geom.h0_norm2[:, None] * c,
-            ))
-        h2_max = float(geom.h_norm2.max())
-        if step % snap_every == 0:
-            snapshots[step] = Axisymmetric(np.stack([phi, xi], axis=1))
-        if h2_max > BLOWUP_H2:
-            kind = (
-                TerminalKind.GREAT_CIRCLE_COLLAPSE
-                if np.min(np.sin(phi) ** 2) < COLLAPSE_R1SQ_PDE
-                else TerminalKind.BLOWUP
+    try:
+        while True:
+            pending.append((t, geom.H, geom.h_norm2, geom.h0_norm2))
+            # the initial state alone, so one out of range at c fails before the first step
+            if step == 0 or len(pending) == block_steps:
+                monitor_pending()
+            h2_max = float(geom.h_norm2.max())
+            if step % snap_every == 0:
+                snapshots[step] = Axisymmetric(np.stack([phi, xi], axis=1))
+            if h2_max > BLOWUP_H2:
+                kind = (
+                    TerminalKind.GREAT_CIRCLE_COLLAPSE
+                    if np.min(np.sin(phi) ** 2) < COLLAPSE_R1SQ_PDE
+                    else TerminalKind.BLOWUP
+                )
+                terminal = TerminalEvent(kind, float(t / c))
+                break
+            if t >= t_max:
+                break
+            dt = _profile_dt(h2_max, n, dt_cap)
+            if dt < DT_MIN:
+                raise StepUnderflow(f"time step {dt!r} fell below DT_MIN before a terminal event")
+            dt = min(dt, t_max - t)
+            # The state is phi and xi minus its winding ramp, both periodic; the
+            # parametrization is frozen over the step.
+            ramp = 2.0 * np.pi * winding * np.arange(len(phi)) / len(phi)
+
+            def velocity(u):
+                g = axisym.profile_geometry(u[0], u[1] + ramp, n, spacing, winding)
+                return np.array([g.H * g.nu_phi, g.H * g.nu_xi])
+
+            u = _etdrk4_step(
+                np.array([phi, xi - ramp]),
+                np.array([geom.H * geom.nu_phi, geom.H * geom.nu_xi]),
+                velocity,
+                axisym.second_difference_symbol(len(phi), spacing),
+                dt,
             )
-            terminal = TerminalEvent(kind, float(t / c))
-            break
-        if t >= t_max:
-            break
-        dt = _profile_dt(h2_max, n, dt_cap)
-        if dt < DT_MIN:
-            raise StepUnderflow(f"time step {dt!r} fell below DT_MIN before a terminal event")
-        dt = min(dt, t_max - t)
-        # The state is phi and xi minus its winding ramp, both periodic; the
-        # parametrization is frozen over the step.
-        ramp = 2.0 * np.pi * winding * np.arange(len(phi)) / len(phi)
-
-        def velocity(u):
-            g = axisym.profile_geometry(u[0], u[1] + ramp, n, spacing, winding)
-            return np.stack([g.H * g.nu_phi, g.H * g.nu_xi])
-
-        u = _etdrk4_step(
-            np.stack([phi, xi - ramp]),
-            np.stack([geom.H * geom.nu_phi, geom.H * geom.nu_xi]),
-            velocity,
-            axisym.second_difference_symbol(len(phi), spacing),
-            dt,
-        )
-        phi, xi = u[0], u[1] + ramp
-        if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
-            terminal = TerminalEvent(TerminalKind.BLOWUP, float(t / c))
-            break
-        phi, xi, spacing, _, winding = axisym.resample_profile(phi, xi)
-        geom = axisym.profile_geometry(phi, xi, n, spacing, winding)
-        t += dt
-        step += 1
+            phi, xi = u[0], u[1] + ramp
+            if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
+                terminal = TerminalEvent(TerminalKind.BLOWUP, float(t / c))
+                break
+            phi, xi, spacing, _, winding = axisym.resample_profile(phi, xi)
+            geom = axisym.profile_geometry(phi, xi, n, spacing, winding)
+            t += dt
+            step += 1
+    except PinchflowError:
+        if pending:  # a monitor error of an earlier step comes first, as it would step by step
+            monitor_pending()
+        raise
+    if pending:
+        monitor_pending()
     names = [f.name for f in fields(MonitorRecord)]
     monitors = MonitorRecord(**{k: np.concatenate([getattr(r, k) for r in records]) for k in names})
     monitors.C0_fit = np.maximum.accumulate(monitors.C0_fit)

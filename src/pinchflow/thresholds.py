@@ -53,6 +53,7 @@ _ROOT_AGREEMENT_RTOL = 1e-9
 _EXTENSION_SCAN_POINTS = 4001
 _U_MAX = 1e60  # largest x/c; from ~1e62 on, s**2.5 (s ~ u^2) in alpha's d3 overflows
 GRID_X_MAX = 100.0  # times c, the top of default_grid
+_C_MIN = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 class Branch(enum.Enum):
@@ -74,6 +75,10 @@ class PinchingParams:
             raise DomainError(f"dimension n must be an integer >= 3, got {self.n!r}")
         if not (self.c > 0.0) or not np.isfinite(self.c):
             raise DomainError(f"ambient curvature c must be positive, got {self.c!r}")
+        if self.c < _C_MIN:  # a subnormal c carries fewer digits
+            raise DomainError(
+                f"ambient curvature c must be a normal double >= {_C_MIN!r}, got {self.c!r}"
+            )
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "c", float(self.c))
 
@@ -280,6 +285,10 @@ class ThresholdFamily:
         unit, self._alpha_taylor, self._omega_taylor = _unit(params.n)
         with double_range("the threshold family", params.c):
             x0, x1 = np.multiply((unit.x0, unit.x1), params.c)
+        if min(x0, x1) < _C_MIN:
+            raise DomainError(
+                f"the threshold family leaves the normal double range at c = {params.c!r}"
+            )
         self.constants = replace(unit, x0=float(x0), x1=x1)
         self.y_n = self.constants.y_n
         self.x0 = self.constants.x0

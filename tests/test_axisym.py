@@ -1,5 +1,9 @@
 """Finite-difference curvature engine: closed-form reproduction and convergence."""
 
+import time
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +11,13 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline  # reference only
 
 from pinchflow import GeometryError, MeshDegenerate, NonEmbedded, PinchingParams
+from pinchflow import axisym
 from pinchflow.axisym import (
     _periodic_spline,
+    _segments_intersect,
+    _turns,
     curvature_of_profile,
+    periodic_derivatives,
     perturbed_product_profile,
     product_profile,
     resample_profile,
@@ -183,6 +191,7 @@ def test_winding_numbers():
 
 
 def test_self_intersection_detection():
+    # each verdict also holds for the all-pairs reference below
     theta = np.arange(200) * (2.0 * np.pi / 200)
     # limacon with an inner loop: one guaranteed crossing in the strip
     r = 0.25 * (1.0 + 2.0 * np.cos(theta))
@@ -202,3 +211,125 @@ def test_perturbed_profile_zero_mean_mode():
     base = np.arcsin(np.sqrt(0.9))
     assert np.mean(phi) == pytest.approx(base, rel=1e-12)
     assert phi.max() > base > phi.min()
+
+
+def all_pairs_self_intersects(phi, xi):
+    """Reference: the exact segment test on every pair of non-adjacent segments, O(N^2)."""
+    xi = np.unwrap(np.asarray(xi, dtype=float))
+    pts = np.stack([xi, np.asarray(phi, dtype=float)], axis=1)
+    n = len(pts)
+    start = pts
+    end = np.roll(pts, -1, axis=0)
+    end[-1, 0] = pts[0, 0] + (_turns(xi) * 2.0 * np.pi)
+    end[-1, 1] = pts[0, 1]
+    idx_i, idx_j = np.triu_indices(n, k=2)
+    # Skip the wrap-adjacent pair (segment n-1 followed by segment 0).
+    keep = ~((idx_i == 0) & (idx_j == n - 1))
+    idx_i, idx_j = idx_i[keep], idx_j[keep]
+    for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
+        offset = np.array([shift, 0.0])
+        hit = _segments_intersect(
+            start[idx_i], end[idx_i], start[idx_j] + offset, end[idx_j] + offset
+        )
+        if np.any(hit):
+            return True
+    return False
+
+
+def random_polygon(kind, n, seed):
+    """Closed polygon (phi, xi) of n samples: a rippled band around the cylinder, a
+    loop that may wander across the seam xi = 0 = 2 pi, or a scribble with crossings."""
+    rng = np.random.default_rng(seed)
+    base = np.arange(n) * (2.0 * np.pi / n)
+    if kind == "band":  # winding 1, crossings only where the jitter folds it back
+        xi = base + rng.normal(0.0, rng.choice([0.01, 0.3, 1.0]) * 2.0 * np.pi / n, n)
+        phi = 0.8 + 0.2 * np.sin(rng.integers(1, 5) * base) + rng.normal(0.0, 0.05, n)
+    elif kind == "seam":  # winding 1, starting anywhere, folding back across the seam
+        xi = base + rng.normal(0.0, 0.7 * 2.0 * np.pi / n, n) - rng.uniform(0.0, 2.0 * np.pi)
+        xi[rng.integers(0, n, 3)] += rng.choice([0.0, 2.0 * np.pi, -2.0 * np.pi], 3)
+        phi = 0.8 + 0.3 * rng.uniform(-1.0, 1.0) * np.cos(rng.integers(1, 4) * base)
+    elif kind == "loop":  # winding 0: an ellipse about the seam, maybe with a limacon loop
+        r = 0.3 * (1.0 + rng.uniform(0.0, 2.5) * np.cos(base))
+        xi = rng.choice([0.0, 2.0 * np.pi, 6.0]) + r * np.cos(base)
+        phi = 0.8 + rng.uniform(0.2, 1.0) * r * np.sin(base)
+    else:  # scribble: random points in a strip, shifted copies meeting across the seam
+        xi = rng.uniform(-1.0, 2.0 * np.pi + 1.0, n)
+        phi = rng.uniform(0.1, 1.4, n)
+    return phi, xi
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["band", "seam", "loop", "scribble"]),
+    n=st.integers(3, 80),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 5, 64, axisym.SWEEP_CHUNK]),
+)
+def test_sweep_self_intersects_is_the_all_pairs_test(kind, n, seed, chunk):
+    phi, xi = random_polygon(kind, n, seed)
+    with mock.patch.object(axisym, "SWEEP_CHUNK", chunk):  # chunks of a few pairs, too
+        assert self_intersects(phi, xi) == all_pairs_self_intersects(phi, xi)
+
+
+def test_random_polygons_meet_both_verdicts():
+    # the property above is not vacuous: each kind gives both verdicts
+    for kind in ("band", "seam", "loop", "scribble"):
+        verdicts = {all_pairs_self_intersects(*random_polygon(kind, n, seed))
+                    for n in (6, 12, 24) for seed in range(20)}
+        assert verdicts == {True, False}, kind
+
+
+def test_sweep_memory_stays_bounded_when_every_pair_meets():
+    # a zigzag between xi = 0 and 1, closed through xi = 1.5: every pair of its
+    # 1000 zigzag segments has meeting xi-extents, and none crosses
+    k = 1000
+    zig_xi = np.arange(k) % 2.0
+    zig_phi = np.arange(k) * 1e-3
+    phi = np.concatenate([zig_phi, [zig_phi[-1], 0.0]])
+    xi = np.concatenate([zig_xi, [1.5, 1.5]])
+    tracemalloc.start()
+    try:
+        assert not self_intersects(phi, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak  # the all-pairs test needs ~70 MB here
+    phi[k // 2] = 2.0  # one sample lifted through the zigzag above it
+    assert self_intersects(phi, xi)
+
+
+def test_validate_profile_is_fast_and_small_at_4096():
+    params = PinchingParams(n=10, c=1.0)
+    phi, xi = perturbed_product_profile(params, 0.9, amplitude=0.005, mode=2, n_points=4096)
+    validate_profile(phi, xi)
+    tracemalloc.start()
+    try:
+        validate_profile(phi, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6, peak  # 1.1 GB for the all-pairs test
+    start = time.perf_counter()
+    validate_profile(phi, xi)
+    assert time.perf_counter() - start < 1.0  # ~10 ms on one core; 8 s for all pairs
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    n=st.integers(5, 300),
+    winding=st.integers(-3, 3),
+    spacing=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_derivative_rows_are_the_bits_of_per_row_calls(rows, n, winding, spacing, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(rows, n))
+    ramps = 2.0 * np.pi * winding * rng.integers(0, 2, rows).astype(float)
+    d1, d2 = periodic_derivatives(vals, spacing, ramps[:, None])
+    for row, ramp in enumerate(ramps):
+        r1, r2 = periodic_derivatives(vals[row], spacing, float(ramp))
+        assert np.array_equal(d1[row], r1) and np.array_equal(d2[row], r2)
+    # a ramp of 0 is the default
+    assert all(np.array_equal(a, b) for a, b in zip(
+        periodic_derivatives(vals[0], spacing), periodic_derivatives(vals[0], spacing, 0.0)))

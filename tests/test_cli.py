@@ -340,15 +340,27 @@ def test_extreme_curvature_writes_finite_numbers(command, c, name, tmp_path, cap
         ["constants", "--n", "10", "--c", "3e307", "--output", "{out}"],
         ["verify", "--n-values", "10", "--c-values", "1e307", "--grid-points", "50",
          "--output", "{out}"],
+        # below it: a subnormal c, or one that makes x1 = 0.243 c subnormal at n = 3
+        ["constants", "--n", "3", "--c", "1e-320", "--output", "{out}"],
+        ["constants", "--n", "3", "--c", "5e-308", "--output", "{out}"],
+        ["verify", "--n-values", "3", "--c-values", "1e-310", "--grid-points", "50",
+         "--output", "{out}"],
+        ["simulate", "--family", "sphere", "--c", "5e-324", "--output", "{out}"],
+        # the profile route's horizon t_max c overflows
+        ["simulate", "--family", "axisymmetric", "--c", "10", "--t-max", "1e308",
+         "--profile", "{profile}", "--output", "{out}"],
     ],
 )
 def test_family_past_the_double_range_is_a_runtime_error(argv, tmp_path, capsys):
-    # x0 = y_n c and the top of the grid, 100 c, overflow: a typed error, no
-    # warning, and nothing written (no "x0": Infinity in the JSON)
-    out = tmp_path / "out.json"
+    # x0 = y_n c and the top of the grid, 100 c, overflow, c is subnormal, or the
+    # horizon overflows: a typed error, no warning, and nothing written (no
+    # "x0": Infinity in the JSON)
+    out, profile = tmp_path / "out.json", tmp_path / "circle.json"
+    xi = np.arange(64) * (2.0 * np.pi / 64)
+    _write_profile(profile, np.full(64, 1.0), xi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([a.format(out=out) for a in argv]) == 1
+        assert main([a.format(out=out, profile=profile) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
@@ -493,7 +505,7 @@ def test_every_family_runs_or_fails_typed_across_c(tmp_path, capsys, deadline):
     ran = 0
     for family_flag, unit_time in UNIT_COLLAPSE_TIMES.items():
         rtol = 1e-5 if family_flag == "axisymmetric" else 1e-7
-        for k in (-1000, -500, -200, -40, 0, 40, 200, 500, 1000):
+        for k in (-1074, -1060, -1000, -500, -200, -40, 0, 40, 200, 500, 1000):
             c = 2.0 ** k
             argv = ["simulate", "--family", family_flag, "--c", repr(c), "--output", str(trace),
                     "--terminal-json", str(term)]
@@ -501,6 +513,8 @@ def test_every_family_runs_or_fails_typed_across_c(tmp_path, capsys, deadline):
                 argv += ["--profile", str(profile)]
             code = main(argv)
             stderr = capsys.readouterr().err
+            if k < -1022:  # a subnormal c fails where it enters
+                assert code == 1 and "must be a normal double" in stderr, (family_flag, k)
             if code == 1:
                 assert stderr.startswith("error: "), (family_flag, k, stderr)
                 continue

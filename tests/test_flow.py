@@ -418,7 +418,7 @@ def test_batched_monitors_equal_scalar_rows(route):
 
 
 def test_block_monitors_equal_joined_column_calls():
-    # the axisymmetric loop makes one (points, 1) call per step and joins them
+    # the axisymmetric loop makes one (points, steps) call per block: the bits of per-step calls
     rng = np.random.default_rng(7)
     points, times = 40, 25
     t = np.sort(rng.uniform(0.0, 2.0, times))
@@ -536,3 +536,127 @@ def test_every_route_at_c_is_the_route_at_one_scaled(route):
                 getattr(m, name) / scale, getattr(unit, name), rtol=1e-13, atol=0.0, err_msg=name
             )
         assert np.all(np.abs(m.U_max / c - unit.U_max) <= 1e-13 * unit.h2_max), k
+
+
+def _ac8_state(n_points=96, amplitude=0.005):
+    phi, xi = perturbed_product_profile(P10, 0.9, amplitude=amplitude, mode=2, n_points=n_points)
+    return Axisymmetric(np.stack([phi, xi], axis=1))
+
+
+def test_ac8_run_evaluates_the_monitors_in_two_calls(monkeypatch):
+    from pinchflow import flow
+    from pinchflow.thresholds import ThresholdFamily
+
+    calls = {"monitors": [], "gamma": [], "omega": []}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flow, "monitors_update", counted("monitors", flow.monitors_update))
+    for name in ("gamma", "omega"):
+        monkeypatch.setattr(ThresholdFamily, name, counted(name, getattr(ThresholdFamily, name)))
+    trace = flow_axisymmetric(_ac8_state(), P10, FlowConfig(epsilon=0.0, t_max=0.25))
+    assert len(trace.monitors) == 35  # 34 steps: the initial state, then one block
+    assert {name: len(args) for name, args in calls.items()} == {
+        "monitors": 2, "gamma": 2, "omega": 2
+    }
+    # 10x longer, the ripple collapses after 98 steps: blocks of 85 steps of 96 samples
+    calls["monitors"].clear()
+    trace = flow_axisymmetric(_ac8_state(), P10, FlowConfig(epsilon=0.0, t_max=2.5))
+    assert trace.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
+    assert [args[3].shape for args in calls["monitors"]] == [(96, 1), (96, 85), (96, 13)]
+
+
+def test_block_records_are_the_bits_of_per_step_records(monkeypatch):
+    from pinchflow import flow
+
+    ripple, circle = _ac8_state(), Axisymmetric(np.stack(product_profile(P10, 0.75, 64), axis=1))
+    for state, config in ((ripple, FlowConfig(epsilon=0.01, t_max=2.5)),
+                          (circle, FlowConfig(epsilon=0.0, t_max=0.2))):
+        blocked = flow_axisymmetric(state, P10, config)
+        monkeypatch.setattr(flow, "MONITOR_BLOCK", 1)  # one step per call, as before blocks
+        stepped = flow_axisymmetric(state, P10, config)
+        monkeypatch.undo()
+        assert blocked.terminal == stepped.terminal
+        for name in MonitorRecord.__dataclass_fields__:
+            assert np.array_equal(getattr(blocked.monitors, name), getattr(stepped.monitors, name))
+
+
+def test_profile_monitor_memory_does_not_grow_with_the_step_count():
+    import tracemalloc
+
+    # AC8's minimal torus without its ripple stays put (the ripple collapses), at
+    # 1024 points, where a block is 8 steps: AC8's length, 34 steps, and 4x that
+    state = _ac8_state(n_points=1024, amplitude=0.0)
+    held = {}
+    for t_max in (0.25, 1.0):
+        tracemalloc.start()
+        try:
+            trace = flow_axisymmetric(state, P10, FlowConfig(epsilon=0.0, t_max=t_max))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.terminal.kind is TerminalKind.HORIZON_REACHED
+        held[len(trace.monitors) - 1] = peak - kept  # beyond the trace it returns
+    assert sorted(held) == [34, 134]
+    # ~0.8 MB each; holding every step's columns for one call would take ~10 MB at 134
+    assert held[134] <= 1.05 * held[34], held
+
+
+def test_profile_state_out_of_range_fails_before_the_first_step(monkeypatch):
+    from pinchflow import flow
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(flow, "_etdrk4_step", no_step)
+    c = 2.0 ** 1020
+    with pytest.raises(DomainError, match="a derivative leaves the double range"):
+        flow_axisymmetric(
+            _ac8_state(), PinchingParams(10, c), FlowConfig(epsilon=0.0, t_max=0.25 / c)
+        )
+
+
+def _collapse_error(c, patch=None):
+    """The DomainError message of a circle's collapse at c, and the steps taken before it.
+
+    patch is an optional (module, name, value) to set for the run.
+    """
+    from pinchflow import flow
+
+    steps = []
+    step = flow._etdrk4_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_etdrk4_step", lambda *a: steps.append(1) or step(*a))
+        if patch is not None:
+            mp.setattr(*patch)
+        circle = Axisymmetric(np.stack(product_profile(P10, 0.75, 64), axis=1))
+        with pytest.raises(DomainError) as err:
+            flow_axisymmetric(circle, PinchingParams(10, c), FlowConfig(epsilon=0.0))
+    return str(err.value), len(steps)
+
+
+def test_range_error_mid_run_surfaces_at_the_end_of_its_block():
+    from pinchflow import axisym, flow
+
+    # at c = 2^1005 the collapsing circle's |h|^2 c overflows some steps before the end
+    c = 2.0 ** 1005
+    message, steps = _collapse_error(c)
+    assert message == f"the flow's curvature leaves the double range at c = {c!r}"
+    assert steps == 40  # the whole run is one block
+    # step by step, the same error comes at the step that overflows
+    assert _collapse_error(c, (flow, "MONITOR_BLOCK", 1)) == (message, 32)
+    # a flow error later in the block comes after the error of the pending monitors
+    resample = axisym.resample_profile
+    calls = []
+
+    def failing_resample(*args):
+        calls.append(1)
+        if len(calls) > 38:
+            raise axisym.MeshDegenerate("late")
+        return resample(*args)
+
+    assert _collapse_error(c, (axisym, "resample_profile", failing_resample)) == (message, 38)

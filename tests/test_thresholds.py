@@ -434,6 +434,15 @@ def test_family_past_the_double_range_is_a_domain_error():
         fam = family(PinchingParams(n=10, c=1e307))  # x0 = 1.2e308 is still a double
         with pytest.raises(DomainError, match="double range"):
             fam.default_grid(points=50)  # its top, 100 c, is not
+        # below the normal range: c itself, or x1 = 0.243 c at n = 3
+        for c in (2.0 ** -1074, 1e-310, np.finfo(float).tiny / 2.0):
+            with pytest.raises(DomainError, match="must be a normal double"):
+                PinchingParams(n=3, c=c)
+        for c in (np.finfo(float).tiny, 5e-308):
+            with pytest.raises(DomainError, match="normal double range"):
+                family(PinchingParams(n=3, c=c))
+        fam = family(PinchingParams(n=3, c=1e-307))
+        assert fam.x1 >= np.finfo(float).tiny and fam.x0 == fam.y_n * 1e-307
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
