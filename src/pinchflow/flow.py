@@ -151,10 +151,11 @@ class FlowConfig:
         """Validated copy with epsilon and t_max filled in.
 
         ``initial()`` gives the curvature data of the initial state at params;
-        it is called only when epsilon is unset.
+        it is called only when epsilon is unset, under the overflow guard.
         """
         self.validate()
-        eps = self.epsilon if self.epsilon is not None else default_epsilon(initial(), params)
+        with double_range("the curvature", params.c):
+            eps = self.epsilon if self.epsilon is not None else default_epsilon(initial(), params)
         t_max = self.t_max if self.t_max is not None else 1.0 / params.c
         return replace(self, epsilon=eps, t_max=t_max)
 

@@ -38,6 +38,7 @@ __all__ = [
     "product_lambda_for_mean_curvature",
     "curvature_of",
     "simons_W",
+    "okumura_constant",
     "ricci_lower_bound",
     "classify_pinching",
 ]
@@ -166,6 +167,11 @@ def simons_W(data: CurvatureData, params: PinchingParams) -> float | np.ndarray:
     return float(W) if np.ndim(W) == 0 else W
 
 
+def okumura_constant(n: int) -> float:
+    """Okumura's sharp C in |tr h0^3| <= C |h0|^3 (1974), certified by verify.check_okumura."""
+    return (n - 2.0) / np.sqrt(n * (n - 1.0))
+
+
 def ricci_lower_bound(
     data: CurvatureData,
     params: PinchingParams,
@@ -178,12 +184,11 @@ def ricci_lower_bound(
     value.
     """
     n, c = params.n, params.c
-    okumura = (n - 2.0) / np.sqrt(n * (n - 1.0))
     bound = (n - 1.0) / n * (
         n * c
         + 2.0 / n * data.H ** 2
         - data.h_norm2
-        - okumura * np.abs(data.H) * np.sqrt(data.h0_norm2)
+        - okumura_constant(n) * np.abs(data.H) * np.sqrt(data.h0_norm2)
     )
     bound = float(bound) if np.ndim(bound) == 0 else bound
     if epsilon is None:

@@ -21,10 +21,9 @@ The three grid checks of one n share one evaluation of alpha, beta, gamma
 and omega on its default grid (_grid_values: read-only arrays, only the
 latest n kept).  check_derivative_oracles makes one family call per function,
 on its seven stencil rows stacked, and reads the closed-form derivatives off
-the last row.  check_okumura draws and reduces its samples in blocks of
-_OKUMURA_BLOCK rows, so its memory does not grow with OKUMURA_SAMPLES.  The
-reports are the bits of evaluating each check on its own, all at once: 11
-family calls per n for the four lattice checks, whatever the number of c.
+the last row.  The reports are the bits of evaluating each check on its own,
+all at once: 11 family calls per n for the four lattice checks, whatever the
+number of c.  check_okumura draws nothing (see its docstring).
 """
 
 from __future__ import annotations
@@ -44,7 +43,12 @@ from .flow import (
     product_collapse_time,
     product_r1sq_exact,
 )
-from .geometry import GeodesicSphere, ProductSn1S1, product_lambda_for_mean_curvature
+from .geometry import (
+    GeodesicSphere,
+    ProductSn1S1,
+    okumura_constant,
+    product_lambda_for_mean_curvature,
+)
 from .thresholds import PinchingParams, family
 
 __all__ = [
@@ -70,8 +74,6 @@ DEFAULT_SEED = 2024
 ORACLE_POINTS = 100  # random abscissas of check_derivative_oracles
 LAGRANGE_WIDTH = 5  # stencil of _lagrange_derivative
 REACTION_GROWTH_CAP = 2.0  # reaction_residuals stops once |h|^2 grows past this
-OKUMURA_SAMPLES = 100_000  # random multisets per check_okumura call
-_OKUMURA_BLOCK = 8192  # rows check_okumura draws and reduces at a time
 
 
 @dataclass
@@ -305,8 +307,7 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
 
     # (vi) okumura-weighted radical bound, equality exactly on [y_n, inf).
     # Third-order contact at y_n from below: sign strictness only.
-    okumura = (n - 2.0) / np.sqrt(n * (n - 1.0))
-    lhs6 = okumura * np.sqrt(us * (g - us / n)) + g
+    lhs6 = okumura_constant(n) * np.sqrt(us * (g - us / n)) + g
     rhs6 = 2.0 * us / n + n
     scale6 = np.maximum(np.abs(lhs6), np.abs(rhs6))
     reports.append(
@@ -322,7 +323,7 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     reports.append(_identity_report("alid1", params, us, lhs_id, rhs_id, scale_id))
 
     # identity: okumura-weighted radical identity for alpha
-    lhs_id2 = okumura * np.sqrt(us * (a - us / n)) + a
+    lhs_id2 = okumura_constant(n) * np.sqrt(us * (a - us / n)) + a
     rhs_id2 = 2.0 * us / n + n
     reports.append(
         _identity_report(
@@ -548,35 +549,27 @@ def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
     ]
 
 
-def check_okumura(params: PinchingParams, seed: int = DEFAULT_SEED):
-    """Traceless cube-sum bound on random principal-curvature multisets.
+def check_okumura(params: PinchingParams):
+    """Okumura's |sum lam^3| <= C |lam|^3 on sum lam = 0, C = okumura_constant(n), exactly.
 
-    The multisets come from the box of half-width 10 at every c, since the
-    margin is scale-invariant.  The OKUMURA_SAMPLES rows come from one
-    generator stream, drawn and reduced _OKUMURA_BLOCK rows at a time.  Every
-    row is reduced on its own, and the strict < keeps the first worst row, as
-    np.argmin over all rows would.
+    On the compact set {sum lam = 0, |lam| = 1} the maximum of |sum lam^3| is
+    attained at a critical point, where Lagrange gives 3 lam_i^2 = mu + 2 nu lam_i:
+    lam takes two values, so up to scale k entries n - k and n - k entries -k,
+    k = 1 .. n - 1.  The check passes when the largest ratio over these n - 1
+    multisets (weighted sums) is within 1e-12 of C: the bound holds and is
+    attained.  worst_x is the k of the largest ratio.
     """
     n = params.n
-    rng = np.random.default_rng(seed + n)
-    okumura = (n - 2.0) / np.sqrt(n * (n - 1.0))
-    worst, worst_i = np.inf, 0
-    for start in range(0, OKUMURA_SAMPLES, _OKUMURA_BLOCK):
-        rows = min(_OKUMURA_BLOCK, OKUMURA_SAMPLES - start)
-        lam = rng.uniform(-10.0, 10.0, size=(rows, n))
-        lam -= lam.mean(axis=1, keepdims=True)  # the traceless part, in place
-        # einsum sums the products row by row without (rows, n) temporaries
-        cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
-        s2 = np.einsum("ij,ij->i", lam, lam)
-        norm3 = s2 * np.sqrt(s2)
-        margin = (okumura * norm3 - cube) / np.maximum(norm3, 1e-30)
-        j = int(np.argmin(margin))
-        if margin[j] < worst:
-            worst, worst_i = float(margin[j]), start + j
+    k = np.arange(1.0, n)
+    a, b = n - k, -k
+    cube = np.abs(k * a ** 3 + (n - k) * b ** 3)
+    ratio = cube / (k * a ** 2 + (n - k) * b ** 2) ** 1.5
+    i = int(np.argmax(ratio))
+    gap = abs(float(ratio[i]) - okumura_constant(n))
     return [
         _value_report(
-            "okumura_bound", params, worst >= -1e-12, worst, float(worst_i),
-            f"{OKUMURA_SAMPLES} random multisets",
+            "okumura_bound", params, gap <= 1e-12, 1e-12 - gap, float(k[i]),
+            f"largest ratio over the {n - 1} critical multisets is {gap:.3e} from the constant",
         )
     ]
 
@@ -751,8 +744,7 @@ def default_suite(
     are evaluated once, for check_lemma_app, check_wpp and check_constants
     together, and check_derivative_oracles evaluates alpha, gamma and omega
     once each on its stacked stencil, so 11 family calls per n whatever the
-    number of c.  check_okumura keeps one block of _OKUMURA_BLOCK draws alive,
-    not all OKUMURA_SAMPLES.  The flow oracles run at each c.
+    number of c.  check_okumura runs once per n, the flow oracles at each c.
     """
     reports: list[CheckReport] = []
     for n in ns:
@@ -762,7 +754,7 @@ def default_suite(
         for c in cs:
             reports += _at_c(at_one, PinchingParams(n, c))
     for n in ns:
-        reports += check_okumura(PinchingParams(n=n, c=1.0), seed)
+        reports += check_okumura(PinchingParams(n=n, c=1.0))
     for c in cs:
         reports += check_flow_oracles(PinchingParams(n=10, c=c))
     reports += check_flow_oracles(PinchingParams(n=3, c=1.0))

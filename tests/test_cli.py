@@ -349,12 +349,15 @@ def test_extreme_curvature_writes_finite_numbers(command, c, name, tmp_path, cap
         # the profile route's horizon t_max c overflows
         ["simulate", "--family", "axisymmetric", "--c", "10", "--t-max", "1e308",
          "--profile", "{profile}", "--output", "{out}"],
+        # the initial curvature the default epsilon reads overflows
+        ["simulate", "--family", "axisymmetric", "--c", "8.98846567431158e307",
+         "--profile", "{profile}", "--output", "{out}"],
     ],
 )
 def test_family_past_the_double_range_is_a_runtime_error(argv, tmp_path, capsys):
     # x0 = y_n c and the top of the grid, 100 c, overflow, c is subnormal, or the
-    # horizon overflows: a typed error, no warning, and nothing written (no
-    # "x0": Infinity in the JSON)
+    # horizon or the initial curvature overflows: a typed error, no warning, and
+    # nothing written (no "x0": Infinity in the JSON)
     out, profile = tmp_path / "out.json", tmp_path / "circle.json"
     xi = np.arange(64) * (2.0 * np.pi / 64)
     _write_profile(profile, np.full(64, 1.0), xi)

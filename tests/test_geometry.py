@@ -17,6 +17,7 @@ from pinchflow import (
     simons_W,
 )
 from pinchflow.axisym import curvature_data, product_profile
+from pinchflow.geometry import okumura_constant
 from pinchflow.thresholds import family
 
 
@@ -100,13 +101,18 @@ def test_simons_W_vanishes_for_umbilic_and_boundary_states():
 
 
 def test_okumura_cube_bound_on_random_multisets():
+    # uniform draws, and draws near the equality multiset (n - 1, -1, ..., -1),
+    # which must come within 1e-5 of the bound: the constant is not too large
     for n in range(3, 13):
         rng = np.random.default_rng(n)
-        lam = rng.uniform(-10.0, 10.0, size=(100_000, n))
-        ring = lam - lam.mean(axis=1, keepdims=True)
-        cube = np.abs((ring ** 3).sum(axis=1))
-        bound = (n - 2.0) / np.sqrt(n * (n - 1.0)) * (ring ** 2).sum(axis=1) ** 1.5
-        assert np.all(cube <= bound * (1.0 + 1e-12) + 1e-12)
+        equality = np.append(n - 1.0, np.full(n - 1, -1.0))
+        near = equality + 1e-3 * rng.standard_normal((1000, n))
+        for lam in (rng.uniform(-10.0, 10.0, size=(100_000, n)), near):
+            ring = lam - lam.mean(axis=1, keepdims=True)
+            cube = np.abs((ring ** 3).sum(axis=1))
+            bound = okumura_constant(n) * (ring ** 2).sum(axis=1) ** 1.5
+            assert np.all(cube <= bound * (1.0 + 1e-12) + 1e-12)
+        assert np.min((bound - cube) / bound) < 1e-5
 
 
 def test_traceless_identities():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -185,41 +186,49 @@ def test_grid_contains_marked_points():
     assert xs[-1] == pytest.approx(100.0, rel=1e-12)
 
 
-def _okumura_one_shot(params, seed=verify.DEFAULT_SEED):
-    """All OKUMURA_SAMPLES rows drawn and reduced at once: (worst margin, its row)."""
-    n = params.n
-    rng = np.random.default_rng(seed + n)
-    lam = rng.uniform(-10.0, 10.0, size=(verify.OKUMURA_SAMPLES, n))
-    lam -= lam.mean(axis=1, keepdims=True)
-    cube = np.abs(np.einsum("ij,ij,ij->i", lam, lam, lam))
-    s2 = np.einsum("ij,ij->i", lam, lam)
-    norm3 = s2 * np.sqrt(s2)
-    bound = (n - 2.0) / np.sqrt(n * (n - 1.0)) * norm3
-    margin = (bound - cube) / np.maximum(norm3, 1e-30)
-    i = int(np.argmin(margin))
-    return float(margin[i]), float(i)
+@pytest.mark.parametrize("factor", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_okumura_certificate_rejects_a_perturbed_constant(monkeypatch, factor):
+    # the bound must hold and be attained: a constant off by 1e-9 either way fails
+    exact = verify.okumura_constant
+    for n in range(3, 13):
+        (report,) = check_okumura(PinchingParams(n))
+        assert report.passed and report.worst_x == 1.0
+    monkeypatch.setattr(verify, "okumura_constant", lambda n: exact(n) * factor)
+    for n in range(3, 13):
+        (report,) = check_okumura(PinchingParams(n))
+        assert not report.passed, n
 
 
-@pytest.mark.parametrize("n", [3, 7, 12])
-def test_blocked_okumura_matches_one_shot_draws(n):
-    # 100,000 rows in blocks of 8,192 end with a partial block of 1,696 rows
-    assert verify.OKUMURA_SAMPLES % verify._OKUMURA_BLOCK == 1696
-    params = PinchingParams(n=n, c=1.0)
-    (report,) = check_okumura(params)
-    assert (report.worst_margin, report.worst_x) == _okumura_one_shot(params)
-    assert report.passed
-
-
-def test_okumura_memory_stays_at_one_block():
-    params = PinchingParams(n=12)
+def test_okumura_certificate_memory_is_linear_in_n():
+    params = PinchingParams(n=100_000)
     check_okumura(params)  # anything loaded lazily is loaded before tracing
     tracemalloc.start()
     try:
-        check_okumura(params)
+        (report,) = check_okumura(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2_000_000  # all 100,000 x 12 draws at once take 9.6 MB
+    assert report.passed
+    assert peak <= 8_000_000  # a few arrays of n - 1 floats (0.8 MB each)
+
+
+def test_default_suite_keeps_the_benchmark_contract():
+    # perfbench's verify_lattice expects exactly these 691 reports, all passing
+    reports = default_suite()
+    assert len(reports) == 691 and all(r.passed for r in reports)
+    lattice = (
+        "app_i app_ii app_iii app_iv app_v_lower app_v_upper app_vi alid1 alid2 "
+        "wpp_dlnw wpp_x0_positive wpp_limit_second wpp_limit_support wpp_support_bounded "
+        "const_bneq_residual const_yn_bounds const_kn const_gamma_floor const_alpha_min "
+        "const_alpha_marks const_kn_floor derivative_oracles"
+    ).split()
+    flows = (
+        "flow_product_exact_match flow_collapse_time flow_sphere_collapse "
+        "flow_reaction_consistency flow_weak_equality"
+    ).split()
+    expected = {name: 30 for name in lattice} | {"okumura_bound": 10}
+    expected |= {name: 4 for name in flows} | {"flow_minimal_torus": 1}
+    assert Counter(r.check_id for r in reports) == expected
 
 
 @pytest.mark.parametrize("n", [3, 10])
@@ -333,7 +342,7 @@ def test_grid_checks_build_the_grid_once(monkeypatch):
 
 def _lattice_suite(monkeypatch, cs, ns=(3, 4), grid_points=300):
     """default_suite's lattice reports, with the okumura and flow checks left out."""
-    monkeypatch.setattr(verify, "check_okumura", lambda params, seed: [])
+    monkeypatch.setattr(verify, "check_okumura", lambda params: [])
     monkeypatch.setattr(verify, "check_flow_oracles", lambda params: [])
     return default_suite(ns=ns, cs=cs, grid_points=grid_points)
 
