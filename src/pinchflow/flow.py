@@ -6,15 +6,20 @@ Math. Z. 195, 1987).  A state enters its route in those units and its trace
 is mapped back where it is built, so the constants below are c = 1 numbers.
 The homogeneous families reduce to scalar ODEs in y and the time ct:
 
-    geodesic sphere:  y = sqrt(c) rho,  dy/dt = -n cot(y)
-    product torus:    y = c r1^2,       dy/dt = 2 - 2n + 2 n y
+    geodesic sphere:  y = z = w^2,  dz/dt = -2n w cot(w)
+    product torus:    y = c r1^2,   dy/dt = 2 - 2n + 2 n y
 
-The product ODE has the exact solution y = (n-1)/n (1 - d e^{2nt}) with d
+with w = sqrt(c) rho, or pi - sqrt(c) rho beyond the equator, so w shrinks
+to the round point w = 0 on either side.  In w the round point is a
+square-root singularity, dw/dt ~ -n/w, which an adaptive step resolves only
+by rejecting steps; w cot w = 1 - z/3 - z^2/45 - ... is analytic in z, so
+dz/dt -> -2n there.  The sphere collapses at T = -log|cos(sqrt(c) rho)|/(nc),
+and the product ODE has the exact solution y = (n-1)/n (1 - d e^{2nt}) with d
 fixed by the initial radius and collapse time T = -log(d)/(2n); the numeric
-route integrates the same reductions with the package's scalar Dormand–Prince
-5(4) integrator (``pinchflow.ode``).  Its events are levels of y, each naming
-its terminal: a round point, a great circle or a blowup, reached a
-closed-form tail after the level.
+route integrates the reductions with the package's scalar Dormand–Prince 5(4)
+integrator (``pinchflow.ode``), caching the latest c = 1 integrations
+(_integrate).  Its events are levels of y, each naming its terminal: a round
+point, a great circle or a blowup, reached a closed-form tail after the level.
 
 Torus-type profiles, the same (phi, xi) at every c, evolve by the method of
 lines: normal velocity H at every sample and exponential-time-differencing
@@ -53,6 +58,7 @@ before a flow error of a later step) with the type and message it had.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -76,7 +82,7 @@ from .geometry import (
     ProductSn1S1,
     curvature_of,
 )
-from .ode import solve_ivp
+from .ode import OdeSolution, solve_ivp
 from .thresholds import PinchingParams, family
 
 __all__ = [
@@ -93,7 +99,7 @@ __all__ = [
     "monitors_update",
 ]
 
-ROUND_POINT_RHO = 1e-6  # the sphere's round-point level of y = sqrt(c) rho
+ROUND_POINT_RHO = 1e-6  # the sphere's round-point level of w; the event is z = w^2 at its square
 COLLAPSE_R1SQ = 1e-8  # the ODE route's great-circle level of y = c r1^2
 COLLAPSE_R1SQ_PDE = 1e-4  # min sin(phi)^2 of a profile collapse; |h|^2 blowup triggers first
 GEODESIC_H2 = 1e-12  # |h|^2 of a totally geodesic end, sustained over the time 1/n
@@ -200,8 +206,8 @@ def default_epsilon(data: CurvatureData, params: PinchingParams) -> float:
     """Half the worst pinching slack of the initial curvature data, clipped at zero."""
     fam = family(params)
     x = np.atleast_1d(np.asarray(data.H, dtype=float) ** 2)
-    g, _, _, _ = fam.gamma(x)
-    w, _, _ = fam.omega(x)
+    g, _ = fam.gamma(x, order=0)
+    (w,) = fam.omega(x, order=0)
     slack = (g - np.atleast_1d(np.asarray(data.h_norm2, dtype=float))) / w
     return max(0.0, 0.5 * float(slack.min()))
 
@@ -226,8 +232,8 @@ def monitors_update(
     t = np.atleast_1d(np.asarray(t, dtype=float))
     H, h2, h0_2 = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (H, h2, h0_2))
     x = H ** 2
-    g, _, _, _ = fam.gamma(x)
-    w, _, _ = fam.omega(x)
+    g, _ = fam.gamma(x, order=0)  # values only: the monitors read no derivative
+    (w,) = fam.omega(x, order=0)
     gamma_ring = g - x / n
     if np.any(gamma_ring <= 0.0):
         raise DegenerateGamma("gamma - H^2/n must stay positive")
@@ -249,12 +255,19 @@ def monitors_update(
     )
 
 
-def _ambient_trace(kind: str, y, t, params: PinchingParams, config: FlowConfig) -> FlowTrace:
-    """Trace at c of a trajectory y = sqrt(c) rho or c r1^2 at the times ct of the flow at c = 1."""
+def _ambient_trace(
+    kind: str, y, t, params: PinchingParams, config: FlowConfig, beyond: bool = False
+) -> FlowTrace:
+    """Trace at c of a trajectory y at the times ct of the flow at c = 1.
+
+    y is c r1^2 (product) or z = w^2 (sphere), mapped back to rho = sqrt(z)/sqrt(c),
+    or (pi - sqrt(z))/sqrt(c) beyond the equator.
+    """
     c = params.c
     with double_range("the flow's curvature", c):
         if kind == "sphere":
-            state = GeodesicSphere(rho=y / math.sqrt(c))
+            w = np.sqrt(y)
+            state = GeodesicSphere(rho=(math.pi - w if beyond else w) / math.sqrt(c))
         else:
             state = ProductSn1S1.from_r1sq(y / c, params)
         data = curvature_of(state, params)
@@ -320,43 +333,78 @@ def product_r1sq_exact(initial: ProductSn1S1, params: PinchingParams, t) -> np.n
 # ---------------------------------------------------------------- ODE route
 
 
-def _ode_rhs_and_events(state, params: PinchingParams):
-    """Right-hand side y' = rhs(y) of a reduction at c = 1, its events and y0.
+def _ode_start(state, params: PinchingParams) -> tuple[str, float, bool]:
+    """(kind, y0, beyond) of a homogeneous state: its reduction at c = 1 and the initial y.
 
-    y is sqrt(c) rho (sphere) or c r1^2 (product), and ' is d/d(ct).  An
-    event is (level, direction, kind, tail): the run ends where y reaches
-    level moving in direction, and the flow ends in a ``kind`` terminal a
-    time ``tail`` (at c = 1) later.
+    y is z = w^2 (sphere) or c r1^2 (product).  w is sqrt(c) rho, or pi -
+    sqrt(c) rho when the sphere lies beyond the equator (beyond is True);
+    both sides shrink to a round point at w = 0.
     """
-    n = params.n
     if isinstance(state, GeodesicSphere):
-
-        def rhs(y):
-            return -n * math.cos(y) / math.sin(y)
-
-        # quadratic tail of dy/dt = -n/y + O(y) from the level to 0
-        tail = ROUND_POINT_RHO ** 2 / (2.0 * n)
-        events = [
-            (ROUND_POINT_RHO, -1, TerminalKind.ROUND_POINT, tail),
-            (math.pi - ROUND_POINT_RHO, 1, TerminalKind.ROUND_POINT, tail),
-        ]
-        return rhs, events, math.sqrt(params.c) * float(state.rho)
-
+        y = math.sqrt(params.c) * float(state.rho)
+        beyond = y > math.pi / 2.0
+        w = math.pi - y if beyond else y
+        return "sphere", w * w, beyond
     if isinstance(state, ProductSn1S1):
-
-        def rhs(y):
-            return 2.0 - 2.0 * n + 2.0 * n * y
-
-        # exact linear-ODE tail from the level to y = 0
-        collapse_tail = product_collapse_time(COLLAPSE_R1SQ, PinchingParams(n))
-        events = [
-            (COLLAPSE_R1SQ, -1, TerminalKind.GREAT_CIRCLE_COLLAPSE, collapse_tail),
-            # lam^2 = 1/y - 1 small <=> |h|^2 ~ 1/lam^2 large
-            (1.0 / (1.0 + 1.0 / BLOWUP_H2), 1, TerminalKind.BLOWUP, 0.0),
-        ]
-        return rhs, events, params.c * initial_r1sq(state, params)
-
+        return "product", params.c * initial_r1sq(state, params), False
     raise GeometryError(f"ODE flow supports homogeneous states only, got {state!r}")
+
+
+def _ode_rhs_and_events(kind: str, n: int):
+    """Right-hand side y' = rhs(y) of a reduction at c = 1, and its events.
+
+    ' is d/d(ct).  An event is (level, direction, kind, tail): the run ends
+    where y reaches level moving in direction, and the flow ends in a
+    ``kind`` terminal a time ``tail`` (at c = 1) later.
+    """
+    if kind == "sphere":
+
+        def rhs(z):
+            # dz/dt = -2n w cot w, analytic in z = w^2; below 0 (stage values
+            # past the round point) its continuation -2n s coth s, s = sqrt(-z)
+            if z > 0.0:
+                s = math.sqrt(z)
+                return -2.0 * n * s / math.tan(s)
+            if z < 0.0:
+                s = math.sqrt(-z)
+                return -2.0 * n * s / math.tanh(s)
+            return -2.0 * n
+
+        # tail of dz/dt = -2n + O(z) from the level to 0
+        level = ROUND_POINT_RHO ** 2
+        return rhs, [(level, -1, TerminalKind.ROUND_POINT, level / (2.0 * n))]
+
+    def rhs(y):
+        return 2.0 - 2.0 * n + 2.0 * n * y
+
+    # exact linear-ODE tail from the level to y = 0
+    collapse_tail = product_collapse_time(COLLAPSE_R1SQ, PinchingParams(n))
+    return rhs, [
+        (COLLAPSE_R1SQ, -1, TerminalKind.GREAT_CIRCLE_COLLAPSE, collapse_tail),
+        # lam^2 = 1/y - 1 small <=> |h|^2 ~ 1/lam^2 large
+        (1.0 / (1.0 + 1.0 / BLOWUP_H2), 1, TerminalKind.BLOWUP, 0.0),
+    ]
+
+
+@functools.lru_cache(maxsize=8)
+def _integrate(
+    kind: str, n: int, y0: float, t_bound: float, rtol: float, atol: float, max_step: float | None
+) -> OdeSolution:
+    """The c = 1 integration of a reduction, by the module-level solve_ivp.
+
+    Cached: a state given as c = 1 numbers over sqrt(c) or c, as verify's
+    flow oracles give theirs, is the same c = 1 problem, bit for bit, at every
+    c = 4^k (c = 2^k for the product).  The arrays are read-only, since the
+    cache hands the same solution to each caller.
+    """
+    rhs, events = _ode_rhs_and_events(kind, n)
+    sol = solve_ivp(
+        rhs, t_bound, y0, rtol=rtol, atol=atol,
+        events=[(level, direction) for level, direction, _, _ in events], max_step=max_step,
+    )
+    sol.t.setflags(write=False)
+    sol.y.setflags(write=False)
+    return sol
 
 
 def initial_r1sq(state: ProductSn1S1, params: PinchingParams) -> float:
@@ -372,22 +420,17 @@ def flow_ode_numeric(
 ) -> FlowTrace:
     """Adaptive Dormand–Prince 5(4) integration of the homogeneous reductions at c = 1."""
     config = (config or FlowConfig()).resolved(lambda: curvature_of(initial, params), params)
-    c = params.c
-    rhs, events, y0 = _ode_rhs_and_events(initial, params)
-    sol = solve_ivp(
-        rhs,
-        config.t_max * c,
-        y0,
-        rtol=config.tol,
-        atol=config.tol * max(abs(y0), 1.0),
-        events=[(level, direction) for level, direction, _, _ in events],
-        max_step=None if config.dt_initial is None else config.dt_initial * c,
+    n, c = params.n, params.c
+    kind, y0, beyond = _ode_start(initial, params)
+    sol = _integrate(
+        kind, n, y0, config.t_max * c, config.tol, config.tol * max(abs(y0), 1.0),
+        None if config.dt_initial is None else config.dt_initial * c,
     )
-    kind = "sphere" if isinstance(initial, GeodesicSphere) else "product"
-    trace = _ambient_trace(kind, sol.y, sol.t, params, config)
+    trace = _ambient_trace(kind, sol.y, sol.t, params, config, beyond)
     if sol.event is None:
         trace.terminal = _horizon_terminal(trace.monitors, params)
     else:
+        _, events = _ode_rhs_and_events(kind, n)
         _, _, terminal, tail = events[sol.event]
         trace.terminal = TerminalEvent(terminal, float((sol.t[-1] + tail) / c))
     return trace

@@ -204,8 +204,8 @@ def _alpha(n: int, u, order: int) -> list:
     return [out[0]] + [np.where(u > 0.0, d, np.nan) for d in out[1:]]
 
 
-def _omega(n: int, u):
-    """Printed closed form of omega at c = 1, valid for u >= y_n: (omega, d1, d2).
+def _omega(n: int, u, order: int = 2) -> list:
+    """Printed closed form of omega at c = 1 and its first `order` <= 2 derivatives, for u >= y_n.
 
     omega = u^2 b^2 / sqrt(s) with s = u^2 + 4(n-1)u, b = (1 + n^2/u)(R - v)/(R + v),
     v = u/sqrt(s) and R = n/(n-2).  Its derivatives are omega L1 and omega (L2 + L1^2),
@@ -216,16 +216,21 @@ def _omega(n: int, u):
     s = u * u + 4.0 * m * u
     inv_r = 1.0 / np.sqrt(s)
     v = u * inv_r
-    p, q = 1.0 / (ratio - v), 1.0 / (ratio + v)
+    q = 1.0 / (ratio + v)
     # these products of reciprocals, in this order, fix omega's last bits on x >= x0
     b = (1.0 + n * n * (1.0 / u)) * ((ratio - v) * q)
     w = u * u * inv_r * b * b
+    if order == 0:
+        return [w]
+    p = 1.0 / (ratio - v)
     v1 = 2.0 * m * v / s  # v'
-    v2 = -2.0 * v1 * (u + m) / s  # v''
     e, h = 1.0 / (u + n * n), (u + 2.0 * m) / s  # (log(u + n^2))', (log s)' / 2
     l1 = 2.0 * e - h - 2.0 * v1 * (p + q)
+    if order == 1:
+        return [w, w * l1]
+    v2 = -2.0 * v1 * (u + m) / s  # v''
     l2 = -2.0 * e * e - 1.0 / s + 2.0 * h * h - 2.0 * (v2 + v1 * v1 * (p - q)) * (p + q)
-    return w, w * l1, w * (l2 + l1 * l1)
+    return [w, w * l1, w * (l2 + l1 * l1)]
 
 
 def _taylor(coeffs, du):
@@ -309,32 +314,34 @@ class ThresholdFamily:
         u = self._u(x, "beta")
         return _to_x(_taylor(self._alpha_taylor, u - self.y_n), self.params.c)
 
-    def gamma(self, x):
+    def gamma(self, x, order: int = 2):
         """Pinching threshold: alpha for x >= x0, beta below.
 
-        Returns (gamma, d1, d2, alpha_mask).  First derivatives use the beta
-        polynomial below x0, so they are finite at x = 0.
+        Returns (gamma, d1, d2, alpha_mask), the derivatives truncated to the
+        requested order <= 2.  First derivatives use the beta polynomial below
+        x0, so they are finite at x = 0.
         """
-        return self._join(x, "gamma", self._alpha_taylor, lambda n, u: _alpha(n, u, 2))
+        return self._join(x, "gamma", self._alpha_taylor, _alpha, order)
 
-    def omega(self, x):
-        """Positive pinching weight: returns (omega, d1, d2).
+    def omega(self, x, order: int = 2):
+        """Positive pinching weight: returns (omega, d1, d2) truncated to order+1 entries.
 
         Closed form for x >= x0; second-order Taylor extension below.
         """
-        return self._join(x, "omega", self._omega_taylor, _omega)[:3]
+        return self._join(x, "omega", self._omega_taylor, _omega, order)[:-1]
 
-    def _join(self, x, name: str, taylor, closed):
-        """closed(n, u) from x0 on, the Taylor polynomial about x0 below: (f, d1, d2, on_closed).
+    def _join(self, x, name: str, taylor, closed, order: int):
+        """closed(n, u, order) from x0 on, the Taylor polynomial about x0 below.
 
-        Both run at c = 1 on u = x/c; the closed form only on the entries it keeps.
+        Returns (f, d1, ..., d_order, on_closed).  Both run at c = 1 on u = x/c;
+        the closed form only on the entries it keeps.
         """
         u = self._u(x, name)
-        f, d1, d2 = (np.asarray(v) for v in _taylor(taylor, u - self.y_n))
+        parts = [np.asarray(v) for v in _taylor(taylor, u - self.y_n)[: order + 1]]
         on_closed = np.asarray(x, dtype=float) >= self.x0
-        for out, v in zip((f, d1, d2), closed(self.params.n, u[on_closed])):
+        for out, v in zip(parts, closed(self.params.n, u[on_closed], order)):
             out[on_closed] = v
-        return (*_to_x((f, d1, d2), self.params.c), on_closed)
+        return (*_to_x(parts, self.params.c), on_closed)
 
     def _u(self, x, name: str) -> np.ndarray:
         """u = x/c as a float array; DomainError unless x >= 0 is finite and u <= _U_MAX."""

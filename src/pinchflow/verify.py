@@ -17,13 +17,16 @@ Approximate literature values carry explicit bands (the x0 weight combination
 for n = 3 lies in [11.2, 11.6]; asymptotic limits are matched to 1% at
 u = 1e6).  The flow oracles run the flows at c itself, which is what they test.
 
-The three grid checks of one n share one evaluation of alpha, beta, gamma
-and omega on its default grid (_grid_values: read-only arrays, only the
-latest n kept).  check_derivative_oracles makes one family call per function,
-on its seven stencil rows stacked, and reads the closed-form derivatives off
-the last row.  The reports are the bits of evaluating each check on its own,
-all at once: 11 family calls per n for the four lattice checks, whatever the
-number of c.  check_okumura draws nothing (see its docstring).
+The three grid checks of one n share one evaluation of alpha, beta and
+omega on its default grid, gamma joined from the first two, and the grid's
+cells (_grid_values: read-only arrays, only the latest n kept).
+check_derivative_oracles makes one family call per function, on its seven
+stencil rows stacked, and reads the closed-form derivatives off the last row.
+The reports are the bits of evaluating each check on its own, all at once: 10
+family calls per n for the four lattice checks, whatever the number of c.
+check_okumura draws nothing (see its docstring).  The flow oracles pose their
+flows as c = 1 numbers over sqrt(c) or c, so at the c = 4^k of the default
+lattice each is one c = 1 integration, run once (flow._integrate).
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ def _at_c(reports: list[CheckReport], params: PinchingParams) -> list[CheckRepor
     with double_range("a reported abscissa", c):
         return [
             replace(r, c=c, worst_x=float(np.float64(r.worst_x) * c),
-                    equality_loci=(np.reshape(r.equality_loci, (-1, 2)) * c).tolist())
+                    equality_loci=(np.reshape(r.equality_loci, (-1, 2)) * c).tolist()
+                    if r.equality_loci else [])
             for r in reports
         ]
 
@@ -152,6 +156,7 @@ def _inequality_report(
     check_id: str,
     params: PinchingParams,
     us: np.ndarray,
+    cells: np.ndarray,
     margin: np.ndarray,
     scale: np.ndarray,
     loci_points: tuple = (),
@@ -166,10 +171,9 @@ def _inequality_report(
     since any fixed threshold is crossed arbitrarily close to the locus.
     Equality must be detected within one cell of each predicted point and
     throughout each predicted interval, and the reported loci are the
-    detections inside that one-cell neighborhood.
+    detections inside that one-cell neighborhood.  cells is _cells(us).
     """
     normalized = margin / scale
-    cells = _cells(us)
     near = np.zeros(len(us), dtype=bool)
     for p in loci_points:
         near |= np.abs(us - p) <= cells
@@ -233,9 +237,10 @@ def _value_report(check_id, params, ok, margin, x=float("nan"), message="") -> C
 
 
 class _GridValues(NamedTuple):
-    """The default grid of n at c = 1, and each threshold on it as (f, d1, d2)."""
+    """The default grid of n at c = 1, its _cells, and each threshold on it as (f, d1, d2)."""
 
     us: np.ndarray
+    cells: np.ndarray
     alpha: tuple
     beta: tuple
     gamma: tuple
@@ -244,19 +249,21 @@ class _GridValues(NamedTuple):
 
 @functools.lru_cache(maxsize=1)
 def _grid_values(n: int, grid_points: int) -> _GridValues:
-    """One evaluation of alpha (to order 2), beta, gamma and omega at c = 1 on the default grid.
+    """One evaluation of alpha (to order 2), beta and omega at c = 1 on the default grid.
 
     check_lemma_app, check_wpp and check_constants of one n read it in turn.
     Every array is read-only, since the cache hands the same arrays to each
     caller.  The family methods act elementwise, so a masked entry is the same
-    bits as an evaluation on the masked grid.
+    bits as an evaluation on the masked grid: gamma, alpha from x0 on and beta
+    below, is taken from the alpha and beta already evaluated.
     """
     unit = family(PinchingParams(n))
     us = unit.default_grid(points=grid_points)
-    values = _GridValues(
-        us, unit.alpha(us, order=2), unit.beta(us), unit.gamma(us)[:3], unit.omega(us)
-    )
-    for arr in (us, *values.alpha, *values.beta, *values.gamma, *values.omega):
+    alpha, beta = unit.alpha(us, order=2), unit.beta(us)
+    on_alpha = us >= unit.x0
+    gamma = tuple(np.where(on_alpha, a, b) for a, b in zip(alpha, beta))
+    values = _GridValues(us, _cells(us), alpha, beta, gamma, unit.omega(us))
+    for arr in (us, values.cells, *alpha, *beta, *gamma, *values.omega):
         arr.setflags(write=False)
     return values
 
@@ -266,7 +273,7 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     """Items (i)-(vi) of the structural lemma, plus the two alpha identities."""
     n = params.n
     grid = _grid_values(n, grid_points)
-    us = grid.us
+    us, cells = grid.us, grid.cells
     a, a1, a2 = grid.alpha
     g, g1, g2 = grid.gamma
     y_n = family(params).x0
@@ -277,19 +284,21 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     lhs = 2.0 * us * g2 + g1
     rhs = np.full_like(us, 3.0 / (n + 2.0))
     scale = np.maximum(np.abs(lhs), rhs)
-    reports.append(_inequality_report("app_i", params, us, rhs - lhs, scale, loci_points=(y_n,)))
+    reports.append(
+        _inequality_report("app_i", params, us, cells, rhs - lhs, scale, loci_points=(y_n,))
+    )
 
     # (ii) (g + n) u g' >= 2u + g^2 - ng, equality exactly on [y_n, inf)
     lhs2 = (g + n) * us * g1
     rhs2 = 2.0 * us + g * g - n * g
     scale2 = np.maximum.reduce([np.abs(lhs2), np.abs(rhs2), np.ones_like(us)])
     reports.append(
-        _inequality_report("app_ii", params, us, lhs2 - rhs2, scale2, loci_intervals=closed)
+        _inequality_report("app_ii", params, us, cells, lhs2 - rhs2, scale2, loci_intervals=closed)
     )
 
     # (iii) g > u g'
     scale3 = np.maximum(np.abs(g), np.abs(us * g1))
-    reports.append(_inequality_report("app_iii", params, us, g - us * g1, scale3))
+    reports.append(_inequality_report("app_iii", params, us, cells, g - us * g1, scale3))
 
     # (iv) g = min(alpha, beta), as an identity
     b = grid.beta[0]
@@ -302,8 +311,8 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     low = g - base - 2.0
     high = base + n - g
     scale5 = np.maximum(np.abs(g), np.abs(base) + n)
-    reports.append(_inequality_report("app_v_lower", params, us, low, scale5))
-    reports.append(_inequality_report("app_v_upper", params, us, high, scale5))
+    reports.append(_inequality_report("app_v_lower", params, us, cells, low, scale5))
+    reports.append(_inequality_report("app_v_upper", params, us, cells, high, scale5))
 
     # (vi) okumura-weighted radical bound, equality exactly on [y_n, inf).
     # Third-order contact at y_n from below: sign strictness only.
@@ -312,7 +321,8 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     scale6 = np.maximum(np.abs(lhs6), np.abs(rhs6))
     reports.append(
         _inequality_report(
-            "app_vi", params, us, rhs6 - lhs6, scale6, loci_intervals=closed, strict_rtol=0.0
+            "app_vi", params, us, cells, rhs6 - lhs6, scale6,
+            loci_intervals=closed, strict_rtol=0.0,
         )
     )
 
@@ -460,7 +470,7 @@ def check_constants(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     a_x1, a1_x1, a2_x1, _ = (float(v) for v in unit.alpha(consts.x1))
     target_min = 2.0 * np.sqrt(n - 1.0)
     i_min = int(np.argmin(a))
-    cell = _cells(us)[i_min]
+    cell = grid.cells[i_min]
     ok_min = (
         abs(a_x1 - target_min) <= 1e-9
         and abs(a1_x1) <= 1e-9
@@ -743,8 +753,9 @@ def default_suite(
     reports are mapped to each c by _at_c: the thresholds on the default grid
     are evaluated once, for check_lemma_app, check_wpp and check_constants
     together, and check_derivative_oracles evaluates alpha, gamma and omega
-    once each on its stacked stencil, so 11 family calls per n whatever the
-    number of c.  check_okumura runs once per n, the flow oracles at each c.
+    once each on its stacked stencil, so 10 family calls per n whatever the
+    number of c.  check_okumura runs once per n, the flow oracles at each c;
+    at the c = 4^k of the default lattice they share their integrations.
     """
     reports: list[CheckReport] = []
     for n in ns:

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import signal
@@ -685,8 +687,17 @@ def test_simulate_family_must_match_state_file(family_flag, payload, tmp_path, c
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
     argv = data.draw(cli_argv(fuzz_dir))
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in (0, 1, 2), argv
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err, argv
+    if code == 1:
+        # a typed error prints error:, and verify names its first failed check;
+        # verify also ends in a typed error, for --n-values 0 say
+        failed_check = argv[0] == "verify" and "FIRST FAILURE" in out
+        assert failed_check or err.startswith("error:"), argv

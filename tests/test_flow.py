@@ -83,6 +83,38 @@ def test_equatorial_sphere_reports_totally_geodesic():
     assert trace.terminal.kind is TerminalKind.TOTALLY_GEODESIC
 
 
+@pytest.mark.parametrize("c", [1.0, 7.3])
+@pytest.mark.parametrize("n", [3, 10, 40])
+@pytest.mark.parametrize("frac", [0.1, 0.3, 0.45, 0.55, 0.9])
+def test_sphere_terminal_time_is_as_accurate_as_tol(frac, n, c):
+    # z = (sqrt(c) rho)^2 is regular at the round point, on both sides of the
+    # equator.  At tol 1e-10 the relative error of the terminal time measured
+    # 1.2e-11 to 1.0e-10 over this grid; integrating sqrt(c) rho, whose
+    # derivative -n cot(sqrt(c) rho) is singular there, it was 2e-10 to 1.4e-8.
+    params = PinchingParams(n=n, c=c)
+    rho0 = frac * np.pi / np.sqrt(c)
+    config = FlowConfig(epsilon=0.0, tol=1e-10, t_max=10.0 / c)
+    trace = flow_ode_numeric(GeodesicSphere(rho=rho0), params, config)
+    expected = -np.log(abs(np.cos(frac * np.pi))) / (n * c)
+    assert trace.terminal.kind is TerminalKind.ROUND_POINT
+    assert abs(trace.terminal.time - expected) <= 2e-10 * expected
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(3, TerminalKind.TOTALLY_GEODESIC), (10, TerminalKind.ROUND_POINT),
+     (40, TerminalKind.ROUND_POINT)],
+)
+def test_equator_drifts_to_a_round_point_only_at_rate_n(n, kind):
+    # the float pi/2 lies just below the equator, where z' ~ -2n (pi/2) cot(pi/2)
+    # ~ -1e-16 n; the drift grows like e^{nt}, so by t = 10 it reaches the
+    # round point for n = 10 and 40 and keeps |h|^2 ~ 0 for n = 3
+    trace = flow_ode_numeric(
+        GeodesicSphere(rho=np.pi / 2.0), PinchingParams(n=n), FlowConfig(epsilon=0.0, t_max=10.0)
+    )
+    assert trace.terminal.kind is kind
+
+
 def test_large_sphere_collapses_to_antipodal_point():
     params = PinchingParams(n=4, c=1.0)
     trace = flow_ode_numeric(

@@ -18,7 +18,9 @@ from pinchflow import flow
 from pinchflow.flow import (
     COLLAPSE_R1SQ,
     ROUND_POINT_RHO,
+    _integrate,
     _ode_rhs_and_events,
+    _ode_start,
     product_collapse_time,
 )
 from pinchflow.ode import solve_ivp
@@ -33,7 +35,8 @@ LATTICE = [(3, 1.0), (10, 0.25), (40, 7.3)]
 
 def _levels(state, params):
     """rhs, (level, direction) pairs and y0 of a reduction, as flow_ode_numeric passes them."""
-    rhs, events, y0 = _ode_rhs_and_events(state, params)
+    kind, y0, _ = _ode_start(state, params)
+    rhs, events = _ode_rhs_and_events(kind, params.n)
     return rhs, [(level, direction) for level, direction, _, _ in events], y0
 
 
@@ -146,6 +149,8 @@ def test_max_step_is_the_first_step(name):
 
 
 def _capture_solutions(monkeypatch):
+    # an empty integration cache: the flows below integrate whichever test ran before
+    _integrate.cache_clear()
     calls = []
 
     def capturing(*args, **kwargs):
@@ -191,3 +196,38 @@ def test_flow_calls_the_module_level_solve_ivp(monkeypatch):
     assert len(calls) == 1
     sol = calls[0]
     assert len(trace.times) == len(sol.t) and sol.nfev > 0 and sol.event == 0
+
+
+def test_round_point_steps_are_rarely_rejected(monkeypatch):
+    # the sphere integrates z = (sqrt(c) rho)^2, whose right-hand side is
+    # analytic through the round point; in sqrt(c) rho, -n cot behaves like
+    # -n/y and this run accepted 111 of 164 attempted steps
+    calls = _capture_solutions(monkeypatch)
+    flow_ode_numeric(GeodesicSphere(rho=0.3 * np.pi), P10, FlowConfig(epsilon=0.0, tol=1e-10))
+    sol = calls[-1]
+    attempted = (sol.nfev - 2) / 6  # the first call and the starting-step probe, six per try
+    assert sol.event == 0
+    assert len(sol.t) - 1 >= 0.9 * attempted
+
+
+@pytest.mark.parametrize("name", sorted(STATES))
+def test_flows_at_c_4k_share_one_read_only_integration(name, monkeypatch):
+    # a state given in c = 1 numbers over sqrt(c) or c is one c = 1 problem at
+    # every c = 4^k, integrated once; the cache hands out read-only arrays
+    calls = _capture_solutions(monkeypatch)
+    traces = []
+    for c in (1.0, 4.0, 0.25, 1.0):
+        params = PinchingParams(n=10, c=c)
+        if name == "sphere":
+            state = GeodesicSphere(rho=0.4 * np.pi / np.sqrt(c))
+        else:
+            state = ProductSn1S1.from_r1sq(0.72 / c, params)
+        traces.append(flow_ode_numeric(state, params, FlowConfig(epsilon=0.0, t_max=10.0 / c)))
+    assert len(calls) == 1
+    sol = calls[0]
+    for arr in (sol.t, sol.y):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert np.array_equal(traces[0].times, traces[3].times)
+    assert np.array_equal(traces[1].times * 4.0, traces[0].times)
+    assert traces[3].terminal == traces[0].terminal

@@ -193,6 +193,22 @@ def test_gamma_asymptotic_slope(n):
     assert bundle.gamma / 1e6 == pytest.approx(1.0 / (n - 1.0), rel=0.01)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_truncated_jets_are_the_bits_of_the_full_jets(order):
+    # monitors ask gamma and omega for values only; a lower order drops
+    # derivatives and changes no bit of what it returns, on both branches
+    fam = family(PinchingParams(n=7, c=0.3))
+    x = np.concatenate([[0.0, fam.x0], np.geomspace(1e-9, 1e3, 2001)])
+    g_full, g_part = fam.gamma(x), fam.gamma(x, order=order)
+    assert len(g_part) == order + 2
+    for got, ref in zip(g_part, g_full[: order + 1] + g_full[-1:], strict=True):
+        assert np.array_equal(got, ref)
+    w_full, w_part = fam.omega(x), fam.omega(x, order=order)
+    assert len(w_part) == order + 1
+    for got, ref in zip(w_part, w_full[: order + 1], strict=True):
+        assert np.array_equal(got, ref)
+
+
 def test_gamma_is_c2_at_branch_point():
     # both branch extensions agree to third order across x0
     params = PinchingParams(n=6, c=0.5)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from pinchflow import CheckFailure, PinchingParams, ThresholdFamily
-from pinchflow import thresholds, verify
+from pinchflow import flow, thresholds, verify
 from pinchflow.thresholds import family
 from pinchflow.verify import (
+    _cells,
     _fd_derivatives,
     _grid_values,
     _lagrange_derivative,
@@ -113,6 +114,22 @@ def test_suite_builds_each_family_once(monkeypatch):
     family.cache_clear()
     default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000)
     assert sorted(built) == [(3, 1.0), (10, 1.0)]
+
+
+def test_suite_integrates_each_unit_problem_once(monkeypatch):
+    # the flow oracles at c = 0.25, 1 and 4 pose the same c = 1 problems: four
+    # at n = 10, the minimal torus at n = 10 and c = 1, and four at n = 3
+    calls = []
+    solve = flow.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", counting)
+    flow._integrate.cache_clear()
+    default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=3000)
+    assert len(calls) == 9
 
 
 def test_suite_certifies_each_n_once(monkeypatch):
@@ -301,6 +318,16 @@ def test_grid_values_are_the_bits_of_direct_evaluation():
         assert np.array_equal(got[on_closed], ref)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_grid_gamma_and_cells_are_the_bits_of_their_own_pass(n):
+    # gamma is joined from the grid's alpha and beta, and the cells are taken once
+    grid = _grid_values(n, 10_000)
+    us = family(PinchingParams(n)).default_grid(points=10_000)
+    for got, ref in zip(grid.gamma, family(PinchingParams(n)).gamma(us)[:3], strict=True):
+        assert np.array_equal(got, ref)
+    assert np.array_equal(grid.cells, _cells(us))
+
+
 def test_lattice_checks_pass_silently_across_c():
     # the lattice checks compute at c = 1, so c near either end of the double
     # range neither overflows nor warns; grid points are reported in x
@@ -318,7 +345,7 @@ def test_lattice_checks_pass_silently_across_c():
 
 def test_cached_grid_values_are_read_only():
     grid = _grid_values(6, 3000)
-    for arr in (grid.us, *grid.alpha, *grid.beta, *grid.gamma, *grid.omega):
+    for arr in (grid.us, grid.cells, *grid.alpha, *grid.beta, *grid.gamma, *grid.omega):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -368,7 +395,7 @@ def test_lattice_reports_at_c_are_the_unit_reports_scaled(monkeypatch):
 
 
 def test_lattice_family_calls_do_not_grow_with_c(monkeypatch):
-    # 11 family calls per n, whatever the number of c
+    # 10 family calls per n, whatever the number of c
     calls = []
     for name in ("alpha", "beta", "gamma", "omega"):
         method = getattr(ThresholdFamily, name)
@@ -385,4 +412,4 @@ def test_lattice_family_calls_do_not_grow_with_c(monkeypatch):
         _lattice_suite(monkeypatch, cs)
         assert set(calls) == {1.0}
         counts.append(len(calls))
-    assert counts == [2 * 11, 2 * 11]
+    assert counts == [2 * 10, 2 * 10]
