@@ -80,6 +80,7 @@ from .geometry import (
     CurvatureData,
     GeodesicSphere,
     ProductSn1S1,
+    check_sphere_radius,
     curvature_of,
 )
 from .ode import OdeSolution, solve_ivp
@@ -338,10 +339,12 @@ def _ode_start(state, params: PinchingParams) -> tuple[str, float, bool]:
 
     y is z = w^2 (sphere) or c r1^2 (product).  w is sqrt(c) rho, or pi -
     sqrt(c) rho when the sphere lies beyond the equator (beyond is True);
-    both sides shrink to a round point at w = 0.
+    both sides shrink to a round point at w = 0.  A radius outside
+    (0, pi/sqrt(c)) is a GeometryError, since z = w^2 would fold it onto one
+    inside.
     """
     if isinstance(state, GeodesicSphere):
-        y = math.sqrt(params.c) * float(state.rho)
+        y = math.sqrt(params.c) * float(check_sphere_radius(state, params))
         beyond = y > math.pi / 2.0
         w = math.pi - y if beyond else y
         return "sphere", w * w, beyond
@@ -389,8 +392,11 @@ def _ode_rhs_and_events(kind: str, n: int):
 @functools.lru_cache(maxsize=8)
 def _integrate(
     kind: str, n: int, y0: float, t_bound: float, rtol: float, atol: float, max_step: float | None
-) -> OdeSolution:
+) -> tuple[OdeSolution, tuple | None]:
     """The c = 1 integration of a reduction, by the module-level solve_ivp.
+
+    Returns the solution and the (kind, tail) of the event that ended it, or
+    None at the horizon.
 
     Cached: a state given as c = 1 numbers over sqrt(c) or c, as verify's
     flow oracles give theirs, is the same c = 1 problem, bit for bit, at every
@@ -404,7 +410,7 @@ def _integrate(
     )
     sol.t.setflags(write=False)
     sol.y.setflags(write=False)
-    return sol
+    return sol, None if sol.event is None else events[sol.event][2:]
 
 
 def initial_r1sq(state: ProductSn1S1, params: PinchingParams) -> float:
@@ -422,16 +428,15 @@ def flow_ode_numeric(
     config = (config or FlowConfig()).resolved(lambda: curvature_of(initial, params), params)
     n, c = params.n, params.c
     kind, y0, beyond = _ode_start(initial, params)
-    sol = _integrate(
+    sol, ending = _integrate(
         kind, n, y0, config.t_max * c, config.tol, config.tol * max(abs(y0), 1.0),
         None if config.dt_initial is None else config.dt_initial * c,
     )
     trace = _ambient_trace(kind, sol.y, sol.t, params, config, beyond)
-    if sol.event is None:
+    if ending is None:
         trace.terminal = _horizon_terminal(trace.monitors, params)
     else:
-        _, events = _ode_rhs_and_events(kind, n)
-        _, _, terminal, tail = events[sol.event]
+        terminal, tail = ending
         trace.terminal = TerminalEvent(terminal, float((sol.t[-1] + tail) / c))
     return trace
 

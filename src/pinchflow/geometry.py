@@ -137,16 +137,22 @@ def product_lambda_for_mean_curvature(params: PinchingParams, H: float) -> float
     return (abs(H) + np.sqrt(H * H + 4.0 * (n - 1.0) * c)) / (2.0 * (n - 1.0))
 
 
+def check_sphere_radius(state: GeodesicSphere, params: PinchingParams) -> np.ndarray:
+    """rho as a float array; GeometryError unless every entry lies in (0, pi/sqrt(c))."""
+    rho = np.asarray(state.rho, dtype=float)
+    if not np.all((0.0 < rho) & (rho < np.pi / np.sqrt(params.c))):
+        raise GeometryError(
+            f"geodesic sphere radius must lie in (0, pi/sqrt(c)), got {state.rho!r}"
+        )
+    return rho
+
+
 def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureData:
     """Curvature data of a state, one entry per time of a trajectory; DomainError on overflow."""
     n, c = params.n, params.c
     with double_range("the curvature", c):
         if isinstance(state, GeodesicSphere):
-            rho = np.asarray(state.rho, dtype=float)
-            if not np.all((0.0 < rho) & (rho < np.pi / np.sqrt(c))):
-                raise GeometryError(
-                    f"geodesic sphere radius must lie in (0, pi/sqrt(c)), got {state.rho!r}"
-                )
+            rho = check_sphere_radius(state, params)
             root_c = np.sqrt(c)
             k = root_c * np.cos(root_c * rho) / np.sin(root_c * rho)
             return curvature_data(n, k, k)

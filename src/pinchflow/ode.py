@@ -106,10 +106,6 @@ def solve_ivp(rhs, t_bound, y0, *, rtol, atol, events=(), max_step=None):
     """
     t, y = 0.0, float(y0)
     ts, ys = [t], [y]
-    # y starts on the near side of every level, so the nearest level in each
-    # direction is the first a step can reach
-    floor = max((level for level, sense in events if sense <= 0), default=-math.inf)
-    ceiling = min((level for level, sense in events if sense > 0), default=math.inf)
     event = next((i for i, (level, sense) in enumerate(events) if _past(y, level, sense)), None)
     if event is not None:
         return OdeSolution(np.array(ts), np.array(ys), 0, event)
@@ -151,11 +147,10 @@ def solve_ivp(rhs, t_bound, y0, *, rtol, atol, events=(), max_step=None):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
             rejected = True
-        t_old, y_old = t, y
+        t_old, y_old, ks = t, y, (k1, k3, k4, k5, k6, k7)
         t, y, f = t_new, y_new, k7
-        if y <= floor or y >= ceiling:
-            fired = [i for i, (level, sense) in enumerate(events) if _past(y, level, sense)]
-            ks = (k1, k3, k4, k5, k6, k7)
+        fired = [i for i, (level, sense) in enumerate(events) if _past(y, level, sense)]
+        if fired:
             q = [sum(k * row[j] for k, row in zip(ks, P)) for j in range(4)]
 
             def dense(s):

@@ -114,8 +114,7 @@ def _at_c(reports: list[CheckReport], params: PinchingParams) -> list[CheckRepor
     with double_range("a reported abscissa", c):
         return [
             replace(r, c=c, worst_x=float(np.float64(r.worst_x) * c),
-                    equality_loci=(np.reshape(r.equality_loci, (-1, 2)) * c).tolist()
-                    if r.equality_loci else [])
+                    equality_loci=(np.reshape(r.equality_loci, (-1, 2)) * c).tolist())
             for r in reports
         ]
 

@@ -101,6 +101,21 @@ def test_simulate_sphere(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("rho", ["-1", "4"])
+def test_simulate_sphere_radius_out_of_range_is_a_runtime_error(rho, tmp_path, capsys):
+    # with --epsilon given, no curvature is read before the run; the radius is
+    # still checked before z = (sqrt(c) rho)^2 folds it onto one in range
+    trace = tmp_path / "trace.csv"
+    code = main(
+        ["simulate", "--family", "sphere", "--n", "3", "--c", "1", f"--rho={rho}",
+         "--epsilon", "0", "--output", str(trace)]
+    )
+    assert code == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error:") and "geodesic sphere radius" in stderr
+    assert not trace.exists()
+
+
 def _write_profile(path, phi, xi):
     path.write_text(
         json.dumps({"family": "axisymmetric", "profile": np.stack([phi, xi], 1).tolist()})

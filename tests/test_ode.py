@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp  # reference only
 from pinchflow import (
     FlowConfig,
     GeodesicSphere,
+    GeometryError,
     PinchingParams,
     ProductSn1S1,
     StepUnderflow,
@@ -208,6 +209,18 @@ def test_round_point_steps_are_rarely_rejected(monkeypatch):
     attempted = (sol.nfev - 2) / 6  # the first call and the starting-step probe, six per try
     assert sol.event == 0
     assert len(sol.t) - 1 >= 0.9 * attempted
+
+
+@pytest.mark.parametrize("c", [1.0, 4.0])
+@pytest.mark.parametrize("unit_rho", [-1.0, 0.0, np.pi, 4.0, 7.0])
+def test_sphere_radius_out_of_range_fails_typed(unit_rho, c, monkeypatch):
+    # epsilon = 0 reads no initial curvature; squaring w = sqrt(c) rho (or
+    # pi - sqrt(c) rho) would fold each of these radii onto one in (0, pi)
+    calls = _capture_solutions(monkeypatch)
+    state = GeodesicSphere(rho=unit_rho / np.sqrt(c))
+    with pytest.raises(GeometryError, match="geodesic sphere radius"):
+        flow_ode_numeric(state, PinchingParams(n=3, c=c), FlowConfig(epsilon=0.0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", sorted(STATES))

@@ -193,7 +193,7 @@ def test_gamma_asymptotic_slope(n):
     assert bundle.gamma / 1e6 == pytest.approx(1.0 / (n - 1.0), rel=0.01)
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [0, 2])
 def test_truncated_jets_are_the_bits_of_the_full_jets(order):
     # monitors ask gamma and omega for values only; a lower order drops
     # derivatives and changes no bit of what it returns, on both branches
