@@ -40,18 +40,5 @@ from .geometry import (
     ricci_lower_bound,
     simons_W,
 )
-from .thresholds import (
-    Branch,
-    CriticalConstants,
-    PinchingParams,
-    ThresholdBundle,
-    ThresholdFamily,
-    compute_k_n,
-    compute_y_n,
-    eval_alpha,
-    eval_beta,
-    eval_gamma,
-    eval_omega,
-    family,
-)
+from .thresholds import CriticalConstants, PinchingParams, ThresholdFamily, family
 from .verify import CheckReport, default_suite

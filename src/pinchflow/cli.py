@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from . import export
-from .errors import PinchflowError
+from .errors import DomainError, PinchflowError
 from .flow import FlowConfig, flow_axisymmetric, flow_ode_numeric, flow_product_exact
 from .geometry import Axisymmetric, GeodesicSphere, ProductSn1S1
-from .thresholds import PinchingParams, compute_y_n, family
+from .thresholds import PinchingParams, family
 from .verify import DEFAULT_CS, DEFAULT_GRID_POINTS, DEFAULT_NS, DEFAULT_SEED, default_suite
 
 
@@ -138,6 +138,12 @@ def main(argv=None) -> int:
                     parser.error(f"--points must be >= 1, got {args.points}")
                 lo = args.x_min if args.x_min is not None else 0.0
                 hi = args.x_max if args.x_max is not None else 100.0 * params.c
+                # inf or nan, silently in Python floats, where np.linspace would warn
+                if not np.isfinite(hi - lo):
+                    raise DomainError(
+                        f"--x-min {lo!r} and --x-max {hi!r} must be finite and a finite "
+                        "distance apart"
+                    )
                 xs = np.linspace(lo, hi, args.points)
             export.write_threshold_csv(args.output, fam, xs, echo)
             print(f"wrote {args.output} ({len(xs)} rows)")
@@ -145,7 +151,7 @@ def main(argv=None) -> int:
 
         if args.command == "constants":
             params = PinchingParams(n=args.n, c=args.c)
-            consts = compute_y_n(params)
+            consts = family(params).constants
             export.write_constants_json(args.output, params, consts, echo)
             print(
                 f"n={params.n} c={params.c}: y_n={consts.y_n!r} x0={consts.x0!r} "

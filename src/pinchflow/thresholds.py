@@ -12,6 +12,15 @@ j-th x-derivative is c^(1-j) times the c = 1 derivative at u = x/c.  Each n is
 built once, at c = 1, and every evaluation runs at u = x/c and scales back.
 Only u is ever squared, so c from 1e-300 to 1e300 evaluates without overflow.
 
+``family(params)`` is the one way to evaluate them: its methods alpha, beta,
+gamma and omega take x as a float or an array, and ``.constants`` holds the
+certified constants.  Each method returns finite values or raises a
+DomainError: for x < 0, x not finite, or x/c past _U_MAX; DerivativeAtZero for
+alpha's derivatives at x = 0, where the radical has its branch point; and for
+a derivative that leaves the double range (alpha's near x = 0, or any at an
+extreme c).  gamma and omega use the Taylor branch below x0, so they are
+finite from x = 0 on.
+
 The distinguished abscissa x0 = y_n * c comes from a trigonometric closed
 form.  y_n and k_n are evaluated in mpmath, which stays a dependency while
 perfbench reads its version, and y_n is certified against an independent
@@ -20,7 +29,6 @@ bisection of the defining cubic.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass, replace
 
@@ -33,18 +41,10 @@ from mpmath import sqrt as _msqrt
 from .errors import DerivativeAtZero, DomainError, RootMismatch, double_range
 
 __all__ = [
-    "Branch",
     "PinchingParams",
     "CriticalConstants",
-    "ThresholdBundle",
     "ThresholdFamily",
     "family",
-    "eval_alpha",
-    "eval_beta",
-    "eval_gamma",
-    "eval_omega",
-    "compute_y_n",
-    "compute_k_n",
 ]
 
 _MP_DPS = 50
@@ -54,13 +54,6 @@ _EXTENSION_SCAN_POINTS = 4001
 _U_MAX = 1e60  # largest x/c; from ~1e62 on, s**2.5 (s ~ u^2) in alpha's d3 overflows
 GRID_X_MAX = 100.0  # times c, the top of default_grid
 _C_MIN = float(np.finfo(float).tiny)  # the smallest normal double
-
-
-class Branch(enum.Enum):
-    """Which branch of the threshold is active at a given x."""
-
-    ALPHA = "alpha"
-    BETA = "beta"
 
 
 @dataclass(frozen=True)
@@ -100,36 +93,6 @@ class CriticalConstants:
     k_n: float
     k_n_branch: str
     bneq_residual: float
-
-
-@dataclass(frozen=True)
-class ThresholdBundle:
-    """All threshold values and derivatives at a single x = H^2.
-
-    alpha derivatives are NaN at x = 0, where the radical is singular.
-    """
-
-    x: float
-    alpha: float
-    beta: float
-    gamma: float
-    alpha_d1: float
-    alpha_d2: float
-    alpha_d3: float
-    gamma_d1: float
-    gamma_d2: float
-    omega: float
-    omega_d1: float
-    omega_d2: float
-    active_branch: Branch
-
-
-def _abscissa(x, name: str) -> np.ndarray:
-    """x as a float array; DomainError unless every entry is finite and >= 0."""
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x < np.inf)).all():
-        raise DomainError(f"{name} is defined for finite x >= 0 only")
-    return x
 
 
 def _cubic_residual(n: int, y):
@@ -189,19 +152,18 @@ def _closed_forms(n: int) -> tuple[float, float, str]:
 
 
 def _alpha(n: int, u, order: int) -> list:
-    """alpha at c = 1 and its first `order` derivatives; NaN derivatives at u = 0."""
+    """alpha at c = 1 and its first `order` derivatives, which need u > 0."""
     s = u * u + 4.0 * (n - 1.0) * u
     radical = np.sqrt(s)
     out = [n + n / (2.0 * (n - 1.0)) * u - (n - 2.0) / (2.0 * (n - 1.0)) * radical]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if order >= 1:
-            slope = (n - 2.0) / (2.0 * (n - 1.0)) * (u + 2.0 * (n - 1.0)) / radical
-            out.append(n / (2.0 * (n - 1.0)) - slope)
-        if order >= 2:
-            out.append(2.0 * (n - 2.0) * (n - 1.0) / s ** 1.5)
-        if order >= 3:
-            out.append(-6.0 * (n - 2.0) * (n - 1.0) * (u + 2.0 * (n - 1.0)) / s ** 2.5)
-    return [out[0]] + [np.where(u > 0.0, d, np.nan) for d in out[1:]]
+    if order >= 1:
+        slope = (n - 2.0) / (2.0 * (n - 1.0)) * (u + 2.0 * (n - 1.0)) / radical
+        out.append(n / (2.0 * (n - 1.0)) - slope)
+    if order >= 2:
+        out.append(2.0 * (n - 2.0) * (n - 1.0) / s ** 1.5)
+    if order >= 3:
+        out.append(-6.0 * (n - 2.0) * (n - 1.0) * (u + 2.0 * (n - 1.0)) / s ** 2.5)
+    return out
 
 
 def _omega(n: int, u, order: int = 2) -> list:
@@ -241,7 +203,7 @@ def _to_x(values, c: float) -> tuple:
     """(f, f', ...) at c = 1 and u = x/c, scaled back to x: the j-th entry times c^(1-j).
 
     Divides by c one step at a time: c^(j-1) itself may leave the double range.
-    DomainError when a finite entry overflows (alpha''' ~ c^-2 at c = 1e-300); NaN stays.
+    DomainError when a finite entry overflows (alpha''' ~ c^-2 at c = 1e-300).
     """
     value, *derivs = values
     with double_range("a derivative", c):
@@ -301,11 +263,19 @@ class ThresholdFamily:
     def alpha(self, x, order: int = 3):
         """Radical threshold branch and derivatives up to the requested order.
 
-        Returns (alpha, d1, d2, d3) truncated to order+1 entries.  Derivative
-        entries at x = 0 are NaN.
+        Returns (alpha, d1, d2, d3) truncated to order+1 entries.  Derivatives
+        at x = 0, where the radical has its branch point, raise
+        DerivativeAtZero; near 0, where s^(j - 1/2) in the j-th derivative
+        leaves the double range, they raise DomainError.
         """
         u = self._u(x, "alpha")
-        return _to_x(_alpha(self.params.n, u, order), self.params.c)
+        if order > 0 and (np.asarray(x) == 0.0).any():
+            raise DerivativeAtZero("alpha's derivatives are singular at x = 0")
+        # s^1.5 and s^2.5 turn subnormal, then 0, long before u does: dividing by
+        # them overflows or divides by zero, and both raise
+        with double_range("a derivative", self.params.c), np.errstate(divide="raise"):
+            values = _alpha(self.params.n, u, order)
+        return _to_x(values, self.params.c)
 
     def beta(self, x):
         """Taylor branch about x0: returns (beta, d1, d2)."""
@@ -343,34 +313,14 @@ class ThresholdFamily:
 
     def _u(self, x, name: str) -> np.ndarray:
         """u = x/c as a float array; DomainError unless x >= 0 is finite and u <= _U_MAX."""
+        x = np.asarray(x, dtype=float)
+        if not ((x >= 0.0) & (x < np.inf)).all():
+            raise DomainError(f"{name} is defined for finite x >= 0 only")
         with np.errstate(over="ignore"):  # u = inf fails the check below
-            u = np.asarray(_abscissa(x, name) / self.params.c)
+            u = np.asarray(x / self.params.c)
         if not (u <= _U_MAX).all():
             raise DomainError(f"{name} is defined for x/c <= {_U_MAX:g} only")
         return u
-
-    def bundle(self, x: float) -> ThresholdBundle:
-        """Everything at one abscissa; alpha derivatives are NaN at x = 0."""
-        xf = float(_abscissa(x, "thresholds"))
-        a, a1, a2, a3 = self.alpha(xf)
-        b, _, _ = self.beta(xf)
-        g, g1, g2, on_alpha = self.gamma(xf)
-        w, w1, w2 = self.omega(xf)
-        return ThresholdBundle(
-            x=xf,
-            alpha=float(a),
-            beta=float(b),
-            gamma=float(g),
-            alpha_d1=float(a1),
-            alpha_d2=float(a2),
-            alpha_d3=float(a3),
-            gamma_d1=float(g1),
-            gamma_d2=float(g2),
-            omega=float(w),
-            omega_d1=float(w1),
-            omega_d2=float(w2),
-            active_branch=Branch.ALPHA if on_alpha else Branch.BETA,
-        )
 
     def default_grid(self, points: int = 10_000):
         """c times the grid of n at c = 1, so exact for c = 2^k.
@@ -399,40 +349,3 @@ def family(params: PinchingParams) -> ThresholdFamily:
     """Cached ThresholdFamily for the given parameters."""
     return ThresholdFamily(params)
 
-
-# ------------------------------------------------------------ operation API
-
-
-def eval_alpha(params: PinchingParams, x: float, order: int = 3):
-    """alpha(x) and its first `order` derivatives as a tuple of floats.
-
-    Raises DerivativeAtZero when derivatives are requested at x = 0.
-    """
-    if x == 0.0 and order > 0:
-        raise DerivativeAtZero("alpha derivatives are singular at x = 0")
-    return tuple(float(v) for v in family(params).alpha(x, order=order))
-
-
-def eval_beta(params: PinchingParams, x: float):
-    """beta(x), beta'(x), beta''(x) as floats."""
-    return tuple(float(v) for v in family(params).beta(x))
-
-
-def eval_gamma(params: PinchingParams, x: float) -> ThresholdBundle:
-    """Full ThresholdBundle at x."""
-    return family(params).bundle(x)
-
-
-def eval_omega(params: PinchingParams, x: float):
-    """omega(x), omega'(x), omega''(x) as floats."""
-    return tuple(float(v) for v in family(params).omega(x))
-
-
-def compute_y_n(params: PinchingParams) -> CriticalConstants:
-    """Certified constants (y_n, x0, x1, k_n) for the family."""
-    return family(params).constants
-
-
-def compute_k_n(params: PinchingParams) -> float:
-    """Sharp constant-pinching level k_n (unitless multiple of c)."""
-    return family(params).k_n

@@ -14,8 +14,6 @@ from pinchflow import (
     PinchingParams,
     ProductSn1S1,
     TerminalKind,
-    compute_k_n,
-    compute_y_n,
     flow_axisymmetric,
     flow_ode_numeric,
     flow_product_exact,
@@ -46,16 +44,16 @@ def report(tag: str, ok: bool, detail: str):
 
 
 def test_ac1_constants():
-    consts10 = compute_y_n(PinchingParams(n=10, c=1.0))
+    consts10 = family(PinchingParams(n=10, c=1.0)).constants
     ok = abs(consts10.y_n - 12.0) <= 1e-9 and abs(consts10.k_n - 6.0) <= 1e-9
     residuals = []
     for n in NS:
-        residuals.append(compute_y_n(PinchingParams(n=n, c=1.0)).bneq_residual)
+        residuals.append(family(PinchingParams(n=n, c=1.0)).constants.bneq_residual)
         ok &= residuals[-1] < 1e-10
-    ok &= compute_k_n(PinchingParams(n=4)) > 3.443
-    ok &= compute_k_n(PinchingParams(n=5)) > 3.998
+    ok &= family(PinchingParams(n=4)).k_n > 3.443
+    ok &= family(PinchingParams(n=5)).k_n > 3.998
     for n in range(5, 10):
-        ok &= compute_k_n(PinchingParams(n=n)) > 1.999 * np.sqrt(n - 1.0)
+        ok &= family(PinchingParams(n=n)).k_n > 1.999 * np.sqrt(n - 1.0)
     report(
         "AC1", ok,
         f"y_10 = {consts10.y_n!r}, k_10 = {consts10.k_n!r}, "

@@ -317,6 +317,19 @@ def test_runtime_error_exit_code(capsys):
     assert main(["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1"]) == 1
 
 
+@pytest.mark.parametrize("bound", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--x-min", "--x-max"])
+def test_thresholds_nonfinite_grid_bound_is_a_runtime_error(flag, bound, tmp_path, capsys):
+    # rejected before np.linspace, which would warn on it
+    out = tmp_path / "thr.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["thresholds", f"{flag}={bound}", "--points", "1", "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_thresholds_nan_abscissa_is_a_runtime_error(tmp_path, capsys):
     # x/c beyond 1e60 would overflow into a NaN row, so it is rejected as well
     out = tmp_path / "thr.csv"
@@ -704,10 +717,12 @@ def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
     argv = data.draw(cli_argv(fuzz_dir))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning escapes either
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
     assert code in (0, 1, 2), argv
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in out + err, argv

@@ -7,25 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchflow import (
-    Branch,
-    DerivativeAtZero,
-    DomainError,
-    PinchingParams,
-    compute_k_n,
-    compute_y_n,
-    eval_alpha,
-    eval_beta,
-    eval_gamma,
-    eval_omega,
-)
-from pinchflow.thresholds import (
-    _ROOT_SCAN_POINTS,
-    _U_MAX,
-    _cubic_residual,
-    _y_n_bisection,
-    family,
-)
+from pinchflow import DerivativeAtZero, DomainError, PinchingParams, family
+from pinchflow.thresholds import _ROOT_SCAN_POINTS, _U_MAX, _cubic_residual, _y_n_bisection
 
 
 def test_params_validation():
@@ -41,21 +24,25 @@ def test_params_validation():
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_alpha_at_zero_is_nc(n, c):
     # the radical vanishes at x = 0
-    (value,) = eval_alpha(PinchingParams(n=n, c=c), 0.0, order=0)
+    (value,) = family(PinchingParams(n=n, c=c)).alpha(0.0, order=0)
     assert value == pytest.approx(n * c, rel=1e-14)
 
 
 def test_alpha_derivatives_at_zero_raise():
-    with pytest.raises(DerivativeAtZero):
-        eval_alpha(PinchingParams(n=5), 0.0)
+    fam = family(PinchingParams(n=5))
+    for order in (1, 2, 3):
+        with pytest.raises(DerivativeAtZero):
+            fam.alpha(0.0, order=order)
+        with pytest.raises(DerivativeAtZero):
+            fam.alpha(np.array([1.0, 0.0]), order=order)
     with pytest.raises(DomainError):
-        eval_alpha(PinchingParams(n=5), -1.0)
+        fam.alpha(-1.0)
 
 
 def test_alpha_at_branch_point_n10():
     # direct evaluation: alpha(12) = 6 with critical point there
     params = PinchingParams(n=10, c=1.0)
-    a, d1, _, _ = eval_alpha(params, 12.0)
+    a, d1, _, _ = family(params).alpha(12.0)
     assert a == pytest.approx(6.0, abs=1e-12)
     assert d1 == pytest.approx(0.0, abs=1e-12)
 
@@ -65,14 +52,14 @@ def test_alpha_at_branch_point_n10():
 def test_alpha_minimum_at_x1(n, c):
     params = PinchingParams(n=n, c=c)
     fam = family(params)
-    a, d1, d2, _ = eval_alpha(params, fam.x1)
+    a, d1, d2, _ = fam.alpha(fam.x1)
     assert a == pytest.approx(2.0 * np.sqrt(n - 1.0) * c, rel=1e-12)
     assert d1 == pytest.approx(0.0, abs=1e-12)
     assert d2 == pytest.approx(2.0 / ((n - 2.0) ** 2 * np.sqrt(n - 1.0) * c), rel=1e-12)
 
 
 def test_y10_is_twelve():
-    consts = compute_y_n(PinchingParams(n=10, c=1.0))
+    consts = family(PinchingParams(n=10, c=1.0)).constants
     assert consts.y_n == pytest.approx(12.0, abs=1e-9)
     assert consts.x0 == pytest.approx(12.0, abs=1e-9)
     # for n = 10 the branch point coincides with the alpha minimizer
@@ -98,7 +85,7 @@ def test_y3_against_bisection_oracle():
     # frozen bisection value of the defining cubic on (0, sqrt(8) * 9)
     oracle = 1.7708286712227663
     assert _y_n_bisection(3) == pytest.approx(oracle, abs=1e-11)
-    consts = compute_y_n(PinchingParams(n=3, c=1.0))
+    consts = family(PinchingParams(n=3, c=1.0)).constants
     assert consts.y_n == pytest.approx(oracle, abs=1e-9)
     assert consts.y_n == pytest.approx(1.7709, abs=1e-4)
     assert consts.bneq_residual < 1e-9
@@ -106,32 +93,32 @@ def test_y3_against_bisection_oracle():
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_y_n_certification(n):
-    consts = compute_y_n(PinchingParams(n=n, c=1.0))
+    consts = family(PinchingParams(n=n, c=1.0)).constants
     assert consts.bneq_residual < 1e-10
     assert consts.y_n < np.sqrt(8.0) * n * n
     assert consts.x0 >= consts.x1 - 1e-12 * consts.x0
 
 
 def test_k_n_values():
-    assert compute_k_n(PinchingParams(n=10)) == pytest.approx(6.0, abs=1e-9)
-    assert compute_k_n(PinchingParams(n=4)) > 3.443
-    assert compute_k_n(PinchingParams(n=5)) > 3.998
+    assert family(PinchingParams(n=10)).k_n == pytest.approx(6.0, abs=1e-9)
+    assert family(PinchingParams(n=4)).k_n > 3.443
+    assert family(PinchingParams(n=5)).k_n > 3.998
     for n in range(5, 10):
-        assert compute_k_n(PinchingParams(n=n)) > 1.999 * np.sqrt(n - 1.0)
+        assert family(PinchingParams(n=n)).k_n > 1.999 * np.sqrt(n - 1.0)
     for n in range(3, 13):
-        assert compute_k_n(PinchingParams(n=n)) > 1.8 * np.sqrt(n - 1.0)
+        assert family(PinchingParams(n=n)).k_n > 1.8 * np.sqrt(n - 1.0)
 
 
 def test_k_n_branch_exposed():
-    assert compute_y_n(PinchingParams(n=3)).k_n_branch == "taylor_at_zero"
-    assert compute_y_n(PinchingParams(n=7)).k_n_branch == "vertex"
+    assert family(PinchingParams(n=3)).constants.k_n_branch == "taylor_at_zero"
+    assert family(PinchingParams(n=7)).constants.k_n_branch == "vertex"
 
 
 def test_beta_is_taylor_polynomial_of_alpha():
     params = PinchingParams(n=7, c=2.0)
     fam = family(params)
-    a0, a1, a2, _ = eval_alpha(params, fam.x0)
-    b, b1, b2 = eval_beta(params, fam.x0)
+    a0, a1, a2, _ = fam.alpha(fam.x0)
+    b, b1, b2 = fam.beta(fam.x0)
     assert b == pytest.approx(a0, rel=1e-14)
     assert b1 == pytest.approx(a1, abs=1e-14)
     assert b2 == pytest.approx(a2, rel=1e-14)
@@ -139,7 +126,7 @@ def test_beta_is_taylor_polynomial_of_alpha():
 
 def test_beta_at_zero_n10():
     # alpha(12) + alpha''(12) * 144 / 2 with alpha'(12) = 0
-    b, _, _ = eval_beta(PinchingParams(n=10, c=1.0), 0.0)
+    b, _, _ = family(PinchingParams(n=10, c=1.0)).beta(0.0)
     assert b == pytest.approx(6.75, rel=1e-12)
 
 
@@ -152,14 +139,15 @@ def test_beta_quadratic_lower_bound_n3():
 
 
 def test_gamma_branches_n10():
-    params = PinchingParams(n=10, c=1.0)
-    at_x0 = eval_gamma(params, 12.0)
-    assert at_x0.gamma == pytest.approx(6.0, abs=1e-12)
-    assert at_x0.active_branch is Branch.ALPHA
-    at_zero = eval_gamma(params, 0.0)
-    assert at_zero.gamma == pytest.approx(6.75, rel=1e-12)
-    assert at_zero.active_branch is Branch.BETA
-    assert np.isnan(at_zero.alpha_d1)
+    fam = family(PinchingParams(n=10, c=1.0))
+    g, _, _, on_alpha = fam.gamma(12.0)
+    assert g == pytest.approx(6.0, abs=1e-12)
+    assert on_alpha
+    g, _, _, on_alpha = fam.gamma(0.0)
+    assert g == pytest.approx(6.75, rel=1e-12)
+    assert not on_alpha
+    with pytest.raises(DerivativeAtZero):
+        fam.alpha(0.0, order=1)
 
 
 @pytest.mark.parametrize("n", [3, 6, 10])
@@ -188,9 +176,8 @@ def test_gamma_below_x0_is_silent_at_tiny_x():
 
 @pytest.mark.parametrize("n", [3, 5, 10, 12])
 def test_gamma_asymptotic_slope(n):
-    params = PinchingParams(n=n, c=1.0)
-    bundle = eval_gamma(params, 1e6)
-    assert bundle.gamma / 1e6 == pytest.approx(1.0 / (n - 1.0), rel=0.01)
+    g = family(PinchingParams(n=n, c=1.0)).gamma(1e6)[0]
+    assert g / 1e6 == pytest.approx(1.0 / (n - 1.0), rel=0.01)
 
 
 @pytest.mark.parametrize("order", [0, 2])
@@ -225,12 +212,12 @@ def test_gamma_is_c2_at_branch_point():
 @pytest.mark.parametrize("n", range(3, 13))
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_bundle_band_and_positivity(n, c):
-    params = PinchingParams(n=n, c=c)
+    fam = family(PinchingParams(n=n, c=c))
     for x in (0.0, 0.3 * c, 3.0 * c, 40.0 * c):
-        bundle = eval_gamma(params, x)
-        assert x / (n - 1.0) + 2.0 * c < bundle.gamma < x / (n - 1.0) + n * c
-        assert bundle.omega > 0.0
-        assert bundle.gamma == pytest.approx(min(bundle.alpha, bundle.beta), rel=1e-13)
+        g = fam.gamma(x)[0]
+        assert x / (n - 1.0) + 2.0 * c < g < x / (n - 1.0) + n * c
+        assert fam.omega(x)[0] > 0.0
+        assert g == pytest.approx(min(fam.alpha(x, order=0)[0], fam.beta(x)[0]), rel=1e-13)
 
 
 @st.composite
@@ -280,10 +267,16 @@ def test_alpha_and_beta_have_c2_contact_at_x0(point):
 def test_thresholds_are_homogeneous_in_c(n, k, u):
     # f(x; c) = c f(x/c; 1), so the j-th derivative scales by c^(1-j); exact for c = 2^k.
     # alpha to order 3 where its third derivative, ~c^-2, stays a normal double
+    # alpha's derivatives raise at u = 0 at both scales, and its value is compared
     c = 2.0 ** k
     scaled, unit = family(PinchingParams(n=n, c=c)), family(PinchingParams(n=n, c=1.0))
     x = u * c
     order = 3 if abs(k) <= 400 else 1
+    if u == 0.0:
+        for fam, at in ((scaled, x), (unit, u)):
+            with pytest.raises(DerivativeAtZero):
+                fam.alpha(at, order=order)
+        order = 0
     for name, got, ref in [
         ("alpha", scaled.alpha(x, order=order), unit.alpha(u, order=order)),
         ("beta", scaled.beta(x), unit.beta(u)),
@@ -326,15 +319,23 @@ def test_thresholds_finite_and_silent_up_to_the_u_cap():
 
 
 def test_derivative_beyond_the_double_range_is_a_domain_error():
-    # alpha's third derivative ~ c^-2 is ~1e600 at c = 1e-300: a typed error, not -inf
-    params = PinchingParams(n=10, c=1e-300)
+    # alpha's third derivative ~ c^-2 is ~1e600 at c = 1e-300: a typed error, not -inf;
+    # gamma stops at the second derivative, ~c^-1, and stays finite
+    fam = family(PinchingParams(n=10, c=1e-300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            eval_alpha(params, 1e-300)
-        with pytest.raises(DomainError):
-            eval_gamma(params, 1e-300)
-        assert np.isfinite(eval_alpha(params, 1e-300, order=1)).all()
+            fam.alpha(1e-300)
+        assert np.isfinite(fam.alpha(1e-300, order=1)).all()
+        assert np.isfinite(fam.gamma(1e-300)[:3]).all()
+        # at c = 1, s^1.5 and s^2.5 (s ~ 36x) leave the double range as x -> 0;
+        # alpha' ~ x^-1/2 stays finite, and gamma takes beta there
+        fam = family(PinchingParams(n=10))
+        for x in (1e-150, 1e-210, 1e-300, 5e-324):
+            with pytest.raises(DomainError):
+                fam.alpha(x)
+            assert np.isfinite(fam.alpha(x, order=1)).all()
+            assert fam.gamma(x)[:3] == fam.beta(x)
 
 
 def test_omega_log_derivative_identity():
@@ -374,8 +375,9 @@ def test_omega_derivatives_match_a_50_digit_reference(n):
 def test_omega_x0_combination_n3():
     # dimensionless, so independent of c
     for c in (0.25, 1.0, 4.0):
-        w, w1, w2 = eval_omega(PinchingParams(n=3, c=c), compute_y_n(PinchingParams(n=3, c=c)).x0)
-        combo = 2.0 * compute_y_n(PinchingParams(n=3, c=c)).x0 * w2 + w1
+        fam = family(PinchingParams(n=3, c=c))
+        w, w1, w2 = fam.omega(fam.x0)
+        combo = 2.0 * fam.x0 * w2 + w1
         assert 11.2 <= combo <= 11.6
 
 
@@ -384,7 +386,7 @@ def test_omega_x0_combination_n3():
 def test_omega_asymptotics(n, c):
     params = PinchingParams(n=n, c=c)
     x = 1e6 * c
-    w, w1, w2 = eval_omega(params, x)
+    w, w1, w2 = family(params).omega(x)
     assert 2.0 * x * w2 + w1 == pytest.approx(1.0 / (n - 1.0) ** 2, rel=0.01)
     assert w - x * w1 == pytest.approx(2.0 * (2.0 * n - 1.0) * c / (n - 1.0), rel=0.01)
 
@@ -400,19 +402,18 @@ def test_omega_extension_positive_below_x0():
 
 def test_omega_negative_x_raises():
     with pytest.raises(DomainError):
-        eval_omega(PinchingParams(n=5), -0.5)
+        family(PinchingParams(n=5)).omega(-0.5)
 
 
 @pytest.mark.parametrize("x", [-0.5, np.nan, np.inf, -np.inf, 1e200])
 def test_threshold_domain_rejects_negative_and_nonfinite_x(x):
-    params = PinchingParams(n=5)
-    fam = family(params)
+    fam = family(PinchingParams(n=5))
     evaluations = [
-        lambda: eval_alpha(params, x, order=0),
-        lambda: eval_alpha(params, x),
-        lambda: eval_beta(params, x),
-        lambda: eval_gamma(params, x),
-        lambda: eval_omega(params, x),
+        lambda: fam.alpha(x, order=0),
+        lambda: fam.alpha(x),
+        lambda: fam.beta(x),
+        lambda: fam.gamma(x),
+        lambda: fam.omega(x),
         lambda: fam.gamma(np.array([1.0, x])),
         lambda: fam.omega(np.array([1.0, x])),
     ]
