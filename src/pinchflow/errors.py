@@ -60,18 +60,3 @@ class MeshDegenerate(PinchflowError):
 class DegenerateGamma(PinchflowError):
     """Traceless pinching margin became non-positive; signals an upstream bug."""
 
-
-class CheckFailure(PinchflowError):
-    """A verification check failed.
-
-    Carries the worst offending abscissa and margin for diagnosis.
-    """
-
-    def __init__(self, check_id: str, worst_x: float, margin: float, message: str = ""):
-        self.check_id = check_id
-        self.worst_x = worst_x
-        self.margin = margin
-        text = f"check {check_id} failed at x={worst_x!r} with margin {margin!r}"
-        if message:
-            text = f"{text}: {message}"
-        super().__init__(text)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -90,12 +91,19 @@ def write_curvature_csv(path, state, params, config: dict):
 
 
 def write_reports_json(path, reports, config: dict):
+    """Strict JSON: a non-finite worst_x or worst_margin is written as null."""
     payload = {
-        "reports": [vars(r) for r in reports],
+        "reports": [_report_fields(r) for r in reports],
         "all_passed": all(r.passed for r in reports),
         "meta": provenance_meta(config),
     }
-    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n")
+
+
+def _report_fields(report) -> dict:
+    """The fields of a CheckReport, a non-finite worst_x or worst_margin as None."""
+    keys = ("worst_x", "worst_margin")
+    return vars(report) | {k: None for k in keys if not math.isfinite(getattr(report, k))}
 
 
 def render_report_table(reports) -> str:

@@ -1,11 +1,12 @@
 """Batch certification of the threshold inequalities, identities, and constants.
 
 Every check returns a CheckReport; nothing asserts.  The thresholds are
-homogeneous of degree 1 in (x, c), so every check but the flow oracles computes
-at c = 1, on the family of n and its default grid in u = x/c.  A lattice
-check at c is its c = 1 report with c set and the worst point and the loci
-times c (_at_c).  Margins are normalized by a pointwise scale
-max(|lhs|, |rhs|, 1), so the pass thresholds below are dimensionless:
+homogeneous of degree 1 in (x, c), so every check but the flow oracles takes
+the dimension n alone and computes at c = 1, on the family of n and its default
+grid in u = x/c.  default_suite maps the c = 1 reports of n to each c with one
+_at_c, which sets c and scales the worst point and the loci by c.  Margins are
+normalized by a pointwise scale max(|lhs|, |rhs|, 1), so the pass thresholds
+below are dimensionless:
 
   * identity residuals must stay below 1e-10,
   * strict inequalities must keep a normalized margin above 1e-12 away from
@@ -17,9 +18,9 @@ Approximate literature values carry explicit bands (the x0 weight combination
 for n = 3 lies in [11.2, 11.6]; asymptotic limits are matched to 1% at
 u = 1e6).  The flow oracles run the flows at c itself, which is what they test.
 
-The three grid checks of one n share one evaluation of alpha, beta and
-omega on its default grid, gamma joined from the first two, and the grid's
-cells (_grid_values: read-only arrays, only the latest n kept).
+The three grid checks of one n share one evaluation of alpha and beta on its
+default grid, omega on its points u >= y_n, gamma joined from alpha and beta,
+and the grid's cells (_grid_values: read-only arrays, only the latest n kept).
 check_derivative_oracles makes one family call per function, on its seven
 stencil rows stacked, and reads the closed-form derivatives off the last row.
 The reports are the bits of evaluating each check on its own, all at once: 10
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckFailure, double_range
+from .errors import double_range
 from .flow import (
     FlowConfig,
     TerminalKind,
@@ -63,7 +64,6 @@ __all__ = [
     "check_okumura",
     "check_flow_oracles",
     "default_suite",
-    "raise_on_failure",
 ]
 
 IDENTITY_RTOL = 1e-10
@@ -99,12 +99,6 @@ class CheckReport:
     message: str = ""
 
 
-def raise_on_failure(reports: list[CheckReport]):
-    for r in reports:
-        if not r.passed:
-            raise CheckFailure(r.check_id, r.worst_x, r.worst_margin, r.message)
-
-
 def _at_c(reports: list[CheckReport], params: PinchingParams) -> list[CheckReport]:
     """c = 1 lattice reports at params.c, with worst_x and the loci as x = c u.
 
@@ -119,16 +113,6 @@ def _at_c(reports: list[CheckReport], params: PinchingParams) -> list[CheckRepor
         ]
 
 
-def _at_unit_c(check):
-    """check(params, ...) computed at c = 1 on the family of params.n, reported at params.c."""
-
-    @functools.wraps(check)
-    def at_c(params: PinchingParams, *args, **kwargs):
-        return _at_c(check(PinchingParams(params.n), *args, **kwargs), params)
-
-    return at_c
-
-
 def _cells(xs: np.ndarray) -> np.ndarray:
     """Local grid cell size: the larger of the two adjacent spacings."""
     d = np.diff(xs)
@@ -139,16 +123,13 @@ def _cells(xs: np.ndarray) -> np.ndarray:
 
 def _runs(xs: np.ndarray, mask: np.ndarray) -> list:
     """Compress a boolean mask over xs into [start, end] runs."""
-    out = []
     idx = np.nonzero(mask)[0]
     if len(idx) == 0:
-        return out
+        return []
     breaks = np.nonzero(np.diff(idx) > 1)[0]
     starts = np.concatenate([[idx[0]], idx[breaks + 1]])
     ends = np.concatenate([idx[breaks], [idx[-1]]])
-    for s, e in zip(starts, ends):
-        out.append([float(xs[s]), float(xs[e])])
-    return out
+    return [[float(xs[s]), float(xs[e])] for s, e in zip(starts, ends)]
 
 
 def _inequality_report(
@@ -236,19 +217,19 @@ def _value_report(check_id, params, ok, margin, x=float("nan"), message="") -> C
 
 
 class _GridValues(NamedTuple):
-    """The default grid of n at c = 1, its _cells, and each threshold on it as (f, d1, d2)."""
+    """The default grid of n at c = 1, its _cells, and what the grid checks read on it."""
 
     us: np.ndarray
     cells: np.ndarray
-    alpha: tuple
-    beta: tuple
-    gamma: tuple
-    omega: tuple
+    alpha: tuple  # (f, d1, d2)
+    beta: np.ndarray  # the value only
+    gamma: tuple  # (f, d1, d2)
+    omega: tuple  # (f, d1) on the grid points u >= x0 only
 
 
 @functools.lru_cache(maxsize=1)
 def _grid_values(n: int, grid_points: int) -> _GridValues:
-    """One evaluation of alpha (to order 2), beta and omega at c = 1 on the default grid.
+    """One evaluation of alpha (to order 2), beta and omega (to order 1, from x0 on) at c = 1.
 
     check_lemma_app, check_wpp and check_constants of one n read it in turn.
     Every array is read-only, since the cache hands the same arrays to each
@@ -261,16 +242,16 @@ def _grid_values(n: int, grid_points: int) -> _GridValues:
     alpha, beta = unit.alpha(us, order=2), unit.beta(us)
     on_alpha = us >= unit.x0
     gamma = tuple(np.where(on_alpha, a, b) for a, b in zip(alpha, beta))
-    values = _GridValues(us, _cells(us), alpha, beta, gamma, unit.omega(us))
-    for arr in (us, values.cells, *alpha, *beta, *gamma, *values.omega):
+    omega = unit.omega(us[on_alpha], order=1)
+    values = _GridValues(us, _cells(us), alpha, beta[0], gamma, omega)
+    for arr in (us, values.cells, *alpha, values.beta, *gamma, *omega):
         arr.setflags(write=False)
     return values
 
 
-@_at_unit_c
-def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POINTS):
+def check_lemma_app(n: int, grid_points: int = DEFAULT_GRID_POINTS):
     """Items (i)-(vi) of the structural lemma, plus the two alpha identities."""
-    n = params.n
+    params = PinchingParams(n)
     grid = _grid_values(n, grid_points)
     us, cells = grid.us, grid.cells
     a, a1, a2 = grid.alpha
@@ -300,7 +281,7 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     reports.append(_inequality_report("app_iii", params, us, cells, g - us * g1, scale3))
 
     # (iv) g = min(alpha, beta), as an identity
-    b = grid.beta[0]
+    b = grid.beta
     reports.append(
         _identity_report("app_iv", params, us, g, np.minimum(a, b), np.maximum(np.abs(g), 1.0))
     )
@@ -342,15 +323,15 @@ def check_lemma_app(params: PinchingParams, grid_points: int = DEFAULT_GRID_POIN
     return reports
 
 
-@_at_unit_c
-def check_wpp(params: PinchingParams, grid_points: int = DEFAULT_GRID_POINTS):
+def check_wpp(n: int, grid_points: int = DEFAULT_GRID_POINTS):
     """Weight function properties: log-derivative identity, y_n combination, limits."""
+    params = PinchingParams(n)
     unit = family(params)
-    n, y_n = params.n, unit.x0
+    y_n = unit.x0
     grid = _grid_values(n, grid_points)
     on_closed = grid.us >= y_n
     us = grid.us[on_closed]
-    w, w1, w2 = (v[on_closed] for v in grid.omega)
+    w, w1 = grid.omega
     a, a1 = (v[on_closed] for v in grid.alpha[:2])
     reports = []
 
@@ -405,11 +386,10 @@ def check_wpp(params: PinchingParams, grid_points: int = DEFAULT_GRID_POINTS):
     return reports
 
 
-@_at_unit_c
-def check_constants(params: PinchingParams, grid_points: int = DEFAULT_GRID_POINTS):
+def check_constants(n: int, grid_points: int = DEFAULT_GRID_POINTS):
     """Distinguished constants: root certification, k_n bounds, minima, floors."""
+    params = PinchingParams(n)
     unit = family(params)
-    n = params.n
     consts = unit.constants
     reports = []
 
@@ -527,11 +507,11 @@ def _fd_derivatives(rows, h):
     return d1, d2, d3
 
 
-@_at_unit_c
-def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
+def check_derivative_oracles(n: int, seed: int = DEFAULT_SEED):
     """Closed-form derivatives vs centered finite differences at random abscissas u = x/c."""
+    params = PinchingParams(n)
     unit = family(params)
-    rng = np.random.default_rng(seed + 1000 * params.n)
+    rng = np.random.default_rng(seed + 1000 * n)
     us = rng.uniform(0.2, 90.0, ORACLE_POINTS)
     # The radical varies on the scale of u itself, so steps follow u.  Keep
     # stencils away from the branch point, where only C^2 holds.
@@ -558,7 +538,7 @@ def check_derivative_oracles(params: PinchingParams, seed: int = DEFAULT_SEED):
     ]
 
 
-def check_okumura(params: PinchingParams):
+def check_okumura(n: int):
     """Okumura's |sum lam^3| <= C |lam|^3 on sum lam = 0, C = okumura_constant(n), exactly.
 
     On the compact set {sum lam = 0, |lam| = 1} the maximum of |sum lam^3| is
@@ -568,7 +548,7 @@ def check_okumura(params: PinchingParams):
     multisets (weighted sums) is within 1e-12 of C: the bound holds and is
     attained.  worst_x is the k of the largest ratio.
     """
-    n = params.n
+    params = PinchingParams(n)
     k = np.arange(1.0, n)
     a, b = n - k, -k
     cube = np.abs(k * a ** 3 + (n - k) * b ** 3)
@@ -748,23 +728,20 @@ def default_suite(
     """Run every check over the (n, c) lattice, serially on the calling thread.
 
     Deterministic given the seed: the reports always come in the same order,
-    n-major.  The four lattice checks run once per n, at c = 1, and their
-    reports are mapped to each c by _at_c: the thresholds on the default grid
-    are evaluated once, for check_lemma_app, check_wpp and check_constants
-    together, and check_derivative_oracles evaluates alpha, gamma and omega
-    once each on its stacked stencil, so 10 family calls per n whatever the
-    number of c.  check_okumura runs once per n, the flow oracles at each c;
-    at the c = 4^k of the default lattice they share their integrations.
+    n-major.  The checks of n run once per n, at c = 1 (10 family calls per n
+    for the four lattice checks, whatever the number of c), and one _at_c per
+    (n, c) maps the lattice reports to c, which also validates c.  The Okumura
+    reports stay at c = 1.  The flow oracles run at each c; at the c = 4^k of
+    the default lattice they share their integrations.
     """
     reports: list[CheckReport] = []
     for n in ns:
-        unit = PinchingParams(n)
-        at_one = check_lemma_app(unit, grid_points) + check_wpp(unit, grid_points)
-        at_one += check_constants(unit, grid_points) + check_derivative_oracles(unit, seed)
+        at_one = check_lemma_app(n, grid_points) + check_wpp(n, grid_points)
+        at_one += check_constants(n, grid_points) + check_derivative_oracles(n, seed)
         for c in cs:
             reports += _at_c(at_one, PinchingParams(n, c))
     for n in ns:
-        reports += check_okumura(PinchingParams(n=n, c=1.0))
+        reports += check_okumura(n)
     for c in cs:
         reports += check_flow_oracles(PinchingParams(n=10, c=c))
     reports += check_flow_oracles(PinchingParams(n=3, c=1.0))

@@ -27,6 +27,7 @@ from pinchflow.axisym import (
 from pinchflow.geometry import product_lambda_for_mean_curvature
 from pinchflow.thresholds import family
 from pinchflow.verify import (
+    _at_c,
     check_constants,
     check_lemma_app,
     check_wpp,
@@ -65,9 +66,10 @@ def test_ac2_structural_lemma_grid():
     failures = []
     loci_checked = 0
     for n in NS:
+        unit = check_lemma_app(n, grid_points=GRID_POINTS)
         for c in CS:
             params = PinchingParams(n=n, c=c)
-            reports = check_lemma_app(params, grid_points=GRID_POINTS)
+            reports = _at_c(unit, params)
             by_id = {r.check_id: r for r in reports}
             failures += [f"{r.check_id}(n={n},c={c})" for r in reports if not r.passed]
             x0 = family(params).x0
@@ -88,8 +90,9 @@ def test_ac2_structural_lemma_grid():
 def test_ac3_weight_function():
     failures = []
     for n in NS:
+        unit = check_wpp(n, grid_points=GRID_POINTS)
         for c in CS:
-            reports = check_wpp(PinchingParams(n=n, c=c), grid_points=GRID_POINTS)
+            reports = _at_c(unit, PinchingParams(n=n, c=c))
             failures += [f"{r.check_id}(n={n},c={c})" for r in reports if not r.passed]
     combo = None
     fam3 = family(PinchingParams(n=3, c=1.0))
@@ -102,9 +105,9 @@ def test_ac3_weight_function():
 def test_ac4_gamma_floor_and_alpha_minimum():
     failures = []
     for n in NS:
+        unit = check_constants(n, grid_points=GRID_POINTS)
         for c in CS:
-            params = PinchingParams(n=n, c=c)
-            for r in check_constants(params, grid_points=GRID_POINTS):
+            for r in _at_c(unit, PinchingParams(n=n, c=c)):
                 if r.check_id in ("const_gamma_floor", "const_alpha_min") and not r.passed:
                     failures.append(f"{r.check_id}(n={n},c={c})")
         # minimum of the normalized threshold branch at unit curvature

@@ -244,6 +244,24 @@ def test_verify_subset_green(tmp_path):
     assert len(payload["reports"]) > 10
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_report_is_strict_json(tmp_path, capsys):
+    # the flow oracles have no worst point: it is written as null, not NaN
+    report = tmp_path / "r.json"
+    code = main(
+        ["verify", "--n-values", "3", "--c-values", "1", "--grid-points", "300",
+         "--output", str(report)]
+    )
+    assert code == 0
+    payload = json.loads(report.read_text(), parse_constant=_no_constant)
+    nulls = {r["check_id"] for r in payload["reports"] if r["worst_x"] is None}
+    assert nulls == {"flow_reaction_consistency", "flow_weak_equality"}
+    assert " nan\n" in capsys.readouterr().out  # the table keeps printing nan
+
+
 def test_outputs_byte_identical(tmp_path):
     # identical config (including the echoed output path) -> identical bytes
     out = tmp_path / "table.csv"
@@ -656,6 +674,7 @@ REQUIRED_FLAGS = {
     },
 }
 OPTIONAL_OUTPUTS = {"simulate": ["--terminal-json", "--curvature-csv"]}
+JSON_OUTPUTS = {"verify": "--output", "constants": "--output", "simulate": "--terminal-json"}
 
 
 @st.composite
@@ -715,6 +734,8 @@ def test_simulate_family_must_match_state_file(family_flag, payload, tmp_path, c
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
     argv = data.draw(cli_argv(fuzz_dir))
+    for flag in ("", *OPTIONAL_OUTPUTS["simulate"]):  # nothing left by an earlier example
+        (fuzz_dir / f"out{flag}").unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -731,3 +752,9 @@ def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
         # verify also ends in a typed error, for --n-values 0 say
         failed_check = argv[0] == "verify" and "FIRST FAILURE" in out
         assert failed_check or err.startswith("error:"), argv
+    if code == 0 or (code == 1 and failed_check):
+        # every JSON file the command wrote is strict JSON: no NaN or Infinity
+        flag = JSON_OUTPUTS.get(argv[0])
+        if flag in argv:
+            path = Path(argv[argv.index(flag) + 1])
+            json.loads(path.read_text(), parse_constant=_no_constant)

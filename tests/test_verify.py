@@ -7,10 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pinchflow import CheckFailure, PinchingParams, ThresholdFamily
+from pinchflow import PinchingParams, ThresholdFamily
 from pinchflow import flow, thresholds, verify
 from pinchflow.thresholds import family
 from pinchflow.verify import (
+    _at_c,
     _cells,
     _fd_derivatives,
     _grid_values,
@@ -22,7 +23,6 @@ from pinchflow.verify import (
     check_okumura,
     check_wpp,
     default_suite,
-    raise_on_failure,
 )
 
 
@@ -31,8 +31,7 @@ def ids(reports):
 
 
 def test_lemma_app_passes_with_loci():
-    params = PinchingParams(n=10, c=1.0)
-    by_id = ids(check_lemma_app(params))
+    by_id = ids(check_lemma_app(10))
     assert all(r.passed for r in by_id.values())
     # equality at the branch point for item (i)
     loci = by_id["app_i"].equality_loci
@@ -46,35 +45,34 @@ def test_lemma_app_passes_with_loci():
 
 
 def test_lemma_app_small_dimension_scaled_curvature():
-    reports = check_lemma_app(PinchingParams(n=3, c=4.0))
+    reports = _at_c(check_lemma_app(3), PinchingParams(n=3, c=4.0))
     assert all(r.passed for r in reports)
 
 
 def test_identities_hold_tightly():
-    by_id = ids(check_lemma_app(PinchingParams(n=7, c=0.25)))
+    by_id = ids(_at_c(check_lemma_app(7), PinchingParams(n=7, c=0.25)))
     for name in ("alid1", "alid2", "app_iv"):
         assert by_id[name].passed
         assert by_id[name].worst_margin > 0.0  # residual below tolerance
 
 
 def test_wpp_checks():
-    by_id = ids(check_wpp(PinchingParams(n=3, c=1.0)))
+    by_id = ids(check_wpp(3))
     assert all(r.passed for r in by_id.values())
     assert "band" in by_id["wpp_x0_positive"].message
-    by_id4 = ids(check_wpp(PinchingParams(n=4, c=2.0)))
+    by_id4 = ids(_at_c(check_wpp(4), PinchingParams(n=4, c=2.0)))
     assert by_id4["wpp_dlnw"].passed
 
 
 def test_constants_checks():
     for n, c in [(10, 1.0), (4, 1.0), (5, 0.25), (3, 4.0)]:
-        reports = check_constants(PinchingParams(n=n, c=c))
+        reports = _at_c(check_constants(n), PinchingParams(n=n, c=c))
         assert all(r.passed for r in reports), [r.check_id for r in reports if not r.passed]
 
 
 def test_derivative_and_okumura_oracles():
-    params = PinchingParams(n=6, c=1.0)
-    assert all(r.passed for r in check_derivative_oracles(params))
-    assert all(r.passed for r in check_okumura(params))
+    assert all(r.passed for r in check_derivative_oracles(6))
+    assert all(r.passed for r in check_okumura(6))
 
 
 def test_flow_oracles_reference_parameters():
@@ -85,21 +83,15 @@ def test_flow_oracles_reference_parameters():
 
 
 def test_reports_deterministic():
-    params = PinchingParams(n=5, c=1.0)
-    a = check_derivative_oracles(params, seed=11)
-    b = check_derivative_oracles(params, seed=11)
+    a = check_derivative_oracles(5, seed=11)
+    b = check_derivative_oracles(5, seed=11)
     assert a[0].worst_margin == b[0].worst_margin
     assert a[0].worst_x == b[0].worst_x
 
 
-def test_small_suite_green_and_raise_on_failure():
+def test_small_suite_green():
     reports = default_suite(ns=(3, 10), cs=(1.0,), grid_points=3000)
     assert all(r.passed for r in reports)
-    raise_on_failure(reports)  # no-op when green
-    bad = reports[0]
-    bad.passed = False
-    with pytest.raises(CheckFailure):
-        raise_on_failure(reports)
 
 
 def test_suite_builds_each_family_once(monkeypatch):
@@ -146,6 +138,20 @@ def test_suite_certifies_each_n_once(monkeypatch):
     thresholds._unit.cache_clear()
     default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=3000)
     assert sorted(certified) == [3, 10]
+
+
+def test_suite_maps_each_n_and_c_once(monkeypatch):
+    # the lattice checks report at c = 1, and one _at_c maps them to each (n, c)
+    mapped = []
+    at_c = verify._at_c
+
+    def counting_at_c(reports, params):
+        mapped.append((params.n, params.c))
+        return at_c(reports, params)
+
+    monkeypatch.setattr(verify, "_at_c", counting_at_c)
+    default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=300)
+    assert sorted(mapped) == [(n, c) for n in (3, 10) for c in (0.25, 1.0, 4.0)]
 
 
 def _lagrange_derivative_loop(ts, ys, width=5):
@@ -208,20 +214,19 @@ def test_okumura_certificate_rejects_a_perturbed_constant(monkeypatch, factor):
     # the bound must hold and be attained: a constant off by 1e-9 either way fails
     exact = verify.okumura_constant
     for n in range(3, 13):
-        (report,) = check_okumura(PinchingParams(n))
+        (report,) = check_okumura(n)
         assert report.passed and report.worst_x == 1.0
     monkeypatch.setattr(verify, "okumura_constant", lambda n: exact(n) * factor)
     for n in range(3, 13):
-        (report,) = check_okumura(PinchingParams(n))
+        (report,) = check_okumura(n)
         assert not report.passed, n
 
 
 def test_okumura_certificate_memory_is_linear_in_n():
-    params = PinchingParams(n=100_000)
-    check_okumura(params)  # anything loaded lazily is loaded before tracing
+    check_okumura(100_000)  # anything loaded lazily is loaded before tracing
     tracemalloc.start()
     try:
-        (report,) = check_okumura(params)
+        (report,) = check_okumura(100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -281,24 +286,23 @@ def test_derivative_oracles_make_one_family_call_per_function(monkeypatch):
             return _method(self, x, *args, **kwargs)
 
         monkeypatch.setattr(ThresholdFamily, name, counting)
-    (report,) = check_derivative_oracles(PinchingParams(n=10, c=1.0))
+    (report,) = check_derivative_oracles(10)
     assert report.passed
     assert [name for name, _ in calls] == ["alpha", "gamma", "omega"]
     assert all(shape[0] == 7 for _, shape in calls)
 
 
-def _grid_reports(params, order):
+def _grid_reports(n, order):
     checks = {"lemma": check_lemma_app, "wpp": check_wpp, "constants": check_constants}
-    return {name: repr(checks[name](params, 3000)) for name in order}
+    return {name: repr(checks[name](n, 3000)) for name in order}
 
 
 def test_grid_checks_do_not_depend_on_the_cache():
-    params = PinchingParams(n=7, c=0.25)
     _grid_values.cache_clear()
-    forward = _grid_reports(params, ("lemma", "wpp", "constants"))
+    forward = _grid_reports(7, ("lemma", "wpp", "constants"))
     _grid_values.cache_clear()
     _grid_values(4, 3000)  # another n in the cache
-    backward = _grid_reports(params, ("constants", "wpp", "lemma"))
+    backward = _grid_reports(7, ("constants", "wpp", "lemma"))
     assert forward == backward
 
 
@@ -310,12 +314,13 @@ def test_grid_values_are_the_bits_of_direct_evaluation():
     assert np.array_equal(grid.us, us)
     for got, ref in zip(grid.alpha, unit.alpha(us)):
         assert np.array_equal(got, ref)
-    for got, ref in zip(grid.gamma + grid.beta, unit.gamma(us)[:3] + unit.beta(us)):
+    for got, ref in zip(grid.gamma, unit.gamma(us)[:3], strict=True):
         assert np.array_equal(got, ref)
-    # check_wpp masks the cached omega; the masked grid gives the same bits
+    assert np.array_equal(grid.beta, unit.beta(us)[0])
+    # omega and its first derivative on u >= x0 only, the bits of the whole grid's
     on_closed = us >= unit.x0
-    for got, ref in zip(grid.omega, unit.omega(us[on_closed])):
-        assert np.array_equal(got[on_closed], ref)
+    for got, ref in zip(grid.omega, unit.omega(us)[:2], strict=True):
+        assert np.array_equal(got, ref[on_closed])
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -333,10 +338,10 @@ def test_lattice_checks_pass_silently_across_c():
     # range neither overflows nor warns; grid points are reported in x
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        unit = check_lemma_app(3, 50) + check_wpp(3, 50)
+        unit += check_constants(3, 50) + check_derivative_oracles(3)
         for c in (1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300):
-            params = PinchingParams(n=3, c=c)
-            reports = check_lemma_app(params, 50) + check_wpp(params, 50)
-            reports += check_constants(params, 50) + check_derivative_oracles(params)
+            reports = _at_c(unit, PinchingParams(n=3, c=c))
             failed = [r.check_id for r in reports if not r.passed]
             assert not failed, (c, failed)
             grid_x = [r.worst_x for r in reports if r.grid_size]
@@ -345,7 +350,7 @@ def test_lattice_checks_pass_silently_across_c():
 
 def test_cached_grid_values_are_read_only():
     grid = _grid_values(6, 3000)
-    for arr in (grid.us, grid.cells, *grid.alpha, *grid.beta, *grid.gamma, *grid.omega):
+    for arr in (grid.us, grid.cells, *grid.alpha, grid.beta, *grid.gamma, *grid.omega):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -360,16 +365,15 @@ def test_grid_checks_build_the_grid_once(monkeypatch):
 
     monkeypatch.setattr(ThresholdFamily, "default_grid", counting_grid)
     _grid_values.cache_clear()
-    params = PinchingParams(n=8, c=1.0)
-    check_lemma_app(params, 3000)
-    check_wpp(params, 3000)
-    check_constants(params, 3000)
+    check_lemma_app(8, 3000)
+    check_wpp(8, 3000)
+    check_constants(8, 3000)
     assert builds == [3000]
 
 
 def _lattice_suite(monkeypatch, cs, ns=(3, 4), grid_points=300):
     """default_suite's lattice reports, with the okumura and flow checks left out."""
-    monkeypatch.setattr(verify, "check_okumura", lambda params: [])
+    monkeypatch.setattr(verify, "check_okumura", lambda n: [])
     monkeypatch.setattr(verify, "check_flow_oracles", lambda params: [])
     return default_suite(ns=ns, cs=cs, grid_points=grid_points)
 
@@ -387,10 +391,10 @@ def test_lattice_reports_at_c_are_the_unit_reports_scaled(monkeypatch):
         )
         assert np.array_equal(r.worst_x, u.worst_x * r.c, equal_nan=True)
         assert r.equality_loci == [[a * r.c, b * r.c] for a, b in u.equality_loci]
-    # the public checks take the same path
-    params = PinchingParams(n=4, c=0.3)
-    direct = check_lemma_app(params, 300) + check_wpp(params, 300)
-    direct += check_constants(params, 300) + check_derivative_oracles(params)
+    # the public checks of n, mapped to c, give the same reports
+    direct = check_lemma_app(4, 300) + check_wpp(4, 300)
+    direct += check_constants(4, 300) + check_derivative_oracles(4)
+    direct = _at_c(direct, PinchingParams(n=4, c=0.3))
     assert repr(direct) == repr([r for r in reports if (r.n, r.c) == (4, 0.3)])
 
 
