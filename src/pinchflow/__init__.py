@@ -6,7 +6,6 @@ from .errors import (
     DegenerateGamma,
     DerivativeAtZero,
     DomainError,
-    FixedPointError,
     GeometryError,
     MeshDegenerate,
     NonEmbedded,

@@ -293,6 +293,8 @@ def product_profile(params: PinchingParams, r1sq: float, n_points: int = 256):
     c = params.c
     if not 0.0 < r1sq < 1.0 / c:
         raise GeometryError(f"product profile needs 0 < r1sq < 1/c, got {r1sq!r}")
+    if n_points < 1:
+        raise GeometryError(f"a profile needs n_points >= 1, got {n_points!r}")
     phi0 = np.arcsin(np.sqrt(c * r1sq))
     xi = np.arange(n_points) * (2.0 * np.pi / n_points)
     return np.full(n_points, phi0), xi
@@ -322,6 +324,8 @@ def sphere_profile(params: PinchingParams, rho: float, n_points: int = 512, warp
     c = params.c
     if not 0.0 < rho < np.pi / np.sqrt(c):
         raise GeometryError(f"sphere radius must lie in (0, pi/sqrt(c)), got {rho!r}")
+    if n_points < 1:
+        raise GeometryError(f"a profile needs n_points >= 1, got {n_points!r}")
     theta = (np.arange(n_points) + 0.5) * (2.0 * np.pi / n_points)
     if warp:
         theta = theta + warp * np.sin(theta) + 0.4 * warp * np.sin(2.0 * theta)

@@ -42,10 +42,6 @@ class NonEmbedded(GeometryError):
     """Profile curve self-intersects."""
 
 
-class FixedPointError(PinchflowError):
-    """Flow started exactly at a stationary state with no motion to integrate."""
-
-
 class StepUnderflow(PinchflowError):
     """Time step fell below its floor before a terminal event.
 

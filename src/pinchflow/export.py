@@ -31,7 +31,7 @@ def write_threshold_csv(path, fam, xs, config: dict):
     (a,) = fam.alpha(xs, order=0)
     b, _, _ = fam.beta(xs)
     g, g1, g2, on_alpha = fam.gamma(xs)
-    w, _, _ = fam.omega(xs)
+    (w,) = fam.omega(xs, order=0)
     _table(
         path, config, "n,c,x,alpha,beta,gamma,gamma_d1,gamma_d2,omega,branch",
         f"{n},{float(c):.17g}," + "%.17g," * 7 + "%s",
@@ -83,7 +83,7 @@ def write_curvature_csv(path, state, params, config: dict):
     """Pointwise curvature report: s,H,h2,h0_2,gamma,margin."""
     data = curvature_of(state, params)
     H, h2 = data.H, data.h_norm2
-    g, _, _, _ = family(params).gamma(H ** 2)
+    g, _ = family(params).gamma(H ** 2, order=0)
     _table(
         path, config, "s,H,h2,h0_2,gamma,margin", "%d" + ",%.17g" * 5,
         np.arange(np.size(H)), H, h2, data.h0_norm2, g, g - h2,

@@ -14,12 +14,13 @@ to the round point w = 0 on either side.  In w the round point is a
 square-root singularity, dw/dt ~ -n/w, which an adaptive step resolves only
 by rejecting steps; w cot w = 1 - z/3 - z^2/45 - ... is analytic in z, so
 dz/dt -> -2n there.  The sphere collapses at T = -log|cos(sqrt(c) rho)|/(nc),
-and the product ODE has the exact solution y = (n-1)/n (1 - d e^{2nt}) with d
-fixed by the initial radius and collapse time T = -log(d)/(2n); the numeric
-route integrates the reductions with the package's scalar Dormand–Prince 5(4)
-integrator (``pinchflow.ode``), caching the latest c = 1 integrations
-(_integrate).  Its events are levels of y, each naming its terminal: a round
-point, a great circle or a blowup, reached a closed-form tail after the level.
+and the product ODE has the exact solution y = (n-1)/n (1 - d e^{2nt}) and
+collapse time T = -log(d)/(2n) for 0 < d = 1 - n y(0)/(n-1) < 1 only (else
+product_collapse_time raises DomainError); the numeric route integrates the
+reductions with the package's scalar Dormand–Prince 5(4) integrator
+(``pinchflow.ode``), caching the latest c = 1 integrations (_integrate).  Its
+events are levels of y, each naming its terminal: a round point, a great
+circle or a blowup, reached a closed-form tail after the level.
 
 Torus-type profiles, the same (phi, xi) at every c, evolve by the method of
 lines: normal velocity H at every sample and exponential-time-differencing
@@ -69,7 +70,6 @@ from . import axisym
 from .errors import (
     DegenerateGamma,
     DomainError,
-    FixedPointError,
     GeometryError,
     PinchflowError,
     StepUnderflow,
@@ -289,22 +289,15 @@ def flow_product_exact(
         kind = type(initial).__name__
         raise GeometryError(f"exact product flow needs a product state, got {kind}")
     config = (config or FlowConfig()).resolved(lambda: curvature_of(initial, params), params)
-    n, c = params.n, params.c
-    r1sq0 = initial_r1sq(initial, params)
-    y0, stationary = c * r1sq0, (n - 1.0) / n
-    if np.isclose(y0, stationary, rtol=1e-12, atol=0.0):
-        raise FixedPointError("initial product state is the stationary minimal torus")
-    if y0 > stationary:
-        raise DomainError(
-            f"exact product flow needs r1^2 < (n-1)/(nc); got {r1sq0!r} > {stationary / c!r}"
-        )
-    unit = PinchingParams(n)
+    c = params.c
+    y0 = c * initial.r1sq(params)
+    unit = PinchingParams(params.n)
     T = product_collapse_time(y0, unit)
     t_max = config.t_max * c
     # Samples crowd toward the collapse time where the state varies fastest.
     u = np.linspace(0.0, 1.0, EXACT_SAMPLES)
     ts = min(t_max, T) * (1.0 - (1.0 - u) ** 2)
-    y = product_r1sq_exact(ProductSn1S1.from_r1sq(y0, unit), unit, ts)
+    y = product_r1sq_exact(y0, unit, ts)
     # The trajectory ends before the first later sample at the great circle;
     # the initial state is kept even when it lies there already.
     collapsed = y[1:] <= COLLAPSE_R1SQ
@@ -318,17 +311,20 @@ def flow_product_exact(
 
 
 def product_collapse_time(r1sq, params: PinchingParams):
-    """Time the product flow takes from r1^2 = r1sq < (n-1)/(nc) to the great circle r1 = 0."""
+    """Time from r1^2 = r1sq to the great circle; DomainError outside 0 < r1sq < (n-1)/(nc)."""
     n, c = params.n, params.c
-    return -np.log(1.0 - n * (c * r1sq) / (n - 1.0)) / (2.0 * n) / c
+    d = 1.0 - n * (c * r1sq) / (n - 1.0)
+    if not (r1sq > 0.0 and d > 0.0):  # NaN fails too
+        raise DomainError(f"the product collapse needs 0 < c r1^2 < (n-1)/n, got {c * r1sq!r}")
+    return -np.log(d) / (2.0 * n) / c
 
 
-def product_r1sq_exact(initial: ProductSn1S1, params: PinchingParams, t) -> np.ndarray:
-    """Exact r1(t)^2 for comparisons."""
+def product_r1sq_exact(r1sq0, params: PinchingParams, t) -> np.ndarray:
+    """Exact r1(t)^2 from r1(0)^2 = r1sq0; DomainError where it leaves the double range."""
     n, c = params.n, params.c
-    r1sq0 = initial_r1sq(initial, params)
     d = 1.0 - n * c * r1sq0 / (n - 1.0)
-    return (n - 1.0) / (n * c) * (1.0 - d * np.exp(2.0 * n * c * np.asarray(t, dtype=float)))
+    with double_range("the product radius", c):
+        return (n - 1.0) / (n * c) * (1.0 - d * np.exp(2.0 * n * c * np.asarray(t, dtype=float)))
 
 
 # ---------------------------------------------------------------- ODE route
@@ -349,7 +345,7 @@ def _ode_start(state, params: PinchingParams) -> tuple[str, float, bool]:
         w = math.pi - y if beyond else y
         return "sphere", w * w, beyond
     if isinstance(state, ProductSn1S1):
-        return "product", params.c * initial_r1sq(state, params), False
+        return "product", params.c * state.r1sq(params), False
     raise GeometryError(f"ODE flow supports homogeneous states only, got {state!r}")
 
 
@@ -411,12 +407,6 @@ def _integrate(
     sol.t.setflags(write=False)
     sol.y.setflags(write=False)
     return sol, None if sol.event is None else events[sol.event][2:]
-
-
-def initial_r1sq(state: ProductSn1S1, params: PinchingParams) -> float:
-    if state.r1sq_exact is not None:
-        return state.r1sq_exact
-    return state.radii(params)[0] ** 2
 
 
 def flow_ode_numeric(

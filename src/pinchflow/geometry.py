@@ -10,8 +10,8 @@ and kappa_profile with multiplicity 1 (:class:`pinchflow.axisym.CurvatureData`):
 (k, k) on a sphere and (lam, -c/lam) on a product.
 
 Normal orientation: the product family carries H = (n-1) lam - c/lam with
-lam > 0, and geodesic spheres use the inward normal, so H > 0 for radii below
-the equator.
+lam > 0, and geodesic spheres use the inward normal, so H > 0 for spheres
+below the equator.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import axisym
 from .axisym import CurvatureData, curvature_data
-from .errors import GeometryError, double_range
+from .errors import DomainError, GeometryError, double_range
 from .thresholds import PinchingParams, family
 
 __all__ = [
@@ -57,10 +57,10 @@ class GeodesicSphere:
 class ProductSn1S1:
     """Product hypersurface with (n-1)-fold principal curvature lam > 0.
 
-    States built from a squared radius keep it verbatim so that flows started
-    at the stationary minimal torus see an exact fixed point in floating
-    point (the lam round-trip would perturb the last ulp, which the unstable
-    mode then amplifies).  Array fields are a trajectory: one state per entry.
+    States built from a squared radius keep it verbatim for ``r1sq``, so that
+    the numeric flow from the stationary minimal torus sees an exact fixed point
+    (the lam round-trip would perturb the last ulp, which the unstable mode then
+    amplifies).  Array fields are a trajectory: one state per entry.
     """
 
     lam: float | np.ndarray
@@ -70,14 +70,11 @@ class ProductSn1S1:
         if not np.all((self.lam > 0.0) & np.isfinite(self.lam)):
             raise GeometryError(f"product curvature lam must be positive, got {self.lam!r}")
 
-    def radii(self, params: PinchingParams) -> tuple[float, float]:
-        """(r1, r2) with r1^2 + r2^2 = 1/c."""
-        c = params.c
+    def r1sq(self, params: PinchingParams) -> float | np.ndarray:
+        """r1^2 = 1/(c + lam^2): the kept squared radius, else from lam."""
         if self.r1sq_exact is not None:
-            return np.sqrt(self.r1sq_exact), np.sqrt(np.maximum(0.0, 1.0 / c - self.r1sq_exact))
-        r1 = 1.0 / np.sqrt(c + self.lam ** 2)
-        r2 = self.lam / (np.sqrt(c) * np.sqrt(c + self.lam ** 2))
-        return r1, r2
+            return self.r1sq_exact
+        return (1.0 / np.sqrt(params.c + self.lam ** 2)) ** 2  # r1 = 1/sqrt(c + lam^2), squared
 
     @staticmethod
     def from_r1sq(r1sq, params: PinchingParams) -> "ProductSn1S1":
@@ -185,9 +182,9 @@ def ricci_lower_bound(
 ):
     """Lower bound for the Ricci curvature of the hypersurface.
 
-    With epsilon given and the state strictly pinched below gamma - eps*omega,
-    also returns the positivity witness (n-1)/n * eps * omega as a second
-    value.
+    With epsilon given (finite and >= 0) and the state strictly pinched below
+    gamma - eps*omega, also returns the positivity witness (n-1)/n * eps * omega
+    as a second value.
     """
     n, c = params.n, params.c
     bound = (n - 1.0) / n * (
@@ -199,10 +196,12 @@ def ricci_lower_bound(
     bound = float(bound) if np.ndim(bound) == 0 else bound
     if epsilon is None:
         return bound
+    if not 0.0 <= epsilon < np.inf:
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     fam = family(params)
     x = np.asarray(data.H, dtype=float) ** 2
-    g, _, _, _ = fam.gamma(x)
-    w, _, _ = fam.omega(x)
+    g, _ = fam.gamma(x, order=0)
+    (w,) = fam.omega(x, order=0)
     if not np.all(data.h_norm2 < g - epsilon * w):
         return bound, None
     witness = (n - 1.0) / n * epsilon * w
@@ -214,7 +213,7 @@ def classify_pinching(data: CurvatureData, params: PinchingParams) -> PinchingVe
     """Compare |h|^2 with gamma(H^2); the tolerance WEAK_EQUALITY_RTOL scales with H^2 + c."""
     fam = family(params)
     x = np.atleast_1d(np.asarray(data.H, dtype=float) ** 2)
-    g, _, _, _ = fam.gamma(x)
+    g, _ = fam.gamma(x, order=0)
     margin = g - np.atleast_1d(np.asarray(data.h_norm2, dtype=float))
     scale = WEAK_EQUALITY_RTOL * (x + params.c)
     m = float(margin.min())

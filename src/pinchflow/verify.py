@@ -633,7 +633,7 @@ def check_flow_oracles(params: PinchingParams):
     r1sq0 = 0.8 * (n - 1.0) / (n * c)
     initial = ProductSn1S1.from_r1sq(r1sq0, params)
     numeric = flow_ode_numeric(initial, params, config)
-    exact = product_r1sq_exact(initial, params, numeric.times)
+    exact = product_r1sq_exact(r1sq0, params, numeric.times)
     r1sq_num = numeric.state.r1sq_exact
     err = float(np.max(np.abs(r1sq_num - exact)) * c)
     reports.append(

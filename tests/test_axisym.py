@@ -28,6 +28,23 @@ from pinchflow.axisym import (
 )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p, k: product_profile(p, 0.75, n_points=k),
+        lambda p, k: perturbed_product_profile(p, 0.75, 0.01, n_points=k),
+        lambda p, k: sphere_profile(p, 0.5, n_points=k),
+    ],
+    ids=["product", "perturbed", "sphere"],
+)
+def test_profile_builders_need_a_sample(build):
+    params = PinchingParams(n=10, c=1.0)
+    assert len(build(params, 1)[0]) == 1
+    for n_points in (0, -3):
+        with pytest.raises(GeometryError, match="n_points >= 1"):
+            build(params, n_points)
+
+
 def sphere_principal(params, rho):
     return np.sqrt(params.c) / np.tan(np.sqrt(params.c) * rho)
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import signal
@@ -17,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pinchflow
-from pinchflow.cli import build_parser, main
+from pinchflow.cli import _load_state, build_parser, main
+from pinchflow.flow import product_collapse_time
+from pinchflow.thresholds import PinchingParams
 from pinchflow.verify import DEFAULT_CS, DEFAULT_NS
 
 
@@ -675,6 +678,7 @@ REQUIRED_FLAGS = {
 }
 OPTIONAL_OUTPUTS = {"simulate": ["--terminal-json", "--curvature-csv"]}
 JSON_OUTPUTS = {"verify": "--output", "constants": "--output", "simulate": "--terminal-json"}
+CSV_OUTPUTS = {"thresholds": ["--output"], "simulate": ["--output", "--curvature-csv"]}
 
 
 @st.composite
@@ -758,3 +762,74 @@ def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
         if flag in argv:
             path = Path(argv[argv.index(flag) + 1])
             json.loads(path.read_text(), parse_constant=_no_constant)
+    if code == 0:
+        for flag in CSV_OUTPUTS.get(argv[0], []):
+            if flag in argv:
+                _assert_finite_csv(Path(argv[argv.index(flag) + 1]), argv)
+        if "--terminal-json" in argv:
+            _assert_closed_form_terminal(argv)
+
+
+def _assert_finite_csv(path, argv):
+    """Every field of a written CSV that parses as a number is finite."""
+    rows = [line for line in path.read_text().splitlines() if not line.startswith("#")][1:]
+    for row in rows:
+        for value in row.split(","):
+            try:
+                number = float(value)
+            except ValueError:  # a family or branch name, or an empty snapshot field
+                continue
+            assert np.isfinite(number), (argv, path.name, row)
+
+
+def _assert_closed_form_terminal(argv) -> bool:
+    """A sphere or product collapse time matches its closed form within 10 tol relative.
+
+    The exact product route evaluates that closed form, so it matches to the bit.
+    Returns whether the run ended in a collapse, so that a time was compared.
+    """
+    args = build_parser().parse_args(argv)
+    payload = json.loads(Path(args.terminal_json).read_text())
+    collapsed = payload["terminal"] in ("RoundPoint", "GreatCircleCollapse")
+    if args.family == "axisymmetric" or not collapsed:
+        return False
+    params = PinchingParams(n=args.n, c=args.c)
+    state = _load_state(args, params)
+    if args.family == "sphere":
+        T = -np.log(np.abs(np.cos(np.sqrt(params.c) * state.rho))) / (params.n * params.c)
+    else:
+        T = product_collapse_time(state.r1sq(params), params)
+    if args.family == "product-exact":
+        assert payload["T"] == T, argv
+    else:
+        assert abs(payload["T"] - T) <= 10.0 * args.tol * abs(T), (argv, payload["T"], T)
+    return True
+
+
+def test_fuzz_table_collapse_times_match_their_closed_forms(tmp_path):
+    # the fuzz examples reach few collapses, so every homogeneous state of its
+    # table runs here, at each (n, c) and tol, to the default horizon 1/c
+    sim = FUZZ_FLAGS["simulate"]
+    states = {
+        "sphere": [[], *(["--rho", v] for v in sim["--rho"])],
+        "product": [[], *([flag, v] for flag in ("--r1sq", "--lam") for v in sim[flag])],
+    }
+    states["product-exact"] = states["product"]
+    terminal = tmp_path / "terminal.json"
+    compared = 0
+    for family, family_states in states.items():
+        tols = [[]] if family == "product-exact" else [[], *(["--tol", v] for v in sim["--tol"])]
+        for state, n, c, tol in itertools.product(
+            family_states, PARAM_FLAGS["--n"], PARAM_FLAGS["--c"], tols
+        ):
+            argv = ["simulate", "--family", family, "--n", n, "--c", c, *state, *tol,
+                    "--output", str(tmp_path / "trace.csv"), "--terminal-json", str(terminal)]
+            terminal.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), (argv, err.getvalue())
+            if code == 0:
+                _assert_finite_csv(tmp_path / "trace.csv", argv)
+                compared += _assert_closed_form_terminal(argv)
+    assert compared >= 100

@@ -51,7 +51,7 @@ def reference_thresholds(fam, xs) -> str:
     (a,) = fam.alpha(xs, order=0)
     b, _, _ = fam.beta(xs)
     g, g1, g2, on_alpha = fam.gamma(xs)
-    w, _, _ = fam.omega(xs)
+    (w,) = fam.omega(xs, order=0)
     rows = [
         [str(n), g17(c), g17(x), g17(a[i]), g17(b[i]), g17(g[i]), g17(g1[i]), g17(g2[i]),
          g17(w[i]), "alpha" if on_alpha[i] else "beta"]
@@ -91,8 +91,8 @@ class FixedColumns:
     def gamma(self, xs):
         return self.g, self.g1, self.g2, self.on_alpha
 
-    def omega(self, xs):
-        return self.w, None, None
+    def omega(self, xs, order):
+        return (self.w,)
 
 
 doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)

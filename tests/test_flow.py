@@ -1,12 +1,13 @@
 """Flow simulator: exact solutions, numeric integration, monitors, terminal events."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pinchflow import (
     Axisymmetric,
     DomainError,
-    FixedPointError,
     FlowConfig,
     GeodesicSphere,
     PinchingParams,
@@ -20,7 +21,12 @@ from pinchflow import (
     monitors_update,
 )
 from pinchflow.axisym import perturbed_product_profile, product_profile
-from pinchflow.flow import MonitorRecord, TerminalEvent, product_r1sq_exact
+from pinchflow.flow import (
+    MonitorRecord,
+    TerminalEvent,
+    product_collapse_time,
+    product_r1sq_exact,
+)
 from pinchflow.verify import reaction_residuals
 
 P10 = PinchingParams(n=10, c=1.0)
@@ -39,10 +45,50 @@ def test_exact_product_reference_trajectory():
 
 
 def test_exact_product_rejects_stationary_and_fat_states():
-    with pytest.raises(FixedPointError):
+    with pytest.raises(DomainError):
         flow_product_exact(ProductSn1S1.from_r1sq(0.9, P10), P10)
     with pytest.raises(DomainError):
         flow_product_exact(ProductSn1S1.from_r1sq(0.95, P10), P10)
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize(
+    "r1sq_of",
+    [lambda s: -1.0, lambda s: 0.0, lambda s: s, lambda s: 1.05 * s, lambda s: np.nan,
+     lambda s: 1e308],
+    ids=["-1", "0", "stationary", "1.05 stationary", "nan", "1e308"],
+)
+def test_product_closed_form_rejects_r1sq_outside_its_domain(r1sq_of, c):
+    # the closed form collapses only from 0 < r1^2 < (n-1)/(nc); elsewhere it
+    # would take the log of d <= 0 or give a negative time.  The exact route
+    # runs at c = 1, so both errors name the same c r1^2.
+    params = PinchingParams(n=10, c=c)
+    r1sq = r1sq_of(9.0 / (10.0 * c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="0 < c r1\\^2 < \\(n-1\\)/n") as direct:
+            product_collapse_time(r1sq, params)
+        with pytest.raises(DomainError) as route:
+            flow_product_exact(ProductSn1S1(lam=1.0, r1sq_exact=r1sq), params)
+    assert str(route.value) == str(direct.value)
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_exact_product_runs_just_below_the_stationary_torus(c):
+    # d = 1 - r1^2 nc/(n-1) = 1e-13 runs to the great circle at -log(d)/(2nc);
+    # rounding 1 - d moves d by ~1e-3 relative, and so T by ~4e-5
+    d = 1e-13
+    params = PinchingParams(n=10, c=c)
+    state = ProductSn1S1.from_r1sq((1.0 - d) * 9.0 / (10.0 * c), params)
+    trace = flow_product_exact(state, params, FlowConfig(t_max=2.0 / c))
+    assert trace.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
+    assert trace.terminal.time == pytest.approx(-np.log(d) / (20.0 * c), rel=1e-4)
+
+
+def test_exact_product_radius_past_the_double_range_is_a_domain_error():
+    # e^{2nt} overflows at t = 1e3; the closed form raises instead of returning -inf
+    with pytest.raises(DomainError, match="double range"):
+        product_r1sq_exact(0.75, P10, 1e3)
 
 
 def test_numeric_product_matches_exact():
@@ -52,7 +98,7 @@ def test_numeric_product_matches_exact():
     assert trace.terminal.kind is TerminalKind.GREAT_CIRCLE_COLLAPSE
     assert trace.terminal.time == pytest.approx(np.log(6.0) / 20.0, abs=1e-7)
     kept = trace.times <= 0.089
-    exact = product_r1sq_exact(initial, P10, trace.times[kept])
+    exact = product_r1sq_exact(initial.r1sq(P10), P10, trace.times[kept])
     errs = np.abs(trace.state.r1sq_exact[kept] - exact)
     assert max(errs) <= 1e-8
 
@@ -205,7 +251,7 @@ def test_axisymmetric_circle_tracks_exact_product():
     initial = ProductSn1S1.from_r1sq(0.75, P10)
     rel = []
     for i, snapshot in trace.snapshots.items():
-        exact = product_r1sq_exact(initial, P10, trace.times[i])
+        exact = product_r1sq_exact(initial.r1sq(P10), P10, trace.times[i])
         rel.append(abs(float(np.mean(np.sin(snapshot.phi) ** 2)) - exact) / exact)
     assert max(rel) <= 1e-3
 
@@ -255,7 +301,7 @@ def test_integrator_error_scales_at_design_order():
     for h in (4e-3, 2e-3):
         config = FlowConfig(epsilon=0.0, tol=1e-3, t_max=0.05, dt_initial=h)
         trace = flow_ode_numeric(initial, P10, config)
-        exact = product_r1sq_exact(initial, P10, trace.times)
+        exact = product_r1sq_exact(initial.r1sq(P10), P10, trace.times)
         errors.append(np.max(np.abs(trace.state.r1sq_exact - exact)))
     assert errors[0] / errors[1] > 8.0
 
@@ -272,7 +318,7 @@ def test_profile_route_error_falls_at_fourth_order():
         )
         last = max(trace.snapshots)
         r1sq = float(np.mean(np.sin(trace.snapshots[last].phi) ** 2))
-        errors.append(abs(r1sq - product_r1sq_exact(initial, P10, trace.times[last])))
+        errors.append(abs(r1sq - product_r1sq_exact(initial.r1sq(P10), P10, trace.times[last])))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     assert all(14.0 <= r <= 18.0 for r in ratios), ratios
 

@@ -5,6 +5,7 @@ import pytest
 
 from pinchflow import (
     Axisymmetric,
+    DomainError,
     GeodesicSphere,
     GeometryError,
     PinchingClass,
@@ -30,11 +31,13 @@ def test_product_curvature_reference_case():
     assert data.kappa_profile == pytest.approx(-np.sqrt(3.0), rel=1e-12)
 
 
-def test_product_radii_sum():
+def test_product_r1sq_reads_the_kept_radius_or_lam():
     params = PinchingParams(n=7, c=2.0)
-    state = ProductSn1S1(lam=0.8)
-    r1, r2 = state.radii(params)
-    assert r1 ** 2 + r2 ** 2 == pytest.approx(1.0 / params.c, rel=1e-14)
+    for r1sq in (0.3, np.array([0.1, 0.2, 0.45])):
+        state = ProductSn1S1.from_r1sq(r1sq, params)
+        assert state.r1sq(params) is state.r1sq_exact  # verbatim, no lam round-trip
+        assert np.array_equal(state.r1sq(params), r1sq)
+    assert ProductSn1S1(lam=0.8).r1sq(params) == pytest.approx(1.0 / (2.0 + 0.64), rel=1e-14)
 
 
 def test_equatorial_sphere_is_totally_geodesic():
@@ -146,6 +149,15 @@ def test_ricci_witness_for_pinched_states():
     fam = family(params)
     w, _, _ = fam.omega(float(data.H) ** 2)
     assert witness == pytest.approx((params.n - 1.0) / params.n * 0.01 * w, rel=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, np.nan, np.inf])
+def test_ricci_witness_needs_a_finite_nonnegative_epsilon(epsilon):
+    # a negative epsilon would give a negative witness, (0.0, -155.757...) at lam = 0.5
+    params = PinchingParams(n=10, c=1.0)
+    data = curvature_of(ProductSn1S1(lam=0.5), params)
+    with pytest.raises(DomainError, match="epsilon must be finite and >= 0"):
+        ricci_lower_bound(data, params, epsilon=epsilon)
 
 
 def test_classify_sphere_strict():

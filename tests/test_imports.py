@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module."""
+"""Static checks of the package source: imports used, helpers referenced, error types raised."""
 
 import ast
 from pathlib import Path
@@ -72,3 +72,48 @@ def test_package_private_helpers_have_callers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 5
     assert unreferenced_helpers(sources) == []
+
+
+def error_types_without_raise(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """PinchflowError subclasses defined in errors_source that no raise statement names.
+
+    A raise names a type as ``raise T``, ``raise T(...)`` or through an
+    attribute, ``raise errors.T(...)``, anywhere in the given modules.
+    """
+    family, subclasses = {"PinchflowError"}, []
+    for stmt in ast.parse(errors_source).body:  # a base is defined before its subclasses
+        if isinstance(stmt, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in family for base in stmt.bases
+        ):
+            family.add(stmt.name)
+            subclasses.append(stmt.name)
+    raised = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return [name for name in subclasses if name not in raised]
+
+
+def test_error_types_without_raise_are_found():
+    errors = (
+        "class PinchflowError(Exception):\n    pass\n\nclass A(PinchflowError):\n    pass\n\n"
+        "class B(A):\n    pass\n\nclass C(PinchflowError):\n    pass\n\n"
+        "class D(PinchflowError):\n    pass\n\nclass Other(Exception):\n    pass\n"
+    )
+    sources = {
+        "errors.py": errors,
+        "a.py": "import errors\n\ndef f():\n    raise A('x')\n\ntry:\n    f()\n"
+        "except C:\n    raise errors.D from None\n",
+    }
+    assert error_types_without_raise(errors, sources) == ["B", "C"]
+
+
+def test_every_error_type_has_a_raise_site():
+    # an error type whose last raise went would still be exported and documented
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert error_types_without_raise(sources["errors.py"], sources) == []
