@@ -207,14 +207,13 @@ def _periodic_spline(x, y, x_new):
 def resample_profile(phi, xi):
     """Redistribute a closed profile to uniform arc length once its mesh has drifted.
 
-    Returns (phi_u, xi_u, spacing, length, winding) with the input's sample
-    count, length the closed chordal length on the unit hemisphere and
-    spacing = length / N.  A
-    profile whose max/min chord ratio is at most MAX_CHORD_RATIO is passed
-    through untouched, so exactly represented profiles stay exact; any other
-    is refit by a periodic cubic spline in chordal arc length and sampled at N
-    equal steps.  A zero chord raises GeometryError, and a chord below
-    MIN_SPACING_FRACTION of the mean raises MeshDegenerate.
+    Returns (phi_u, xi_u, spacing, winding) with the input's sample count and
+    spacing = length / N, length the closed chordal length on the unit
+    hemisphere.  A profile whose max/min chord ratio is at most MAX_CHORD_RATIO
+    is passed through untouched, so exactly represented profiles stay exact;
+    any other is refit by a periodic cubic spline in chordal arc length and
+    sampled at N equal steps.  A zero chord raises GeometryError, and a chord
+    below MIN_SPACING_FRACTION of the mean raises MeshDegenerate.
     """
     phi = np.asarray(phi, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -229,7 +228,7 @@ def resample_profile(phi, xi):
     ramp = 2.0 * np.pi * w
     segments = np.diff(s)
     if segments.max() <= MAX_CHORD_RATIO * segments.min():
-        return phi.copy(), xi.copy(), length / n_in, length, w
+        return phi.copy(), xi.copy(), length / n_in, w
     if n_in < 3:
         raise GeometryError("resampling needs at least 3 samples")
     if segments.min() <= 0.0:
@@ -250,7 +249,7 @@ def resample_profile(phi, xi):
     resampled = _periodic_spline(s, both, s_new)
     phi_u = resampled[:, 0]
     xi_u = resampled[:, 1] + ramp * s_new / length
-    return phi_u, xi_u, length / n_in, length, w
+    return phi_u, xi_u, length / n_in, w
 
 
 def profile_geometry(
@@ -277,7 +276,7 @@ def profile_geometry(
 
 def curvature_of_profile(phi, xi, params: PinchingParams) -> CurvatureData:
     """Resample to uniform arc length, then evaluate the curvature at params.c."""
-    phi_u, xi_u, spacing, _, w = resample_profile(phi, xi)
+    phi_u, xi_u, spacing, w = resample_profile(phi, xi)
     geom, root_c = profile_geometry(phi_u, xi_u, params.n, spacing, w), np.sqrt(params.c)
     return curvature_data(params.n, geom.kappa_orbit * root_c, geom.kappa_profile * root_c)
 

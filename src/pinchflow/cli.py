@@ -211,6 +211,9 @@ def main(argv=None) -> int:
     except PinchflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's _ArrayMemoryError names the size refused
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     parser.error(f"unknown command {args.command!r}")
 
 

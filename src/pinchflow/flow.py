@@ -445,7 +445,7 @@ def flow_axisymmetric(
         raise GeometryError(f"axisymmetric flow needs a profile state, got {kind}")
     n, c = params.n, params.c
     axisym.validate_profile(initial.phi, initial.xi)
-    phi, xi, spacing, _, winding = axisym.resample_profile(initial.phi, initial.xi)
+    phi, xi, spacing, winding = axisym.resample_profile(initial.phi, initial.xi)
     geom = axisym.profile_geometry(phi, xi, n, spacing, winding)
     root_c = math.sqrt(c)
     config = (config or FlowConfig()).resolved(
@@ -518,7 +518,7 @@ def flow_axisymmetric(
             if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
                 terminal = TerminalEvent(TerminalKind.BLOWUP, float(t / c))
                 break
-            phi, xi, spacing, _, winding = axisym.resample_profile(phi, xi)
+            phi, xi, spacing, winding = axisym.resample_profile(phi, xi)
             geom = axisym.profile_geometry(phi, xi, n, spacing, winding)
             t += dt
             step += 1

@@ -69,6 +69,9 @@ class ProductSn1S1:
     def __post_init__(self):
         if not np.all((self.lam > 0.0) & np.isfinite(self.lam)):
             raise GeometryError(f"product curvature lam must be positive, got {self.lam!r}")
+        r1sq = 1.0 if self.r1sq_exact is None else self.r1sq_exact
+        if not np.all((r1sq > 0.0) & np.isfinite(r1sq)):
+            raise GeometryError(f"product r1sq_exact must be finite and positive, got {r1sq!r}")
 
     def r1sq(self, params: PinchingParams) -> float | np.ndarray:
         """r1^2 = 1/(c + lam^2): the kept squared radius, else from lam."""

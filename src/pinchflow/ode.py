@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepUnderflow
+from .errors import DomainError, StepUnderflow
 
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
@@ -102,15 +102,20 @@ def solve_ivp(rhs, t_bound, y0, *, rtol, atol, events=(), max_step=None):
     a step ends on or past its level; a y0 already there ends the run at
     t = 0 with no step taken.  ``max_step``, when given, bounds every step and
     is the first step; otherwise the starting-step heuristic picks the first
-    step.  A step below 10 ulp(t) raises StepUnderflow.
+    step.  A step below 10 ulp(t) raises StepUnderflow, and a y0 or rhs(y0)
+    that is not finite raises DomainError before the first step.
     """
     t, y = 0.0, float(y0)
+    if not math.isfinite(y):
+        raise DomainError(f"the integrator needs a finite initial value, got {y!r}")
     ts, ys = [t], [y]
     event = next((i for i, (level, sense) in enumerate(events) if _past(y, level, sense)), None)
     if event is not None:
         return OdeSolution(np.array(ts), np.array(ys), 0, event)
     f = rhs(y)
     nfev = 1
+    if not math.isfinite(f):
+        raise DomainError(f"the right-hand side is not finite at y0 = {y!r}: {f!r}")
     if max_step is None:
         max_step = math.inf
         h_abs = _initial_step(rhs, y, f, t_bound, rtol, atol)

@@ -23,8 +23,8 @@ finite from x = 0 on.
 
 The distinguished abscissa x0 = y_n * c comes from a trigonometric closed
 form.  y_n and k_n are evaluated in mpmath, which stays a dependency while
-perfbench reads its version, and y_n is certified against an independent
-bisection of the defining cubic.
+perfbench reads its version, and y_n is certified by a sign change of the
+defining cubic, whose only positive root it is, across y_n (1 -+ 1e-9).
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ __all__ = [
 ]
 
 _MP_DPS = 50
-_ROOT_SCAN_POINTS = 8192
 _ROOT_AGREEMENT_RTOL = 1e-9
-_EXTENSION_SCAN_POINTS = 4001
 _U_MAX = 1e60  # largest x/c; from ~1e62 on, s**2.5 (s ~ u^2) in alpha's d3 overflows
 GRID_X_MAX = 100.0  # times c, the top of default_grid
 _C_MIN = float(np.finfo(float).tiny)  # the smallest normal double
@@ -95,37 +93,30 @@ class CriticalConstants:
     bneq_residual: float
 
 
-def _cubic_residual(n: int, y):
-    """Defining cubic for y_n: vanishing identifies the branch point."""
+def _cubic_sides(n: int, y) -> tuple:
+    """The defining cubic's two sides (lhs, rhs): y_n is where they meet."""
     ratio = (n * n - 4.0 * n + 6.0) / (n * n - 4.0)
-    lhs = y * (y + 6.0 * (n - 1.0)) ** 2
-    rhs = ratio * ratio * (y + 4.0 * (n - 1.0)) ** 3
-    return lhs - rhs
+    return y * (y + 6.0 * (n - 1.0)) ** 2, ratio * ratio * (y + 4.0 * (n - 1.0)) ** 3
 
 
-def _y_n_bisection(n: int) -> float:
-    """Certify y_n by sign-change scan plus bisection on (0, sqrt(8) n^2)."""
-    upper = np.sqrt(8.0) * n * n
-    ys = np.linspace(1e-9, upper, _ROOT_SCAN_POINTS)
-    vals = _cubic_residual(n, ys)
-    sign_changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(sign_changes) != 1:
-        raise RootMismatch(
-            f"expected exactly one positive root of the y_n cubic for n={n}, "
-            f"found {len(sign_changes)} sign changes"
-        )
-    i = sign_changes[0]
-    a, b = float(ys[i]), float(ys[i + 1])
-    negative_at_a = _cubic_residual(n, a) < 0.0
-    # Bisect to a width of 1e-13 + 1e-15 |b|, which stays above one ulp of b,
-    # so the loop ends.
-    while b - a > 1e-13 + 1e-15 * abs(b):
-        mid = 0.5 * (a + b)
-        if (_cubic_residual(n, mid) < 0.0) == negative_at_a:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def _certify_y_n(n: int, y: float) -> None:
+    """RootMismatch unless the cubic's positive root lies in y (1 -+ _ROOT_AGREEMENT_RTOL).
+
+    With m = n - 1 and r = (n^2 - 4n + 6)/(n^2 - 4), lhs - rhs is (1 - r^2) y^3
+    + 12m (1 - r^2) y^2 + (36 - 48 r^2) m^2 y - 64 r^2 m^3, and r^2 < 1 for
+    n >= 3 (4n > 10).  Its signs (+, +, +-, -) change once, so by Descartes'
+    rule it has one positive root, with lhs < rhs below and lhs > rhs above.
+    Each side takes at most seven rounded operations, so the computed lhs - rhs
+    is within 16 eps (|lhs| + |rhs|) of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, §3.1): only a larger one counts.
+    """
+    for sense in (-1.0, 1.0):
+        lhs, rhs = _cubic_sides(n, y * (1.0 + sense * _ROOT_AGREEMENT_RTOL))
+        if not sense * (lhs - rhs) > 16.0 * np.finfo(float).eps * (abs(lhs) + abs(rhs)):
+            raise RootMismatch(
+                f"the y_n cubic does not certainly change sign across y (1 -+ "
+                f"{_ROOT_AGREEMENT_RTOL:g}) at the closed-form y_n={y!r} for n={n}"
+            )
 
 
 def _closed_forms(n: int) -> tuple[float, float, str]:
@@ -219,22 +210,19 @@ def _to_x(values, c: float) -> tuple:
 def _unit(n: int) -> tuple[CriticalConstants, tuple, tuple]:
     """Constants of n at c = 1, certified, and the Taylor data of alpha and omega at y_n.
 
-    Also checks once that omega's Taylor extension stays positive on [0, y_n].
+    Also checks once that omega's Taylor extension stays positive on [0, y_n]:
+    a quadratic's minimum on an interval lies at an end or at its vertex.
     """
     y_closed, k_n, k_branch = _closed_forms(n)
-    y_root = _y_n_bisection(n)
-    if abs(y_closed - y_root) > _ROOT_AGREEMENT_RTOL * max(1.0, abs(y_closed)):
-        raise RootMismatch(
-            f"closed-form y_n={y_closed!r} and bisection root {y_root!r} disagree for n={n}"
-        )
-    residual = _cubic_residual(n, y_closed)
-    scale = abs(y_closed * (y_closed + 6.0 * (n - 1.0)) ** 2)
+    _certify_y_n(n, y_closed)
+    lhs, rhs = _cubic_sides(n, y_closed)
     x1 = n * np.sqrt(n - 1.0) - 2.0 * n + 2.0
-    constants = CriticalConstants(y_closed, y_closed, x1, k_n, k_branch, abs(residual) / scale)
+    constants = CriticalConstants(y_closed, y_closed, x1, k_n, k_branch, abs(lhs - rhs) / abs(lhs))
     y = np.asarray(y_closed)
     omega_taylor = tuple(float(v) for v in _omega(n, y))
-    us = np.linspace(0.0, y_closed, _EXTENSION_SCAN_POINTS)
-    if not np.all(_taylor(omega_taylor, us - y_closed)[0] > 0.0):
+    _, f1, f2 = omega_taylor  # in d = u - y_n on [-y_n, 0]: the ends and the clamped vertex
+    vertex = min(max(-f1 / f2 if f2 > 0.0 else 0.0, -y_closed), 0.0)
+    if not np.all(_taylor(omega_taylor, np.array([-y_closed, vertex, 0.0]))[0] > 0.0):
         raise DomainError(f"omega Taylor extension loses positivity on [0, y_n] for n={n}")
     return constants, tuple(float(v) for v in _alpha(n, y, 2)), omega_taylor
 

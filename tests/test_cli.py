@@ -632,6 +632,34 @@ def test_verify_past_the_double_range_exits_without_a_traceback(tmp_path):
             assert done.stderr.startswith("error: "), c
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--n", "10", "--points", "10000000000"],
+        ["verify", "--n-values", "3", "--c-values", "1", "--grid-points", "3000000000"],
+    ],
+    ids=["thresholds", "verify"],
+)
+def test_a_size_past_memory_exits_without_a_traceback(tmp_path, argv):
+    # the child caps its own address space at 2 GB, so numpy refuses the
+    # allocation at once on any host
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from pinchflow.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(pinchflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: out of memory: "), done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_import_loads_no_heavy_scipy_module():
     # scipy.interpolate pulls in scipy.special and fitpack, and dominated the
     # start-up of every command; the package needs scipy.linalg alone.

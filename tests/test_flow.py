@@ -10,6 +10,7 @@ from pinchflow import (
     DomainError,
     FlowConfig,
     GeodesicSphere,
+    GeometryError,
     PinchingParams,
     ProductSn1S1,
     TerminalKind,
@@ -61,13 +62,18 @@ def test_exact_product_rejects_stationary_and_fat_states():
 def test_product_closed_form_rejects_r1sq_outside_its_domain(r1sq_of, c):
     # the closed form collapses only from 0 < r1^2 < (n-1)/(nc); elsewhere it
     # would take the log of d <= 0 or give a negative time.  The exact route
-    # runs at c = 1, so both errors name the same c r1^2.
+    # runs at c = 1, so both errors name the same c r1^2.  A radius that is not
+    # finite and positive fails earlier, when the state is built.
     params = PinchingParams(n=10, c=c)
     r1sq = r1sq_of(9.0 / (10.0 * c))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="0 < c r1\\^2 < \\(n-1\\)/n") as direct:
             product_collapse_time(r1sq, params)
+        if not (r1sq > 0.0 and np.isfinite(r1sq)):  # no product state keeps this radius
+            with pytest.raises(GeometryError, match="r1sq_exact must be finite and positive"):
+                ProductSn1S1(lam=1.0, r1sq_exact=r1sq)
+            return
         with pytest.raises(DomainError) as route:
             flow_product_exact(ProductSn1S1(lam=1.0, r1sq_exact=r1sq), params)
     assert str(route.value) == str(direct.value)
@@ -397,7 +403,7 @@ def test_every_step_starts_from_a_mesh_within_the_chord_bound(
 
     def recording(*args):
         out = resample(*args)
-        meshes.append(out)
+        meshes.append((args, out))
         return out
 
     monkeypatch.setattr(axisym, "resample_profile", recording)
@@ -411,10 +417,11 @@ def test_every_step_starts_from_a_mesh_within_the_chord_bound(
     assert len(splines) >= 2
     # each step starts from the mesh the previous resample returned
     assert len(meshes) == len(trace.monitors)
-    for phi_m, xi_m, spacing, length, _ in meshes:
+    for (phi_in, xi_in), (phi_m, xi_m, spacing, _) in meshes:
         chords = np.diff(axisym._chord_arclength(phi_m, xi_m))
         assert chords.max() <= axisym.MAX_CHORD_RATIO * chords.min()
-        assert spacing * n_points == pytest.approx(length, rel=1e-14)
+        length = axisym._chord_arclength(phi_in, xi_in)[-1]
+        assert spacing * len(phi_m) == pytest.approx(length, rel=1e-14)
 
 
 def test_flow_config_validation():

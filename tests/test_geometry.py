@@ -40,6 +40,15 @@ def test_product_r1sq_reads_the_kept_radius_or_lam():
     assert ProductSn1S1(lam=0.8).r1sq(params) == pytest.approx(1.0 / (2.0 + 0.64), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "r1sq", [np.nan, np.inf, 0.0, -1.0, np.array([0.3, np.nan]), np.array([0.3, 0.0])]
+)
+def test_product_state_rejects_a_kept_radius_that_is_not_finite_and_positive(r1sq):
+    # r1sq(params) returns the kept radius verbatim, so the state checks it
+    with pytest.raises(GeometryError, match="r1sq_exact must be finite and positive"):
+        ProductSn1S1(lam=1.0, r1sq_exact=r1sq)
+
+
 def test_equatorial_sphere_is_totally_geodesic():
     params = PinchingParams(n=6, c=1.0)
     data = curvature_of(GeodesicSphere(rho=np.pi / 2.0), params)

@@ -1,6 +1,8 @@
-"""Static checks of the package source: imports used, helpers referenced, error types raised."""
+"""Static checks of the package source: imports used, helpers and constants referenced, error
+types raised."""
 
 import ast
+import re
 from pathlib import Path
 
 import pinchflow
@@ -72,6 +74,51 @@ def test_package_private_helpers_have_callers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 5
     assert unreferenced_helpers(sources) == []
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE constants that nothing in the given modules reads.
+
+    A constant is a name bound at module level by an assignment, also one of
+    several (``A, B = 1, 2``), that matches [A-Z][A-Z0-9_]* after leading
+    underscores.  A read is a Name loaded, an attribute or an imported name
+    anywhere in the given modules; the assignment that binds it stores.
+    """
+    constants, read = [], set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                constants += [
+                    node.id
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and re.fullmatch(r"_*[A-Z][A-Z0-9_]*", node.id)
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [name for name in constants if name not in read]
+
+
+def test_unread_constants_are_found():
+    sources = {
+        "a.py": "A, _B = 1, 2\nC: int = 3\nD = 4\nE = 5\n_F = 6\nlower = 7\n"
+        "__all__ = []\n\ndef f():\n    G = 8\n    return _B + G\n",
+        "b.py": "from a import C\nimport a\nx = a.D\n",
+    }
+    assert unread_constants(sources) == ["A", "E", "_F"]
+
+
+def test_package_constants_have_readers():
+    # a setting that nothing reads is dead code with a name
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_constants(sources) == []
 
 
 def error_types_without_raise(errors_source: str, sources: dict[str, str]) -> list[str]:

@@ -1,13 +1,17 @@
 """Scalar Dormand–Prince integrator: agreement with scipy's RK45, level events, failure modes."""
 
+import signal
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp  # reference only
 
 from pinchflow import (
+    DomainError,
     FlowConfig,
     GeodesicSphere,
     GeometryError,
+    PinchflowError,
     PinchingParams,
     ProductSn1S1,
     StepUnderflow,
@@ -104,6 +108,46 @@ def test_initial_value_on_or_past_a_level_ends_at_zero(y0, event):
     sol = solve_ivp(rhs, 1.0, y0, rtol=1e-10, atol=1e-10, events=[(0.5, 1), (-0.5, -1)])
     assert sol.event == event and sol.nfev == 0
     assert sol.t.tolist() == [0.0] and sol.y.tolist() == [y0]
+
+
+@pytest.mark.parametrize("y0", [np.nan, np.inf, -np.inf])
+def test_nonfinite_initial_value_fails_before_a_step(y0):
+    # a NaN y0 gave a NaN first step, which the reject loop shrank forever
+    def rhs(y):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(DomainError, match="finite initial value"):
+        solve_ivp(rhs, 1.0, y0, rtol=1e-10, atol=1e-10, events=[(2.0, 1)])
+
+
+@pytest.mark.parametrize("slope", [np.nan, np.inf])
+def test_nonfinite_initial_slope_fails_before_a_step(slope):
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        return slope
+
+    with pytest.raises(DomainError, match="right-hand side is not finite"):
+        solve_ivp(rhs, 1.0, 0.5, rtol=1e-10, atol=1e-10)
+    assert calls == [0.5]
+
+
+def test_nan_product_radius_fails_typed_within_a_deadline():
+    # this call used to run until killed
+    def expire(signum, frame):
+        raise TimeoutError("the run did not end within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        with pytest.raises(PinchflowError):
+            flow_ode_numeric(
+                ProductSn1S1(lam=1.0, r1sq_exact=float("nan")), P10, FlowConfig(epsilon=0.0)
+            )
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_product_above_stationary_torus_fattens():

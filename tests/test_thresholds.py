@@ -1,14 +1,23 @@
 """Threshold functions: closed forms, derivatives, constants, and branch structure."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinchflow import DerivativeAtZero, DomainError, PinchingParams, family
-from pinchflow.thresholds import _ROOT_SCAN_POINTS, _U_MAX, _cubic_residual, _y_n_bisection
+from pinchflow import DerivativeAtZero, DomainError, PinchingParams, RootMismatch, family
+from pinchflow import thresholds
+from pinchflow.thresholds import (
+    _ROOT_AGREEMENT_RTOL,
+    _U_MAX,
+    _certify_y_n,
+    _closed_forms,
+    _cubic_sides,
+    _taylor,
+)
 
 
 def test_params_validation():
@@ -66,25 +75,84 @@ def test_y10_is_twelve():
     assert consts.x0 == pytest.approx(consts.x1, abs=1e-9)
 
 
-def test_bisection_agrees_with_brentq_on_its_bracket():
+def _poly_mul(p, q):
+    """Product of two integer polynomials, coefficients from the constant term up."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _exact_cubic(n):
+    """(n^2-4)^2 y (y+6m)^2 - (n^2-4n+6)^2 (y+4m)^3 with m = n - 1, as integers."""
+    m = n - 1
+    lhs = _poly_mul([0, 1], _poly_mul([6 * m, 1], [6 * m, 1]))
+    rhs = _poly_mul([4 * m, 1], _poly_mul([4 * m, 1], [4 * m, 1]))
+    a, b = (n * n - 4) ** 2, (n * n - 4 * n + 6) ** 2
+    return [a * p - b * q for p, q in zip(lhs, rhs)]
+
+
+def test_y_n_cubic_has_one_coefficient_sign_change():
+    # Descartes' rule of signs: exactly one positive root for every n checked
+    for n in range(3, 10_001):
+        signs = [k > 0 for k in _exact_cubic(n) if k != 0]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1, n
+
+
+def test_certified_bracket_contains_brentq_root():
     from scipy.optimize import brentq  # reference only
 
     for n in [*range(3, 401), 1000, 5000, 10000]:
-        ys = np.linspace(1e-9, np.sqrt(8.0) * n * n, _ROOT_SCAN_POINTS)
-        vals = _cubic_residual(n, ys)
-        (i,) = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        ref = brentq(lambda y: _cubic_residual(n, y), ys[i], ys[i + 1], xtol=1e-13, rtol=1e-15)
-        # Both stop at a sign change of the cubic evaluated in doubles.  Its
-        # rounding noise blurs the sign over a band up to ~50x the stopping
-        # width 1e-13 + 1e-15 y (n = 10000: 5e-14 relative), so the roots are
-        # compared relative to y, far inside the 1e-9 certification.
-        assert abs(_y_n_bisection(n) - ref) <= 1e-13 * ref, n
+        y = _closed_forms(n)[0]
+        _certify_y_n(n, y)
+        lo, hi = y * (1.0 - _ROOT_AGREEMENT_RTOL), y * (1.0 + _ROOT_AGREEMENT_RTOL)
+        # the float signs at the bracket ends are the exact rational ones
+        cubic = _exact_cubic(n)
+        exact = [sum(k * Fraction(v) ** i for i, k in enumerate(cubic)) for v in (lo, hi)]
+        assert exact[0] < 0 < exact[1], n
+        ref = brentq(
+            lambda v: np.subtract(*_cubic_sides(n, v)),
+            0.0, np.sqrt(8.0) * n * n, xtol=1e-13, rtol=1e-15,
+        )
+        assert lo < ref < hi, n
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-8, 1.0 + 1e-8])
+def test_perturbed_y_n_fails_its_bracket(monkeypatch, factor):
+    closed_forms = thresholds._closed_forms
+
+    def perturbed(n):
+        y, k_n, branch = closed_forms(n)
+        return y * factor, k_n, branch
+
+    monkeypatch.setattr(thresholds, "_closed_forms", perturbed)
+    thresholds._unit.cache_clear()
+    for n in range(3, 13):
+        with pytest.raises(RootMismatch, match=f"for n={n}"):
+            thresholds._unit(n)
+
+
+def test_omega_extension_dipping_between_the_old_scan_points_fails(monkeypatch):
+    # (d - d*)^2 - delta about u = y_n, with d* halfway between two points of a
+    # 4001-point scan of [0, y_n]: every scan point sees a positive value
+    n = 10
+    y = _closed_forms(n)[0]
+    us = np.linspace(0.0, y, 4001)
+    d_star = 0.5 * (us[2000] + us[2001]) - y
+    delta = 1e-3 * (0.5 * (us[1] - us[0])) ** 2
+    coeffs = (d_star * d_star - delta, -2.0 * d_star, 2.0)
+    assert _taylor(coeffs, us - y)[0].min() > 0.0
+    assert _taylor(coeffs, np.array(d_star))[0] < 0.0
+    monkeypatch.setattr(thresholds, "_omega", lambda n, u: [np.float64(c) for c in coeffs])
+    thresholds._unit.cache_clear()
+    with pytest.raises(DomainError, match="loses positivity"):
+        thresholds._unit(n)
 
 
 def test_y3_against_bisection_oracle():
     # frozen bisection value of the defining cubic on (0, sqrt(8) * 9)
     oracle = 1.7708286712227663
-    assert _y_n_bisection(3) == pytest.approx(oracle, abs=1e-11)
     consts = family(PinchingParams(n=3, c=1.0)).constants
     assert consts.y_n == pytest.approx(oracle, abs=1e-9)
     assert consts.y_n == pytest.approx(1.7709, abs=1e-4)

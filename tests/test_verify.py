@@ -127,13 +127,13 @@ def test_suite_integrates_each_unit_problem_once(monkeypatch):
 def test_suite_certifies_each_n_once(monkeypatch):
     # the c-free constants are built once per n and scaled to every c
     certified = []
-    bisection = thresholds._y_n_bisection
+    certify = thresholds._certify_y_n
 
-    def counting_bisection(n):
+    def counting_certify(n, y):
         certified.append(n)
-        return bisection(n)
+        return certify(n, y)
 
-    monkeypatch.setattr(thresholds, "_y_n_bisection", counting_bisection)
+    monkeypatch.setattr(thresholds, "_certify_y_n", counting_certify)
     family.cache_clear()
     thresholds._unit.cache_clear()
     default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=3000)
