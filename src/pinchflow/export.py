@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -91,19 +92,66 @@ def write_curvature_csv(path, state, params, config: dict):
 
 
 def write_reports_json(path, reports, config: dict):
-    """Strict JSON: a non-finite worst_x or worst_margin is written as null."""
-    payload = {
-        "reports": [_report_fields(r) for r in reports],
-        "all_passed": all(r.passed for r in reports),
-        "meta": provenance_meta(config),
-    }
-    _write(path, json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n")
+    """Strict JSON: a non-finite worst_x or worst_margin is written as null.
+
+    The file is json.dumps(payload, indent=2, sort_keys=True, default=str,
+    allow_nan=False) plus a newline, byte for byte, for the payload
+    {"all_passed", "meta", "reports"}.  json's indented encoder runs in pure
+    Python, so only the head goes through it; each report is laid out by
+    _report_json (json's C encoder runs only without indent).
+    """
+    head = {"all_passed": all(r.passed for r in reports), "meta": provenance_meta(config)}
+    head_json = json.dumps(head, indent=2, sort_keys=True, default=str, allow_nan=False)
+    body = ",\n    ".join(_report_json(r) for r in reports)
+    listing = f"[\n    {body}\n  ]" if body else "[]"
+    _write(path, f'{head_json[:-2]},\n  "reports": {listing}\n}}\n')
 
 
-def _report_fields(report) -> dict:
-    """The fields of a CheckReport, a non-finite worst_x or worst_margin as None."""
-    keys = ("worst_x", "worst_margin")
-    return vars(report) | {k: None for k in keys if not math.isfinite(getattr(report, k))}
+_FIELD_INDENT = "\n      "  # a report's fields sit three levels deep in the payload
+_REPORT_KEYS = ("c", "check_id", "equality_loci", "grid_size", "message", "n", "passed",
+                "worst_margin", "worst_x")  # a CheckReport's fields, sorted
+_REPORT_LAYOUT = (
+    "{" + _FIELD_INDENT
+    + f",{_FIELD_INDENT}".join(f"{encode_basestring_ascii(k)}: %s" for k in _REPORT_KEYS)
+    + "\n    }"
+)
+
+
+def _report_json(r) -> str:
+    """One CheckReport as json.dumps(payload, indent=2, sort_keys=True) lays it out."""
+    margin, x = r.worst_margin, r.worst_x
+    return _REPORT_LAYOUT % (
+        _json_value(r.c), _json_value(r.check_id), _json_value(r.equality_loci),
+        _json_value(r.grid_size), _json_value(r.message), _json_value(r.n), _json_value(r.passed),
+        _json_value(margin) if math.isfinite(margin) else "null",
+        _json_value(x) if math.isfinite(x) else "null",
+    )
+
+
+def _json_value(value) -> str:
+    """A report field as json.dumps writes it there: floats, str, int, bool, [] and None directly.
+
+    Anything else, such as a non-empty list of loci, a subclass of those
+    types or a non-finite float (which raises ValueError), goes through
+    json.dumps with the payload's options, re-indented to its depth.
+    """
+    kind = value.__class__
+    if kind is float:
+        if value - value == 0.0:  # finite
+            return float.__repr__(value)
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif kind is int:
+        return int.__repr__(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is list:
+        if not value:
+            return "[]"
+    elif value is None:
+        return "null"
+    text = json.dumps(value, indent=2, sort_keys=True, default=str, allow_nan=False)
+    return text.replace("\n", _FIELD_INDENT)
 
 
 def render_report_table(reports) -> str:

@@ -35,7 +35,9 @@ slowly, so this is rare: once in the 34 steps of a mode-2 ripple of 0.5% on
 the minimal torus at N = 96 (n = 10, t = 0.25), 11 times in 35 steps for a 5%
 ripple at N = 256, and 14 times in 40 steps for a 1% ripple collapsing to the
 great circle at N = 128.  Between redistributions the parameter is kept and
-the spacing follows the chordal length of the curve.
+the spacing follows the chordal length of the curve.  A run whose step count,
+estimated from its first step, passes MAX_PROFILE_STEPS raises DomainError
+before that step (the minimal torus to t = 1e6 would take ~1.3e8 steps).
 
 Monitors recorded at every accepted step, in the ambient units of c: the
 pinching excess U = |h|^2 - gamma + eps*omega (pointwise max), the decay ratio
@@ -107,6 +109,7 @@ GEODESIC_H2 = 1e-12  # |h|^2 of a totally geodesic end, sustained over the time 
 BLOWUP_H2 = 1e6  # |h|^2 of a blowup
 MESH_SAMPLES_TARGET = 200
 DT_MIN = 1e-12  # floor of the profile route's time step
+MAX_PROFILE_STEPS = 10 ** 6  # the profile route's step budget, estimated from the first step
 MONITOR_BLOCK = 8192  # curvature samples (points x steps) per monitors_update of the profile route
 EXACT_SAMPLES = 400  # times sampled by the closed-form product trajectory
 TOL_MIN = 100 * np.finfo(float).eps  # the smallest tol, scipy RK45's floor on rtol
@@ -290,7 +293,8 @@ def flow_product_exact(
         raise GeometryError(f"exact product flow needs a product state, got {kind}")
     config = (config or FlowConfig()).resolved(lambda: curvature_of(initial, params), params)
     c = params.c
-    y0 = c * initial.r1sq(params)
+    with double_range("the product radius", c):
+        y0 = c * initial.r1sq(params)
     unit = PinchingParams(params.n)
     T = product_collapse_time(y0, unit)
     t_max = config.t_max * c
@@ -345,7 +349,8 @@ def _ode_start(state, params: PinchingParams) -> tuple[str, float, bool]:
         w = math.pi - y if beyond else y
         return "sphere", w * w, beyond
     if isinstance(state, ProductSn1S1):
-        return "product", params.c * state.r1sq(params), False
+        with double_range("the product radius", params.c):
+            return "product", params.c * state.r1sq(params), False
     raise GeometryError(f"ODE flow supports homogeneous states only, got {state!r}")
 
 
@@ -498,6 +503,11 @@ def flow_axisymmetric(
             dt = _profile_dt(h2_max, n, dt_cap)
             if dt < DT_MIN:
                 raise StepUnderflow(f"time step {dt!r} fell below DT_MIN before a terminal event")
+            if step == 0 and est_steps > MAX_PROFILE_STEPS:  # a run that ends at t = 0 needs none
+                raise DomainError(
+                    f"the profile flow to t_max = {config.t_max!r} would take ~{est_steps:.3g} "
+                    f"steps at its first step size, past the budget of {MAX_PROFILE_STEPS} steps"
+                )
             dt = min(dt, t_max - t)
             # The state is phi and xi minus its winding ramp, both periodic; the
             # parametrization is frozen over the step.

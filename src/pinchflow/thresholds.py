@@ -158,11 +158,13 @@ def _alpha(n: int, u, order: int) -> list:
 
 
 def _omega(n: int, u, order: int = 2) -> list:
-    """Printed closed form of omega at c = 1 for u >= y_n: [omega] at order 0, else [omega, d1, d2].
+    """Printed closed form of omega at c = 1 for u >= y_n: [omega, d1, d2][: order + 1].
 
     omega = u^2 b^2 / sqrt(s) with s = u^2 + 4(n-1)u, b = (1 + n^2/u)(R - v)/(R + v),
     v = u/sqrt(s) and R = n/(n-2).  Its derivatives are omega L1 and omega (L2 + L1^2),
     with L1, L2 those of log omega = 2 log(u + n^2) - log(s)/2 + 2 log((R - v)/(R + v)).
+    Only what the order asks for is computed: order 0 stops at omega, order 1
+    before L2.  Each entry has the same bits at every order that returns it.
     """
     m = n - 1.0
     ratio = n / (n - 2.0)
@@ -179,6 +181,8 @@ def _omega(n: int, u, order: int = 2) -> list:
     v1 = 2.0 * m * v / s  # v'
     e, h = 1.0 / (u + n * n), (u + 2.0 * m) / s  # (log(u + n^2))', (log s)' / 2
     l1 = 2.0 * e - h - 2.0 * v1 * (p + q)
+    if order == 1:
+        return [w, w * l1]
     v2 = -2.0 * v1 * (u + m) / s  # v''
     l2 = -2.0 * e * e - 1.0 / s + 2.0 * h * h - 2.0 * (v2 + v1 * v1 * (p - q)) * (p + q)
     return [w, w * l1, w * (l2 + l1 * l1)]

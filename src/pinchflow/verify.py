@@ -33,7 +33,7 @@ lattice each is one c = 1 integration, run once (flow._integrate).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -107,8 +107,12 @@ def _at_c(reports: list[CheckReport], params: PinchingParams) -> list[CheckRepor
     c = params.c
     with double_range("a reported abscissa", c):
         return [
-            replace(r, c=c, worst_x=float(np.float64(r.worst_x) * c),
-                    equality_loci=(np.reshape(r.equality_loci, (-1, 2)) * c).tolist())
+            CheckReport(
+                r.check_id, r.n, c, r.grid_size, r.worst_margin,
+                float(np.float64(r.worst_x) * c), r.passed,
+                (np.reshape(r.equality_loci, (-1, 2)) * c).tolist() if r.equality_loci else [],
+                r.message,
+            )
             for r in reports
         ]
 
@@ -566,21 +570,21 @@ def check_okumura(n: int):
 # ------------------------------------------------------------ flow oracles
 
 
-def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Derivative of a sampled series on a nonuniform grid (local polynomials).
+def _lagrange_derivative(ts: np.ndarray, *series: np.ndarray) -> tuple:
+    """Derivatives of sampled series on one nonuniform grid (local polynomials).
 
-    Vectorized over the sample index.  The products and sums over the stencil
-    keep the order of a per-sample loop, so each entry equals that loop's
-    result bit for bit.
+    Returns one array per series.  The stencil weights of ts, a numerator and
+    a denominator per stencil point, are built once and applied to every
+    series.  Vectorized over the sample index; the products and sums over the
+    stencil keep the order of a per-sample loop, so each entry equals that
+    loop's result bit for bit.
     """
     m = len(ts)
     half = LAGRANGE_WIDTH // 2
-    out = np.full(m, np.nan)
     centers = np.arange(half, m - half)
     window = centers[:, None] + np.arange(-half, half + 1)
     tau = ts[window] - ts[centers, None]
-    y = ys[window]
-    acc = np.zeros(len(centers))
+    weights = []
     for j in range(LAGRANGE_WIDTH):
         denom = np.ones(len(centers))
         for k in range(LAGRANGE_WIDTH):
@@ -595,9 +599,17 @@ def _lagrange_derivative(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
                 if l != j and l != k:
                     prod *= -tau[:, l]
             num += prod
-        acc += y[:, j] * num / denom
-    out[half : m - half] = acc
-    return out
+        weights.append((num, denom))
+    derivatives = []
+    for ys in series:
+        y = ys[window]
+        acc = np.zeros(len(centers))
+        for j, (num, denom) in enumerate(weights):
+            acc += y[:, j] * num / denom
+        out = np.full(m, np.nan)
+        out[half : m - half] = acc
+        derivatives.append(out)
+    return tuple(derivatives)
 
 
 def reaction_residuals(trace, params: PinchingParams):
@@ -611,8 +623,7 @@ def reaction_residuals(trace, params: PinchingParams):
     """
     n, c = params.n, params.c
     ts, H, h2 = trace.times * c, trace.curvature.H / np.sqrt(c), trace.curvature.h_norm2 / c
-    dH = _lagrange_derivative(ts, H)
-    dh2 = _lagrange_derivative(ts, h2)
+    dH, dh2 = _lagrange_derivative(ts, H, h2)
     rhs_H = H * (h2 + n)
     rhs_h2 = 4.0 * H ** 2 + 2.0 * h2 ** 2 - 2.0 * n * h2
     ok = ~np.isnan(dH) & (h2 <= REACTION_GROWTH_CAP * (h2[0] + n))

@@ -157,6 +157,24 @@ def test_simulate_axisymmetric_horizon_below_step_floor(tmp_path, capsys):
     assert (payload["terminal"], payload["T"]) == ("HorizonReached", 1e-13)
 
 
+def test_simulate_axisymmetric_past_the_step_budget_exits_at_once(tmp_path, capsys):
+    # the minimal torus to t = 1e6 would take ~1.3e8 steps, about a day
+    from pinchflow.axisym import product_profile
+
+    state_file, trace = tmp_path / "state.json", tmp_path / "trace.csv"
+    _write_profile(state_file, *product_profile(PinchingParams(n=10, c=1.0), 0.9, n_points=96))
+    start = time.perf_counter()
+    code = main(
+        ["simulate", "--family", "axisymmetric", "--n", "10", "--c", "1",
+         "--profile", str(state_file), "--t-max", "1e6", "--output", str(trace)]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+    assert not trace.exists()
+
+
 def test_simulate_axisymmetric_collapse_prints_a_float_time(tmp_path, capsys):
     from pinchflow.axisym import product_profile
     from pinchflow.thresholds import PinchingParams

@@ -1,10 +1,13 @@
-"""CSV writers: every file equals the per-float ``format(v, ".17g")`` join they replace."""
+"""Writers: every CSV equals the per-float ``format(v, ".17g")`` join it replaces, and the
+verify report the indented ``json.dumps`` it replaces."""
 
+import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,13 +15,16 @@ from pinchflow import Axisymmetric, FlowConfig, GeodesicSphere, PinchingParams, 
 from pinchflow.axisym import perturbed_product_profile
 from pinchflow.export import (
     provenance_lines,
+    provenance_meta,
     write_curvature_csv,
+    write_reports_json,
     write_threshold_csv,
     write_trace_csv,
 )
 from pinchflow.flow import MonitorRecord, flow_axisymmetric, flow_ode_numeric
 from pinchflow.geometry import curvature_of
 from pinchflow.thresholds import family
+from pinchflow.verify import CheckReport, default_suite
 
 MONITORS = ("t", "H_max", "h2_max", "h0_2_max", "gamma_min", "U_max", "f_sigma", "g_sigma")
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -164,3 +170,64 @@ def test_ac8_ripple_curvature_and_trace_equal_per_float_join(tmp_path):
     trace = flow_axisymmetric(state, params, FlowConfig(epsilon=0.0, t_max=0.25))
     write_trace_csv(tmp_path / "trace.csv", trace, CONFIG)
     assert_written(tmp_path / "trace.csv", reference_trace(trace))
+
+
+def reference_reports_json(reports, config) -> str:
+    """The verify report as json.dumps lays it out, a non-finite worst point as null."""
+    keys = ("worst_x", "worst_margin")
+    payload = {
+        "reports": [vars(r) | {k: None for k in keys if not math.isfinite(getattr(r, k))}
+                    for r in reports],
+        "all_passed": all(r.passed for r in reports),
+        "meta": provenance_meta(config),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
+
+
+def assert_reports_written(path, reports, config):
+    """write_reports_json writes the reference bytes, or raises its ValueError and writes nothing."""
+    try:
+        expected = reference_reports_json(reports, config)
+    except ValueError as exc:  # allow_nan=False: a non-finite c or locus
+        with pytest.raises(ValueError, match="JSON compliant") as raised:
+            write_reports_json(path, reports, config)
+        assert str(raised.value) == str(exc)
+        assert not path.exists()
+        return
+    write_reports_json(path, reports, config)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+# non-ASCII, control characters, quotes and backslashes all need escapes
+texts = st.text() | st.sampled_from(["", "app_i", "\x00\x1f\x7f\"\\/", "\u00e9\u2028\U0001f600"])
+any_doubles = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+reports_st = st.builds(
+    CheckReport,
+    check_id=texts,
+    n=st.integers(-(2 ** 70), 2 ** 70),
+    c=any_doubles,
+    grid_size=st.integers(0, 10 ** 6),
+    worst_margin=any_doubles,
+    worst_x=any_doubles,
+    passed=st.booleans(),
+    equality_loci=st.lists(st.lists(any_doubles, min_size=2, max_size=2), max_size=3),
+    message=texts,
+)
+
+
+# without the explain phase, which on these strategies runs for minutes once an example fails
+@settings(derandomize=True, max_examples=300, deadline=None,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(reports=st.lists(reports_st, max_size=4), output=texts)
+def test_reports_json_equals_indented_json_dumps(reports, output, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "reports.json"
+    path.unlink(missing_ok=True)
+    assert_reports_written(path, reports, {"command": "verify", "output": output, "c": [0.25]})
+
+
+def test_real_reports_json_equals_indented_json_dumps(tmp_path):
+    # equality loci, messages, null worst points and the flow checks' NaN
+    reports = default_suite(ns=(3, 10), cs=(0.25, 1.0, 4.0), grid_points=300)
+    assert any(r.equality_loci for r in reports)
+    assert any(not math.isfinite(r.worst_x) for r in reports)
+    assert_reports_written(tmp_path / "report.json", reports, CONFIG)

@@ -52,6 +52,17 @@ def test_exact_product_rejects_stationary_and_fat_states():
         flow_product_exact(ProductSn1S1.from_r1sq(0.95, P10), P10)
 
 
+@pytest.mark.parametrize("route", [flow_product_exact, flow_ode_numeric])
+def test_product_radius_past_the_double_range_fails_silently(route):
+    # an np.float64 radius kept by the state: c r1^2 overflows as a numpy scalar,
+    # which warns where a Python float would not; the routes raise instead
+    state = ProductSn1S1(lam=1.0, r1sq_exact=np.float64(1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the product radius leaves the double range"):
+            route(state, PinchingParams(10, 4.0), FlowConfig(epsilon=0.0))
+
+
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 @pytest.mark.parametrize(
     "r1sq_of",
@@ -703,6 +714,30 @@ def test_profile_state_out_of_range_fails_before_the_first_step(monkeypatch):
         flow_axisymmetric(
             _ac8_state(), PinchingParams(10, c), FlowConfig(epsilon=0.0, t_max=0.25 / c)
         )
+
+
+def test_profile_run_past_its_step_budget_fails_before_the_first_step(monkeypatch):
+    from pinchflow import flow
+
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    # the minimal torus takes ~134 steps per unit of ct: ~1.3e8 to t = 1e6
+    phi, xi = product_profile(P10, 0.9, n_points=96)
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "_etdrk4_step", no_step)
+        with pytest.raises(DomainError, match=r"t_max = 1000000.0 would take ~1.33e\+08 steps"):
+            flow_axisymmetric(Axisymmetric(np.stack([phi, xi], axis=1)), P10,
+                              FlowConfig(epsilon=0.0, t_max=1e6))
+    # the budget bounds the estimate from the first step: 35 steps for AC8
+    with monkeypatch.context() as mp:
+        mp.setattr(flow, "MAX_PROFILE_STEPS", 34)
+        mp.setattr(flow, "_etdrk4_step", no_step)
+        with pytest.raises(DomainError, match="~35 steps"):
+            flow_axisymmetric(_ac8_state(), P10, FlowConfig(epsilon=0.0, t_max=0.25))
+    monkeypatch.setattr(flow, "MAX_PROFILE_STEPS", 35)
+    trace = flow_axisymmetric(_ac8_state(), P10, FlowConfig(epsilon=0.0, t_max=0.25))
+    assert trace.terminal.kind is TerminalKind.HORIZON_REACHED
 
 
 def _collapse_error(c, patch=None):

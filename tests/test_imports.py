@@ -1,13 +1,16 @@
 """Static checks of the package source: imports used, helpers and constants referenced, error
-types raised."""
+types raised, and every name the benchmark's tracer binds still there."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
 import pinchflow
 
 PACKAGE = Path(pinchflow.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -164,3 +167,67 @@ def test_every_error_type_has_a_raise_site():
     # an error type whose last raise went would still be exported and documented
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert error_types_without_raise(sources["errors.py"], sources) == []
+
+
+def tracer_bindings(source: str) -> tuple[set, dict]:
+    """What a tracer source binds: its mod["module"].attribute reads and its tuple constants.
+
+    Returns ({(module, attribute)}, {constant name: tuple of names}); the
+    constants are the module-level names bound to a literal tuple of strings.
+    """
+    tree = ast.parse(source)
+    reads = {
+        (node.value.slice.value, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Subscript)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "mod"
+        and isinstance(node.value.slice, ast.Constant)
+    }
+    constants = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Tuple):
+            value = ast.literal_eval(stmt.value)
+            if all(isinstance(v, str) for v in value):
+                constants.update({t.id: value for t in stmt.targets if isinstance(t, ast.Name)})
+    return reads, constants
+
+
+def test_tracer_bindings_are_found():
+    source = (
+        'CHECKS = ("a", "b")\nSIZES = (1, 2)\n\ndef install(mod):\n'
+        '    wrap(mod["flow"].solve)\n    getattr(mod["verify"], "x")\n    other["cli"].main\n'
+    )
+    assert tracer_bindings(source) == ({("flow", "solve")}, {"CHECKS": ("a", "b")})
+
+
+def test_benchmark_tracer_binds_only_names_that_exist():
+    # perfbench/spans.py wraps package functions by name: a rename would crash
+    # every traced benchmark round, so it fails here first.  Read, not imported.
+    reads, constants = tracer_bindings(SPANS.read_text(encoding="utf-8"))
+    modules = {name: importlib.import_module(f"pinchflow.{name}") for name, _ in reads}
+    assert {("flow", "monitors_update"), ("flow", "solve_ivp"), ("axisym", "resample_profile"),
+            ("axisym", "profile_geometry"), ("verify", "default_suite"), ("cli", "main"),
+            ("thresholds", "ThresholdFamily"), ("geometry", "curvature_of")} <= reads
+    assert [(m, a) for m, a in sorted(reads) if not hasattr(modules[m], a)] == []
+    family_class = modules["thresholds"].ThresholdFamily
+    expected = {
+        "VERIFY_CHECKS": (modules["verify"], "check_{}"),
+        "FLOW_DRIVERS": (modules["flow"], "{}"),
+        "FAMILY_METHODS": (family_class, "{}"),
+    }
+    assert set(expected) <= set(constants)
+    missing = [
+        pattern.format(name)
+        for key, (owner, pattern) in expected.items()
+        for name in constants[key]
+        if not callable(getattr(owner, pattern.format(name), None))
+    ]
+    assert missing == []
+    # every writer is wrapped, and the tracer counts the bytes of the file its first argument names
+    export = importlib.import_module("pinchflow.export")
+    writers = [name for name in dir(export) if name.startswith("write_")]
+    assert len(writers) >= 5
+    firsts = {name: next(iter(inspect.signature(getattr(export, name)).parameters)) for name in writers}
+    assert {name: first for name, first in firsts.items() if first != "path"} == {}

@@ -133,6 +133,21 @@ def test_perturbed_y_n_fails_its_bracket(monkeypatch, factor):
             thresholds._unit(n)
 
 
+@pytest.mark.parametrize("n", [3, 10, 40, 200])
+def test_omega_lower_orders_are_the_bits_of_order_two(n):
+    # order k returns the first k + 1 entries, each computed as at order 2
+    unit = family(PinchingParams(n))
+    us = unit.default_grid(points=3000)
+    us = np.concatenate([us[us >= unit.x0], [1e6, 1e20, 1e60]])
+    full = thresholds._omega(n, us, 2)
+    assert len(full) == 3
+    for order in (0, 1):
+        got = thresholds._omega(n, us, order)
+        assert len(got) == order + 1
+        for a, b in zip(got, full):
+            assert np.array_equal(a, b)
+
+
 def test_omega_extension_dipping_between_the_old_scan_points_fails(monkeypatch):
     # (d - d*)^2 - delta about u = y_n, with d* halfway between two points of a
     # 4001-point scan of [0, y_n]: every scan point sees a positive value

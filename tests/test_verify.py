@@ -3,14 +3,17 @@
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pinchflow import PinchingParams, ThresholdFamily
+from pinchflow import DomainError, PinchingParams, ThresholdFamily
 from pinchflow import flow, thresholds, verify
+from pinchflow.errors import double_range
 from pinchflow.thresholds import family
 from pinchflow.verify import (
+    CheckReport,
     _at_c,
     _cells,
     _fd_derivatives,
@@ -185,17 +188,52 @@ def test_lagrange_derivative_exact_for_quartics():
     ts = np.cumsum(rng.uniform(0.01, 0.05, 400))
     ys = 3.0 - 2.0 * ts + 0.5 * ts ** 2 - 1.5 * ts ** 3 + 0.25 * ts ** 4
     exact = -2.0 + ts - 4.5 * ts ** 2 + ts ** 3
-    d = _lagrange_derivative(ts, ys)
+    (d,) = _lagrange_derivative(ts, ys)
     assert np.all(np.isnan(d[:2])) and np.all(np.isnan(d[-2:]))
     rel = np.abs(d[2:-2] - exact[2:-2]) / np.max(np.abs(exact))
     assert rel.max() <= 1e-10
     noisy = ys + rng.normal(scale=1e-3, size=len(ts))
     for m in (0, 4, 5, 50, 400):
-        assert np.array_equal(
-            _lagrange_derivative(ts[:m], noisy[:m]),
-            _lagrange_derivative_loop(ts[:m], noisy[:m]),
-            equal_nan=True,
-        )
+        # the stencil weights are built once and shared by both series: each
+        # derivative is the bits of a one-series call and of the loop
+        shared = _lagrange_derivative(ts[:m], noisy[:m], ys[:m])
+        for got, series in zip(shared, (noisy[:m], ys[:m]), strict=True):
+            assert np.array_equal(got, _lagrange_derivative(ts[:m], series)[0], equal_nan=True)
+            assert np.array_equal(got, _lagrange_derivative_loop(ts[:m], series), equal_nan=True)
+
+
+def _at_c_by_replace(reports, params):
+    """The dataclasses.replace mapping that _at_c builds directly."""
+    c = params.c
+    with double_range("a reported abscissa", c):
+        return [
+            replace(r, c=c, worst_x=float(np.float64(r.worst_x) * c),
+                    equality_loci=(np.reshape(r.equality_loci, (-1, 2)) * c).tolist())
+            for r in reports
+        ]
+
+
+def test_at_c_equals_the_replace_mapping():
+    unit = check_lemma_app(3, 300) + check_wpp(3, 300)
+    unit += check_constants(3, 300) + check_derivative_oracles(3)
+    unit.append(CheckReport("no_worst_point", 3, 1.0, 0, 0.5, float("nan"), True, [], "nan"))
+    assert any(r.equality_loci for r in unit)
+    for c in (0.25, 0.3, 1.0, 4.0, 1e-300, 1e300):
+        params = PinchingParams(n=3, c=c)
+        got, ref = _at_c(unit, params), _at_c_by_replace(unit, params)
+        assert repr(got) == repr(ref)
+        assert all(type(r.worst_x) is float for r in got)
+    # an abscissa past the double range: the same DomainError from both
+    far = CheckReport("x", 3, 1.0, 1, 0.5, 1e300, True)
+    far_locus = CheckReport("y", 3, 1.0, 1, 0.5, 1.0, True, [[1.0, 1e300]])
+    for reports in ([far], [far_locus]):
+        params = PinchingParams(n=3, c=1e10)
+        with pytest.raises(DomainError) as got:
+            _at_c(reports, params)
+        with pytest.raises(DomainError) as ref:
+            _at_c_by_replace(reports, params)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value) == "a reported abscissa leaves the double range at c = 10000000000.0"
 
 
 def test_grid_contains_marked_points():
