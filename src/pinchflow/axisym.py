@@ -41,6 +41,7 @@ state type enforces the torus-type restriction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,13 @@ class ProfileGeometry(CurvatureData):
     nu_xi: np.ndarray
 
 
+def _mean_curvature(n: int, kappa_orbit, kappa_profile):
+    return (n - 1.0) * kappa_orbit + kappa_profile
+
+
 def _invariants(n: int, kappa_orbit, kappa_profile):
     """H, |h|^2 and |h0|^2; |h0|^2 = (n-1)/n (kappa_orbit - kappa_profile)^2 cancels nothing."""
-    H = (n - 1.0) * kappa_orbit + kappa_profile
+    H = _mean_curvature(n, kappa_orbit, kappa_profile)
     h2 = (n - 1.0) * kappa_orbit ** 2 + kappa_profile ** 2
     h0_2 = (n - 1.0) / n * (kappa_orbit - kappa_profile) ** 2
     return H, h2, h0_2
@@ -134,32 +139,51 @@ def periodic_derivatives(vals: np.ndarray, spacing: float, ramp=0.0):
     n = vals.shape[-1]
     padded = np.empty(vals.shape[:-1] + (n + 4,))
     padded[..., 2:-2] = vals
-    padded[..., :2] = vals[..., -2:] - ramp
-    padded[..., -2:] = vals[..., :2] + ramp
+    np.subtract(vals[..., -2:], ramp, out=padded[..., :2])
+    np.add(vals[..., :2], ramp, out=padded[..., -2:])
     m2, m1 = padded[..., 0:n], padded[..., 1 : n + 1]
     p1, p2 = padded[..., 3 : n + 3], padded[..., 4 : n + 4]
     d1 = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * spacing)
-    d2 = (-(p2 + m2) + 16.0 * (p1 + m1) - 30.0 * vals) / (12.0 * spacing * spacing)
+    d2 = (16.0 * (p1 + m1) - (p2 + m2) - 30.0 * vals) / (12.0 * spacing * spacing)
     return d1, d2
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_cosines(n_points: int) -> np.ndarray:
+    """-2 cos(2 theta) + 32 cos(theta) - 30 on the rfft modes of n_points samples (read-only)."""
+    theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
+    out = -2.0 * np.cos(2.0 * theta) + 32.0 * np.cos(theta) - 30.0
+    out.setflags(write=False)
+    return out
 
 
 def second_difference_symbol(n_points: int, spacing: float) -> np.ndarray:
     """Eigenvalues of the second-difference stencil above on the rfft modes.
 
     Mode k (theta = 2 pi k / n_points) gets
-    (-2 cos(2 theta) + 32 cos(theta) - 30) / (12 spacing^2), all <= 0.
+    (-2 cos(2 theta) + 32 cos(theta) - 30) / (12 spacing^2), all <= 0; the
+    theta part is computed once per n_points.
     """
-    theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
-    return (-2.0 * np.cos(2.0 * theta) + 32.0 * np.cos(theta) - 30.0) / (12.0 * spacing ** 2)
+    return _stencil_cosines(n_points) / (12.0 * spacing ** 2)
 
 
 def _chord_arclength(phi: np.ndarray, xi: np.ndarray):
     """Cumulative chordal arc length (closed), in the orbit-space metric."""
-    pts = embed(phi, xi)
-    d = np.diff(pts, axis=0, append=pts[:1])  # the last row is the closing chord
-    # np.linalg.norm(d, axis=1) does the same arithmetic
-    chords = np.sqrt(np.add.reduce(d * d, axis=1))
-    return np.concatenate([[0.0], np.cumsum(chords)])
+    n = len(phi)
+    # the embedded points as columns, the first repeated to close the polygon
+    pts = np.empty((3, n + 1))
+    cos_phi = np.cos(phi)
+    np.sin(phi, out=pts[0, :-1])
+    np.multiply(cos_phi, np.cos(xi), out=pts[1, :-1])
+    np.multiply(cos_phi, np.sin(xi), out=pts[2, :-1])
+    pts[:, -1] = pts[:, 0]
+    d = pts[:, 1:] - pts[:, :-1]
+    d *= d
+    s = np.empty(n + 1)
+    s[0] = 0.0
+    # (dx^2 + dy^2) + dz^2, the order of np.linalg.norm over the rows of the embedding
+    np.cumsum(np.sqrt(d[0] + d[1] + d[2]), out=s[1:])
+    return s
 
 
 def _periodic_spline(x, y, x_new):
@@ -217,7 +241,7 @@ def resample_profile(phi, xi):
     """
     phi = np.asarray(phi, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if not (np.abs(np.diff(xi)) < np.pi).all():  # np.unwrap corrects no smaller step
+    if not (np.abs(xi[1:] - xi[:-1]) < np.pi).all():  # np.unwrap corrects no smaller step
         xi = np.unwrap(xi)
     n_in = len(phi)
     s = _chord_arclength(phi, xi)
@@ -226,7 +250,7 @@ def resample_profile(phi, xi):
         raise GeometryError("profile has zero length")
     w = _turns(xi)
     ramp = 2.0 * np.pi * w
-    segments = np.diff(s)
+    segments = s[1:] - s[:-1]
     if segments.max() <= MAX_CHORD_RATIO * segments.min():
         return phi.copy(), xi.copy(), length / n_in, w
     if n_in < 3:
@@ -252,26 +276,48 @@ def resample_profile(phi, xi):
     return phi_u, xi_u, length / n_in, w
 
 
+def _curvatures(profile: np.ndarray, spacing: float, winding: int):
+    """kappa_orbit, kappa_profile and the unit normal of a profile at c = 1.
+
+    profile stacks the rows phi and xi of a uniformly parametrized closed
+    curve; the normal comes as the rows (nu_phi, nu_xi) of one (2, N) array.
+    """
+    sin_phi = np.sin(profile[0])
+    cos_phi = np.cos(profile[0])
+    if not sin_phi.all():  # also a -0.0
+        raise GeometryError("profile sample on the rotation axis (sin(phi) = 0)")
+    # phi and xi in one pass; phi has no ramp
+    ramps = np.array([[0.0], [2.0 * np.pi * winding]])
+    (ph1, xi1), (ph2, xi2) = periodic_derivatives(profile, spacing, ramps)
+    cos2, ph1_2 = cos_phi ** 2, ph1 ** 2
+    cos2_xi1_2 = cos2 * xi1 ** 2
+    speed = np.sqrt(ph1_2 + cos2_xi1_2)
+    kappa_o = xi1 * cos2 / (speed * sin_phi)
+    kappa_p = (
+        cos_phi * (ph1 * xi2 - xi1 * ph2) - xi1 * sin_phi * (cos2_xi1_2 + 2.0 * ph1_2)
+    ) / speed ** 3
+    nu = np.empty(profile.shape)
+    np.divide(-cos_phi * xi1, speed, out=nu[0])
+    np.divide(ph1, speed * cos_phi, out=nu[1])
+    return kappa_o, kappa_p, nu
+
+
 def profile_geometry(
     phi: np.ndarray, xi: np.ndarray, n: int, spacing: float, winding: int
 ) -> ProfileGeometry:
     """Curvature data at c = 1 of a uniformly parametrized closed profile in dimension n."""
-    sin_phi = np.sin(phi)
-    cos_phi = np.cos(phi)
-    if np.any(sin_phi == 0.0):
-        raise GeometryError("profile sample on the rotation axis (sin(phi) = 0)")
-    # phi and xi in one pass; phi has no ramp
-    ramps = np.array([[0.0], [2.0 * np.pi * winding]])
-    (ph1, xi1), (ph2, xi2) = periodic_derivatives(np.array([phi, xi]), spacing, ramps)
-    speed = np.sqrt(ph1 ** 2 + cos_phi ** 2 * xi1 ** 2)
-    kappa_o = xi1 * cos_phi ** 2 / (speed * sin_phi)
-    kappa_p = (
-        cos_phi * (ph1 * xi2 - xi1 * ph2)
-        - xi1 * sin_phi * (xi1 ** 2 * cos_phi ** 2 + 2.0 * ph1 ** 2)
-    ) / speed ** 3
-    nu_phi = -cos_phi * xi1 / speed
-    nu_xi = ph1 / (speed * cos_phi)
-    return ProfileGeometry(kappa_o, kappa_p, *_invariants(n, kappa_o, kappa_p), nu_phi, nu_xi)
+    kappa_o, kappa_p, nu = _curvatures(np.array([phi, xi]), spacing, winding)
+    return ProfileGeometry(kappa_o, kappa_p, *_invariants(n, kappa_o, kappa_p), nu[0], nu[1])
+
+
+def _normal_velocity(profile: np.ndarray, n: int, spacing: float, winding: int) -> np.ndarray:
+    """H nu of stacked (phi, xi) rows: the (2, N) rows H nu_phi and H nu_xi of profile_geometry.
+
+    The same bits as profile_geometry's, without |h|^2, |h0|^2 or a
+    ProfileGeometry: the velocity of the flow's inner stages.
+    """
+    kappa_o, kappa_p, nu = _curvatures(profile, spacing, winding)
+    return _mean_curvature(n, kappa_o, kappa_p) * nu
 
 
 def curvature_of_profile(phi, xi, params: PinchingParams) -> CurvatureData:
@@ -339,7 +385,14 @@ def sphere_profile(params: PinchingParams, rho: float, n_points: int = 512, warp
 
 
 def _segments_intersect(p, q, r, s):
-    """Vectorized proper-intersection test for 2-D segments pq vs rs."""
+    """Vectorized test for 2-D segments pq and rs that cross or touch.
+
+    They cross where each separates the endpoints of the other strictly, and
+    touch where an endpoint lies on the other segment: its orientation is
+    exactly 0 and it lies in the bounding box of that segment (Cormen et
+    al., *Introduction to Algorithms*, sec. 33.1).  A sample the curve visits
+    twice is a touch.
+    """
 
     def cross(o, a, b):
         return (a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1]) - (
@@ -350,7 +403,15 @@ def _segments_intersect(p, q, r, s):
     d2 = cross(r, s, q)
     d3 = cross(p, q, r)
     d4 = cross(p, q, s)
-    return ((d1 * d2) < 0) & ((d3 * d4) < 0)
+    meet = ((d1 * d2) < 0) & ((d3 * d4) < 0)
+    for a, b, point, orientation in ((r, s, p, d1), (r, s, q, d2), (p, q, r, d3), (p, q, s, d4)):
+        on = orientation == 0.0
+        if on.any():  # rare but for collinear runs, such as a latitude circle
+            for k in (0, 1):
+                lo, hi = np.minimum(a[..., k], b[..., k]), np.maximum(a[..., k], b[..., k])
+                on &= (lo <= point[..., k]) & (point[..., k] <= hi)
+            meet |= on
+    return meet
 
 
 def _meeting_pairs(lo, hi, shift):
@@ -389,15 +450,19 @@ def self_intersects(phi: np.ndarray, xi: np.ndarray) -> bool:
     with its winding).  Each pair of non-adjacent segments i < j is tested
     with segment j shifted by -2 pi, 0 and 2 pi in xi, but only where their
     xi-extents meet, found by a sort and sweep (Shamos & Hoey, FOCS 1976):
-    segments whose extents are apart cannot cross.
+    segments whose extents are apart cannot cross.  Segments that touch
+    count as meeting too.  A sample repeated at once is a zero chord, which
+    resample_profile reports, so its empty segment is left out and its two
+    neighbours count as adjacent.
     """
     xi = np.unwrap(np.asarray(xi, dtype=float))
     pts = np.stack([xi, np.asarray(phi, dtype=float)], axis=1)
-    n = len(pts)
-    start = pts
     end = np.roll(pts, -1, axis=0)
     end[-1, 0] = pts[0, 0] + (_turns(xi) * 2.0 * np.pi)
     end[-1, 1] = pts[0, 1]
+    moves = (pts != end).any(axis=1)
+    start, end = pts[moves], end[moves]
+    n = len(start)
     lo, hi = np.minimum(start[:, 0], end[:, 0]), np.maximum(start[:, 0], end[:, 0])
     for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi):
         offset = np.array([shift, 0.0])
@@ -405,13 +470,20 @@ def self_intersects(phi: np.ndarray, xi: np.ndarray) -> bool:
             # i < j and not adjacent, nor the wrap-adjacent pair (n-1, 0)
             keep = (j >= i + 2) & ~((i == 0) & (j == n - 1))
             i, j = i[keep], j[keep]
-            if np.any(_segments_intersect(start[i], end[i], start[j] + offset, end[j] + offset)):
+            if len(i) and np.any(
+                _segments_intersect(start[i], end[i], start[j] + offset, end[j] + offset)
+            ):
                 return True
     return False
 
 
 def validate_profile(phi: np.ndarray, xi: np.ndarray):
-    """Torus-type admissibility: finite samples, phi strictly inside (0, pi/2), embedded."""
+    """Torus-type admissibility: finite samples, phi strictly inside (0, pi/2), embedded.
+
+    An embedded closed curve on the annulus winds 0 or +-1 times around it,
+    so a profile that winds more often is not embedded, even where its
+    sheets only touch at samples.
+    """
     phi = np.asarray(phi, dtype=float)
     if len(phi) < 8:
         raise GeometryError("profile needs at least 8 samples")
@@ -419,5 +491,10 @@ def validate_profile(phi: np.ndarray, xi: np.ndarray):
         raise GeometryError("profile has a non-finite sample")
     if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
         raise GeometryError("profile sample violates phi in (0, pi/2)")
+    winding = winding_of(np.asarray(xi, dtype=float))
+    if abs(winding) >= 2:
+        raise NonEmbedded(
+            f"profile winds {winding} times around the axis; an embedded one winds at most once"
+        )
     if self_intersects(phi, xi):
         raise NonEmbedded("profile curve self-intersects")

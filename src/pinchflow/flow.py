@@ -27,10 +27,14 @@ lines: normal velocity H at every sample and exponential-time-differencing
 RK4 steps (ETDRK4; Cox & Matthews 2002).  ETDRK4 integrates the stiff part of
 the velocity, the periodic second-difference stencil, exactly in Fourier
 space, so the step is bounded only by the reaction rate 0.15/(n + |h|^2), not
-by the grid spacing.  After
-each step ``axisym.resample_profile`` measures the chords of the new mesh and
-redistributes it to uniform arc length by a periodic cubic spline only when
-their max/min ratio exceeds axisym.MAX_CHORD_RATIO = 1.02.  The mesh drifts
+by the grid spacing.  A step takes one rfft of the state stacked with its
+velocity, known from the geometry of the accepted state; its three inner
+stages evaluate only the velocity H nu (``axisym._normal_velocity``, the
+core of ``profile_geometry`` without |h|^2, |h0|^2 or a ProfileGeometry),
+and the stencil's cosines and the winding ramp are computed once per grid.
+After each step ``axisym.resample_profile`` measures the chords of the new
+mesh and redistributes it to uniform arc length by a periodic cubic spline
+only when their max/min ratio exceeds axisym.MAX_CHORD_RATIO = 1.02.  The mesh drifts
 slowly, so this is rare: once in the 34 steps of a mode-2 ripple of 0.5% on
 the minimal torus at N = 96 (n = 10, t = 0.25), 11 times in 35 steps for a 5%
 ripple at N = 256, and 14 times in 40 steps for a 1% ripple collapsing to the
@@ -511,21 +515,22 @@ def flow_axisymmetric(
             dt = min(dt, t_max - t)
             # The state is phi and xi minus its winding ramp, both periodic; the
             # parametrization is frozen over the step.
-            ramp = 2.0 * np.pi * winding * np.arange(len(phi)) / len(phi)
+            ramp = _winding_ramp(len(phi), winding)
+            u_v0 = np.empty((2, 2, len(phi)))
+            u_v0[0, 0] = phi
+            np.subtract(xi, ramp, out=u_v0[0, 1])
+            np.multiply(geom.H, geom.nu_phi, out=u_v0[1, 0])
+            np.multiply(geom.H, geom.nu_xi, out=u_v0[1, 1])
 
             def velocity(u):
-                g = axisym.profile_geometry(u[0], u[1] + ramp, n, spacing, winding)
-                return np.array([g.H * g.nu_phi, g.H * g.nu_xi])
+                u[1] += ramp
+                return axisym._normal_velocity(u, n, spacing, winding)
 
             u = _etdrk4_step(
-                np.array([phi, xi - ramp]),
-                np.array([geom.H * geom.nu_phi, geom.H * geom.nu_xi]),
-                velocity,
-                axisym.second_difference_symbol(len(phi), spacing),
-                dt,
+                u_v0, velocity, axisym.second_difference_symbol(len(phi), spacing), dt
             )
             phi, xi = u[0], u[1] + ramp
-            if np.any(phi <= 0.0) or np.any(phi >= np.pi / 2.0):
+            if phi.min() <= 0.0 or phi.max() >= np.pi / 2.0:
                 terminal = TerminalEvent(TerminalKind.BLOWUP, float(t / c))
                 break
             phi, xi, spacing, winding = axisym.resample_profile(phi, xi)
@@ -585,51 +590,64 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float):
     where |z| < 1, whose closed forms cancel, they are the 20-term Taylor
     series of those forms (the phi-function combinations Q = dt phi1(z/2)/2,
     f1 = dt (phi1 - 3 phi2 + 4 phi3), f2 = dt (phi2 - 2 phi3) and
-    f3 = dt (4 phi3 - phi2)), summed as one product of the powers of z with
-    _ETD_TAYLOR.  At z = 0 they equal dt/2 and dt/6, so a mode with L = 0 steps
+    f3 = dt (4 phi3 - phi2)), summed term by term in the order of the powers
+    of z.  At z = 0 they equal dt/2 and dt/6, so a mode with L = 0 steps
     by classical RK4.
     """
     e, e2 = np.exp(z), np.exp(z / 2.0)
-    weights = np.empty((4, len(z)))
     small = np.abs(z) < 1.0
-    # The product as a broadcast sum: @ would start numpy's BLAS and einsum
-    # allocates iterator buffers, each adding 0.2-0.3 MB to the peak memory of
-    # a profile run for a 20-term sum.
-    powers = np.vander(z[small], len(_ETD_TAYLOR), increasing=True)
-    weights[:, small] = (powers[:, :, None] * _ETD_TAYLOR).sum(axis=1).T
-    big = ~small
-    zb, eb = z[big], e[big]
-    zb3 = zb ** 3
-    weights[0, big] = (e2[big] - 1.0) / zb
-    weights[1, big] = (-4.0 - zb + eb * (4.0 - 3.0 * zb + zb * zb)) / zb3
-    weights[2, big] = (2.0 + zb + eb * (zb - 2.0)) / zb3
-    weights[3, big] = (-4.0 - 3.0 * zb - zb * zb + eb * (4.0 - zb)) / zb3
+    # The closed forms on the whole grid, at 1 in place of each z with
+    # |z| < 1, whose weights the series below overwrites: no division meets
+    # z = 0, and none needs a mask.
+    zc = np.where(small, 1.0, z)
+    zc2, zc3 = zc * zc, zc ** 3
+    weights = np.empty((4, len(z)))
+    np.divide(e2 - 1.0, zc, out=weights[0])
+    np.divide(-4.0 - zc + e * (4.0 - 3.0 * zc + zc2), zc3, out=weights[1])
+    np.divide(2.0 + zc + e * (zc - 2.0), zc3, out=weights[2])
+    np.divide(-4.0 - 3.0 * zc - zc2 + e * (4.0 - zc), zc3, out=weights[3])
+    # rows z^0 .. z^19 of the small z, each the previous times z
+    powers = np.empty((len(_ETD_TAYLOR), np.count_nonzero(small)))
+    powers[0] = 1.0
+    powers[1:] = z[small]
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+    # A broadcast sum: @ would start numpy's BLAS and einsum allocates
+    # iterator buffers, each adding 0.2-0.3 MB to the peak memory of a
+    # profile run for a 20-term sum.
+    weights[:, small] = (_ETD_TAYLOR.T[:, :, None] * powers).sum(axis=1)
     q, f1, f2, f3 = dt * weights
     return e, e2, q, f1, f2, f3
 
 
-def _etdrk4_step(u, v0, velocity, symbol, dt):
+def _etdrk4_step(u_v0, velocity, symbol, dt):
     """One ETDRK4 step of u' = velocity(u) = L u + N(u) for periodic rows u.
 
-    L acts on each row as the diagonal ``symbol`` on its rfft modes; v0 is
-    velocity(u), already known from the monitors.
+    L acts on each row as the diagonal ``symbol`` on its rfft modes.  u_v0
+    stacks u and velocity(u), already known from the monitors, along its
+    first axis, so one rfft takes both; velocity may overwrite its argument.
     """
-    size = u.shape[-1]
+    size = u_v0.shape[-1]
     e, e2, q, f1, f2, f3 = _etdrk4_coefficients(dt * symbol, dt)
 
-    def nonlinear(v, x_hat):
-        return np.fft.rfft(v) - symbol * x_hat
-
     def stage(x_hat):
-        return nonlinear(velocity(np.fft.irfft(x_hat, n=size)), x_hat)
+        return np.fft.rfft(velocity(np.fft.irfft(x_hat, n=size))) - symbol * x_hat
 
-    u_hat = np.fft.rfft(u)
-    n_u = nonlinear(v0, u_hat)
-    a_hat = e2 * u_hat + q * n_u
+    u_hat, v0_hat = np.fft.rfft(u_v0)
+    n_u = v0_hat - symbol * u_hat
+    e2_u = e2 * u_hat
+    a_hat = e2_u + q * n_u
     n_a = stage(a_hat)
-    n_b = stage(e2 * u_hat + q * n_a)
+    n_b = stage(e2_u + q * n_a)
     n_c = stage(e2 * a_hat + q * (2.0 * n_b - n_u))
     return np.fft.irfft(e * u_hat + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c, n=size)
+
+
+@functools.lru_cache(maxsize=8)
+def _winding_ramp(n_points: int, winding: int) -> np.ndarray:
+    """2 pi winding i / n_points at the samples i, the non-periodic part of xi (read-only)."""
+    ramp = 2.0 * np.pi * winding * np.arange(n_points) / n_points
+    ramp.setflags(write=False)
+    return ramp
 
 
 def _horizon_terminal(monitors: MonitorRecord, params: PinchingParams) -> TerminalEvent:

@@ -13,13 +13,17 @@ from scipy.interpolate import CubicSpline  # reference only
 from pinchflow import GeometryError, MeshDegenerate, NonEmbedded, PinchingParams
 from pinchflow import axisym
 from pinchflow.axisym import (
+    _chord_arclength,
+    _normal_velocity,
     _periodic_spline,
     _segments_intersect,
     _turns,
     curvature_of_profile,
+    embed,
     periodic_derivatives,
     perturbed_product_profile,
     product_profile,
+    profile_geometry,
     resample_profile,
     self_intersects,
     sphere_profile,
@@ -96,8 +100,6 @@ def test_second_order_convergence_under_refinement():
 def test_resample_skips_uniform_grids():
     params = PinchingParams(n=10, c=1.0)
     phi, xi = product_profile(params, 0.75, n_points=128)
-    from pinchflow.axisym import _chord_arclength
-
     phi_u, xi_u, spacing, winding = resample_profile(phi, xi)
     assert winding == 1
     assert np.array_equal(phi_u, phi)
@@ -109,7 +111,7 @@ def test_resample_skips_uniform_grids():
 def test_resample_redistributes_only_past_the_chord_bound(skew, redistributed):
     # xi = theta + skew sin(theta) spreads the chords of a latitude circle by a
     # max/min ratio of about (1 + skew)/(1 - skew): 1.010 and 1.041
-    from pinchflow.axisym import MAX_CHORD_RATIO, _chord_arclength
+    from pinchflow.axisym import MAX_CHORD_RATIO
 
     params = PinchingParams(n=10, c=1.0)
     phi, theta = product_profile(params, 0.75, n_points=128)
@@ -135,15 +137,43 @@ def test_resample_of_wrapped_xi_is_bits_of_unwrapped_copy(skew):
         assert np.array_equal(a, b)
 
 
-def test_chord_arclength_is_the_bits_of_a_norm_over_the_closed_polygon():
-    from pinchflow.axisym import _chord_arclength, embed
-
-    params = PinchingParams(n=10, c=4.0)
-    phi, xi = perturbed_product_profile(params, 0.2, 0.05, n_points=97)
+def embedded_arclength(phi, xi):
+    """Reference: norms of the chords of the (N, 3) embedding closed by its first row, summed."""
     pts = embed(phi, xi)
     chords = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
-    ref = np.concatenate([[0.0], np.cumsum(chords)])
-    assert np.array_equal(_chord_arclength(phi, xi), ref)
+    return np.concatenate([[0.0], np.cumsum(chords)])
+
+
+def test_chord_arclength_is_the_bits_of_a_norm_over_the_closed_polygon():
+    params = PinchingParams(n=10, c=4.0)
+    phi, xi = perturbed_product_profile(params, 0.2, 0.05, n_points=97)
+    assert np.array_equal(_chord_arclength(phi, xi), embedded_arclength(phi, xi))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n_points=st.integers(8, 300),
+    amplitude=st.floats(0.0, 0.2),
+    mode=st.integers(1, 6),
+    winding=st.sampled_from([1, -1]),
+    reverse=st.booleans(),
+    n=st.integers(2, 40),
+)
+def test_stage_velocity_and_chords_are_the_bits_of_their_references(
+    n_points, amplitude, mode, winding, reverse, n
+):
+    # rippled latitude circles, either way round the axis and traversed either way
+    params = PinchingParams(n=10, c=1.0)
+    phi, xi = perturbed_product_profile(params, 0.75, amplitude, mode, n_points)
+    xi = winding * xi
+    if reverse:
+        phi, xi = phi[::-1].copy(), xi[::-1].copy()
+    assert np.array_equal(_chord_arclength(phi, xi), embedded_arclength(phi, xi))
+    phi, xi, spacing, w = resample_profile(phi, xi)
+    assert w == (-winding if reverse else winding)
+    geom = profile_geometry(phi, xi, n, spacing, w)
+    velocity = _normal_velocity(np.array([phi, xi]), n, spacing, w)
+    assert np.array_equal(velocity, np.array([geom.H * geom.nu_phi, geom.H * geom.nu_xi]))
 
 
 def test_resample_rejects_collapsed_neighbours():
@@ -194,8 +224,6 @@ def test_resample_recovers_uniform_spacing():
     phi_u, xi_u, spacing, winding = resample_profile(phi, base)
     # spacings in the orbit metric are uniform after redistribution, up to
     # the interpolation error of the redistribution itself
-    from pinchflow.axisym import _chord_arclength
-
     s = _chord_arclength(phi_u, xi_u)
     seg = np.diff(s)
     assert seg.max() - seg.min() < 1e-2 * seg.mean()
@@ -224,6 +252,50 @@ def test_self_intersection_detection():
     validate_profile(phi_ok, xi_ok)
 
 
+def wound_twice(ripple=0.0):
+    """A latitude circle of the minimal torus traversed twice, rippled by sin(xi/2)."""
+    xi = 4.0 * np.pi * np.arange(96) / 96
+    return np.arcsin(np.sqrt(0.9)) * (1.0 + ripple * np.sin(xi / 2.0)), xi
+
+
+@pytest.mark.parametrize("ripple", [0.0, 0.01])
+def test_a_profile_wound_twice_is_not_embedded(ripple):
+    phi, xi = wound_twice(ripple)
+    assert winding_of(xi) == 2
+    # the sheets meet at samples 0 and 48 (all along for the plain circle): a touch
+    assert self_intersects(phi, xi)
+    with pytest.raises(NonEmbedded, match="winds 2 times"):
+        validate_profile(phi, xi)
+    with pytest.raises(NonEmbedded, match="winds -2 times"):
+        validate_profile(phi[::-1], xi[::-1])
+
+
+def test_a_profile_that_touches_itself_at_a_sample_is_not_embedded():
+    # a latitude circle with a triangular loop that leaves sample 10 and returns to it:
+    # no two segments cross, but the curve visits that sample twice
+    phi, xi = product_profile(PinchingParams(n=10, c=1.0), 0.5, n_points=64)
+    phi = np.insert(phi, 11, phi[10] + np.array([0.1, 0.1, 0.0]))
+    xi = np.insert(xi, 11, xi[10] + np.array([0.05, -0.05, 0.0]))
+    assert winding_of(xi) == 1
+    assert self_intersects(phi, xi)
+    with pytest.raises(NonEmbedded, match="self-intersects"):
+        validate_profile(phi, xi)
+
+
+@pytest.mark.parametrize("winding", [1, -1])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_embedded_profiles_stay_admissible(winding, reverse):
+    # the AC8 ripple either way round the axis, traversed either way
+    phi, xi = perturbed_product_profile(PinchingParams(n=10, c=1.0), 0.9, 0.005, n_points=96)
+    xi = winding * xi
+    if reverse:
+        phi, xi = phi[::-1], xi[::-1]
+    assert not self_intersects(phi, xi)
+    validate_profile(phi, xi)
+    # a sample repeated at once is a zero chord, which resample_profile reports
+    validate_profile(np.insert(phi, 5, phi[5]), np.insert(xi, 5, xi[5]))
+
+
 def test_perturbed_profile_zero_mean_mode():
     params = PinchingParams(n=10, c=1.0)
     phi, xi = perturbed_product_profile(params, 0.9, amplitude=0.02, mode=2, n_points=128)
@@ -236,11 +308,13 @@ def all_pairs_self_intersects(phi, xi):
     """Reference: the exact segment test on every pair of non-adjacent segments, O(N^2)."""
     xi = np.unwrap(np.asarray(xi, dtype=float))
     pts = np.stack([xi, np.asarray(phi, dtype=float)], axis=1)
-    n = len(pts)
     start = pts
     end = np.roll(pts, -1, axis=0)
     end[-1, 0] = pts[0, 0] + (_turns(xi) * 2.0 * np.pi)
     end[-1, 1] = pts[0, 1]
+    moves = (start != end).any(axis=1)  # zero chords left out, as in self_intersects
+    start, end = start[moves], end[moves]
+    n = len(start)
     idx_i, idx_j = np.triu_indices(n, k=2)
     # Skip the wrap-adjacent pair (segment n-1 followed by segment 0).
     keep = ~((idx_i == 0) & (idx_j == n - 1))

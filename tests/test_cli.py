@@ -505,18 +505,27 @@ def test_simulate_negative_horizon_writes_nothing(tmp_path):
     assert not trace.exists() and not curv.exists()
 
 
+@contextlib.contextmanager
+def _expires_after(seconds):
+    """Fail a run that outlasts seconds with TimeoutError (SIGALRM) instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the run did not end within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture
 def deadline():
     """Fail a run that outlasts 5 s with TimeoutError instead of letting it hang."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the run did not end within 5 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 5.0)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0.0)
-    signal.signal(signal.SIGALRM, previous)
+    with _expires_after(5.0):
+        yield
 
 
 # States already on or past an event level, with their terminal and the exact
@@ -711,8 +720,11 @@ FUZZ_FLAGS = {
         **PARAM_FLAGS,
         "--family": ["sphere", "product", "product-exact", "axisymmetric"],
         "--rho": ["0.5", "2"], "--r1sq": ["0.5", "0.95"], "--lam": ["0.5", "2"],
-        "--epsilon": ["0", "0.01"], "--sigma": ["0.1", "0.5"], "--t-max": ["0.01", "0.1"],
-        "--tol": ["1e-8", "1e-4"], "--profile": ["profile.json", "list.json", "null.json"],
+        "--epsilon": ["0", "0.01"], "--sigma": ["0.1", "0.5"],
+        # 1e6: past the profile route's step budget, which it must refuse at once (D12)
+        "--t-max": ["0.01", "0.1", "1e6"],
+        "--tol": ["1e-8", "1e-4"],
+        "--profile": ["profile.json", "wound.json", "list.json", "null.json"],
     },
 }
 REQUIRED_FLAGS = {
@@ -755,6 +767,9 @@ def fuzz_dir(tmp_path_factory):
         path / "profile.json",
         *perturbed_product_profile(PinchingParams(n=10, c=1.0), 0.9, 0.005, n_points=32),
     )
+    # a latitude circle traversed twice: not embedded, though no two segments cross
+    xi = 4.0 * np.pi * np.arange(96) / 96
+    _write_profile(path / "wound.json", np.full(96, np.arcsin(np.sqrt(0.9))), xi)
     (path / "list.json").write_text("[1, 2, 3]")
     (path / "null.json").write_text(json.dumps({"family": "product", "lambda": None}))
     return path
@@ -783,12 +798,33 @@ def test_simulate_family_must_match_state_file(family_flag, payload, tmp_path, c
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
-    argv = data.draw(cli_argv(fuzz_dir))
-    for flag in ("", *OPTIONAL_OUTPUTS["simulate"]):  # nothing left by an earlier example
-        (fuzz_dir / f"out{flag}").unlink(missing_ok=True)
+    _assert_cli_contract(data.draw(cli_argv(fuzz_dir)), fuzz_dir)
+
+
+@pytest.mark.parametrize("t_max", FUZZ_FLAGS["simulate"]["--t-max"])
+@pytest.mark.parametrize("profile", FUZZ_FLAGS["simulate"]["--profile"])
+def test_every_fuzz_table_profile_meets_the_contract(fuzz_dir, profile, t_max):
+    # the draws above reach --family axisymmetric seldom; its table rows all run here.
+    # Only the embedded profile runs, and only within the step budget.
+    argv = ["simulate", "--family", "axisymmetric", "--profile", str(fuzz_dir / profile),
+            "--t-max", t_max, "--output", str(fuzz_dir / "out"),
+            "--terminal-json", str(fuzz_dir / "out--terminal-json")]
+    code, err = _assert_cli_contract(argv, fuzz_dir)
+    assert code == (0 if profile == "profile.json" and t_max != "1e6" else 1), err
+    if profile == "wound.json":
+        assert "winds 2 times" in err
+
+
+def _assert_cli_contract(argv, directory):
+    """The command exits 0, 1 or 2 within 5 s, without a warning or traceback; its output is finite.
+
+    Returns the exit code and the standard error.
+    """
+    for flag in ("", *OPTIONAL_OUTPUTS["simulate"]):  # nothing left by an earlier run
+        (directory / f"out{flag}").unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _expires_after(5.0):
             warnings.simplefilter("error")  # no warning escapes either
             try:
                 code = main(argv)
@@ -814,6 +850,7 @@ def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
                 _assert_finite_csv(Path(argv[argv.index(flag) + 1]), argv)
         if "--terminal-json" in argv:
             _assert_closed_form_terminal(argv)
+    return code, err
 
 
 def _assert_finite_csv(path, argv):

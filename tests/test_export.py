@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -215,9 +215,9 @@ reports_st = st.builds(
 )
 
 
-# without the explain phase, which on these strategies runs for minutes once an example fails
-@settings(derandomize=True, max_examples=300, deadline=None,
-          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+# the tier-1 profile (conftest.py) leaves out the explain phase, which on these
+# strategies runs for minutes once an example fails
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(reports=st.lists(reports_st, max_size=4), output=texts)
 def test_reports_json_equals_indented_json_dumps(reports, output, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "reports.json"

@@ -397,6 +397,87 @@ def test_etdrk4_weights_match_an_mpmath_reference():
     np.testing.assert_array_equal(e2, np.exp(z / 2.0))
 
 
+def etdrk4_coefficients_by_gathers(z, dt):
+    """Reference: the ETDRK4 weights as first written, on gathered copies of z, e^z and e^{z/2}."""
+    from pinchflow.flow import _ETD_TAYLOR
+
+    e, e2 = np.exp(z), np.exp(z / 2.0)
+    weights = np.empty((4, len(z)))
+    small = np.abs(z) < 1.0
+    powers = np.vander(z[small], len(_ETD_TAYLOR), increasing=True)
+    weights[:, small] = (powers[:, :, None] * _ETD_TAYLOR).sum(axis=1).T
+    big = ~small
+    zb, eb = z[big], e[big]
+    zb3 = zb ** 3
+    weights[0, big] = (e2[big] - 1.0) / zb
+    weights[1, big] = (-4.0 - zb + eb * (4.0 - 3.0 * zb + zb * zb)) / zb3
+    weights[2, big] = (2.0 + zb + eb * (zb - 2.0)) / zb3
+    weights[3, big] = (-4.0 - 3.0 * zb - zb * zb + eb * (4.0 - zb)) / zb3
+    q, f1, f2, f3 = dt * weights
+    return e, e2, q, f1, f2, f3
+
+
+def _bits(a):
+    return np.asarray(a).view(np.uint64)  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("n_points", [8, 96, 128, 1024])
+def test_etdrk4_coefficients_are_the_bits_of_the_gathered_form(n_points):
+    from pinchflow import axisym
+    from pinchflow.flow import _etdrk4_coefficients
+
+    seam = [np.nextafter(-1.0, 0.0), -1.0, np.nextafter(-1.0, -2.0), -0.999, -1.001]
+    seam_z = np.concatenate([[0.0], seam, -np.logspace(-8.0, 3.0, 401)])
+    # dt symbol as a step makes it: the AC8 mesh and its step size at n_points
+    phi, xi = perturbed_product_profile(P10, 0.9, 0.005, n_points=n_points)
+    phi, xi, spacing, winding = axisym.resample_profile(phi, xi)
+    symbol = axisym.second_difference_symbol(n_points, spacing)
+    theta = 2.0 * np.pi * np.arange(n_points // 2 + 1) / n_points
+    first = (-2.0 * np.cos(2.0 * theta) + 32.0 * np.cos(theta) - 30.0) / (12.0 * spacing ** 2)
+    assert np.array_equal(_bits(symbol), _bits(first))
+    h2 = axisym.profile_geometry(phi, xi, 10, spacing, winding).h_norm2.max()
+    for z, dt in ((seam_z, 0.37), (0.15 / (10 + h2) * symbol, 0.15 / (10 + h2))):
+        got, ref = _etdrk4_coefficients(z, dt), etdrk4_coefficients_by_gathers(z, dt)
+        for a, b in zip(got, ref):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_etdrk4_step_is_the_bits_of_the_unstacked_step():
+    # one step as first written: rfft u and v0 apart, stage velocities through profile_geometry
+    from pinchflow import axisym
+    from pinchflow.flow import _etdrk4_step, _winding_ramp
+
+    phi, xi = perturbed_product_profile(P10, 0.9, 0.05, mode=3, n_points=96)
+    phi, xi, spacing, winding = axisym.resample_profile(phi, xi)
+    geom = axisym.profile_geometry(phi, xi, 10, spacing, winding)
+    ramp = _winding_ramp(len(phi), winding)
+    symbol = axisym.second_difference_symbol(len(phi), spacing)
+    dt = 0.15 / (10 + geom.h_norm2.max())
+    e, e2, q, f1, f2, f3 = etdrk4_coefficients_by_gathers(dt * symbol, dt)
+
+    def nonlinear(u):
+        g = axisym.profile_geometry(u[0], u[1] + ramp, 10, spacing, winding)
+        return np.fft.rfft(np.array([g.H * g.nu_phi, g.H * g.nu_xi]))
+
+    def stage(x_hat):
+        return nonlinear(np.fft.irfft(x_hat, n=len(phi))) - symbol * x_hat
+
+    u_hat = np.fft.rfft(np.array([phi, xi - ramp]))
+    n_u = np.fft.rfft(np.array([geom.H * geom.nu_phi, geom.H * geom.nu_xi])) - symbol * u_hat
+    a_hat = e2 * u_hat + q * n_u
+    n_a = stage(a_hat)
+    n_b = stage(e2 * u_hat + q * n_a)
+    n_c = stage(e2 * a_hat + q * (2.0 * n_b - n_u))
+    ref = np.fft.irfft(e * u_hat + f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c, n=len(phi))
+
+    def velocity(u):
+        u[1] += ramp
+        return axisym._normal_velocity(u, 10, spacing, winding)
+
+    u_v0 = np.array([[phi, xi - ramp], [geom.H * geom.nu_phi, geom.H * geom.nu_xi]])
+    assert np.array_equal(_bits(_etdrk4_step(u_v0, velocity, symbol, dt)), _bits(ref))
+
+
 @pytest.mark.parametrize(
     "r1sq, amplitude, n_points, t_max, kind",
     [
