@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import GeometryError, MeshDegenerate, NonEmbedded
+from .errors import DomainError, GeometryError, MeshDegenerate, NonEmbedded
 from .thresholds import PinchingParams
 
 __all__ = [
@@ -107,13 +107,18 @@ def _invariants(n: int, kappa_orbit, kappa_profile):
 
 
 def curvature_data(n: int, kappa_orbit, kappa_profile) -> CurvatureData:
-    """Curvature data of principal curvatures kappa_orbit (n-1 times) and kappa_profile."""
-    return CurvatureData(kappa_orbit, kappa_profile, *_invariants(n, kappa_orbit, kappa_profile))
+    """Curvature data of principal curvatures kappa_orbit (n-1 times) and kappa_profile.
 
-
-def embed(phi: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Orbit-space points on the unit hemisphere in R^3."""
-    return np.stack([np.sin(phi), np.cos(phi) * np.cos(xi), np.cos(phi) * np.sin(xi)], axis=1)
+    DomainError where a curvature is not finite or an invariant leaves the double range.
+    """
+    if not (np.isfinite(kappa_orbit).all() and np.isfinite(kappa_profile).all()):
+        raise DomainError("principal curvatures must be finite")
+    try:
+        with np.errstate(over="raise"):
+            invariants = _invariants(n, kappa_orbit, kappa_profile)
+    except FloatingPointError:
+        raise DomainError("the curvature invariants leave the double range") from None
+    return CurvatureData(kappa_orbit, kappa_profile, *invariants)
 
 
 def winding_of(xi: np.ndarray) -> int:

@@ -66,7 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--epsilon", type=float, default=None)
     p_sim.add_argument("--sigma", type=float, default=0.1)
     p_sim.add_argument("--t-max", type=float, default=None)
-    p_sim.add_argument("--tol", type=float, default=1e-10)
+    p_sim.add_argument(
+        "--tol", type=float, default=None,
+        help=f"tolerance of the adaptive sphere and product routes (default {FlowConfig.tol!r})",
+    )
     p_sim.add_argument("--output", default="trace.csv")
     p_sim.add_argument("--terminal-json", default=None)
     p_sim.add_argument(
@@ -125,6 +128,14 @@ def _load_state(args, params):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate":
+        if args.tol is None:
+            args.tol = FlowConfig.tol
+        elif args.family in ("product-exact", "axisymmetric"):  # a closed form, fixed steps
+            parser.error(
+                f"--tol applies only to --family sphere and product, the routes that integrate "
+                f"adaptively; --family {args.family} reads no tolerance"
+            )
     echo = {k: v for k, v in vars(args).items() if k != "command"}
     echo["command"] = args.command
     try:

@@ -18,9 +18,9 @@ and the product ODE has the exact solution y = (n-1)/n (1 - d e^{2nt}) and
 collapse time T = -log(d)/(2n) for 0 < d = 1 - n y(0)/(n-1) < 1 only (else
 product_collapse_time raises DomainError); the numeric route integrates the
 reductions with the package's scalar Dormand–Prince 5(4) integrator
-(``pinchflow.ode``), caching the latest c = 1 integrations (_integrate).  Its
-events are levels of y, each naming its terminal: a round point, a great
-circle or a blowup, reached a closed-form tail after the level.
+(``pinchflow.ode``), caching the latest c = 1 integrations (_integrate).  A
+run ends where y falls to its floor (a round point or a great circle) or rises
+to its ceiling (a blowup), each terminal a closed-form tail after the bound.
 
 Torus-type profiles, the same (phi, xi) at every c, evolve by the method of
 lines: normal velocity H at every sample and exponential-time-differencing
@@ -138,9 +138,11 @@ class FlowConfig:
     """Run parameters; epsilon defaults from the initial state.
 
     t_max and dt_initial are ambient times (the routes step in ct), and tol
-    is at least TOL_MIN.  dt_initial bounds the adaptive integrator from above
-    as well (initial and maximum step), which pins the accuracy of finite
-    differences taken on the accepted steps.
+    is at least TOL_MIN.  Only the adaptive ODE route (flow_ode_numeric, the
+    sphere and the product) reads tol; the closed-form product and the
+    profile route validate it and step without it.  dt_initial bounds the
+    adaptive integrator from above as well (initial and maximum step), which
+    pins the accuracy of finite differences taken on the accepted steps.
     """
 
     epsilon: float | None = None
@@ -358,12 +360,12 @@ def _ode_start(state, params: PinchingParams) -> tuple[str, float, bool]:
     raise GeometryError(f"ODE flow supports homogeneous states only, got {state!r}")
 
 
-def _ode_rhs_and_events(kind: str, n: int):
-    """Right-hand side y' = rhs(y) of a reduction at c = 1, and its events.
+def _ode_rhs_and_bounds(kind: str, n: int):
+    """Right-hand side y' = rhs(y) of a reduction at c = 1, and the bounds of y that end it.
 
-    ' is d/d(ct).  An event is (level, direction, kind, tail): the run ends
-    where y reaches level moving in direction, and the flow ends in a
-    ``kind`` terminal a time ``tail`` (at c = 1) later.
+    ' is d/d(ct).  The bounds map "floor" and "ceiling" (none for the sphere)
+    to (level, kind, tail): the run ends where y reaches level, and the flow
+    ends in a ``kind`` terminal a time ``tail`` (at c = 1) later.
     """
     if kind == "sphere":
 
@@ -380,18 +382,18 @@ def _ode_rhs_and_events(kind: str, n: int):
 
         # tail of dz/dt = -2n + O(z) from the level to 0
         level = ROUND_POINT_RHO ** 2
-        return rhs, [(level, -1, TerminalKind.ROUND_POINT, level / (2.0 * n))]
+        return rhs, {"floor": (level, TerminalKind.ROUND_POINT, level / (2.0 * n))}
 
     def rhs(y):
         return 2.0 - 2.0 * n + 2.0 * n * y
 
     # exact linear-ODE tail from the level to y = 0
     collapse_tail = product_collapse_time(COLLAPSE_R1SQ, PinchingParams(n))
-    return rhs, [
-        (COLLAPSE_R1SQ, -1, TerminalKind.GREAT_CIRCLE_COLLAPSE, collapse_tail),
+    return rhs, {
+        "floor": (COLLAPSE_R1SQ, TerminalKind.GREAT_CIRCLE_COLLAPSE, collapse_tail),
         # lam^2 = 1/y - 1 small <=> |h|^2 ~ 1/lam^2 large
-        (1.0 / (1.0 + 1.0 / BLOWUP_H2), 1, TerminalKind.BLOWUP, 0.0),
-    ]
+        "ceiling": (1.0 / (1.0 + 1.0 / BLOWUP_H2), TerminalKind.BLOWUP, 0.0),
+    }
 
 
 @functools.lru_cache(maxsize=8)
@@ -400,7 +402,7 @@ def _integrate(
 ) -> tuple[OdeSolution, tuple | None]:
     """The c = 1 integration of a reduction, by the module-level solve_ivp.
 
-    Returns the solution and the (kind, tail) of the event that ended it, or
+    Returns the solution and the (kind, tail) of the bound that ended it, or
     None at the horizon.
 
     Cached: a state given as c = 1 numbers over sqrt(c) or c, as verify's
@@ -408,14 +410,12 @@ def _integrate(
     c = 4^k (c = 2^k for the product).  The arrays are read-only, since the
     cache hands the same solution to each caller.
     """
-    rhs, events = _ode_rhs_and_events(kind, n)
-    sol = solve_ivp(
-        rhs, t_bound, y0, rtol=rtol, atol=atol,
-        events=[(level, direction) for level, direction, _, _ in events], max_step=max_step,
-    )
+    rhs, bounds = _ode_rhs_and_bounds(kind, n)
+    levels = {name: level for name, (level, _, _) in bounds.items()}
+    sol = solve_ivp(rhs, t_bound, y0, rtol=rtol, atol=atol, max_step=max_step, **levels)
     sol.t.setflags(write=False)
     sol.y.setflags(write=False)
-    return sol, None if sol.event is None else events[sol.event][2:]
+    return sol, None if sol.event is None else bounds[sol.event][1:]
 
 
 def flow_ode_numeric(

@@ -131,10 +131,14 @@ class PinchingVerdict:
 def product_lambda_for_mean_curvature(params: PinchingParams, H: float) -> float:
     """Principal curvature of the product state with prescribed |H|.
 
-    Positive root of (n-1) lam^2 - |H| lam - c = 0, always >= sqrt(c/(n-1)).
+    Positive root of (n-1) lam^2 - |H| lam - c = 0, always >= sqrt(c/(n-1));
+    DomainError where it is not finite.
     """
-    n, c = params.n, params.c
-    return (abs(H) + np.sqrt(H * H + 4.0 * (n - 1.0) * c)) / (2.0 * (n - 1.0))
+    n, c, H = params.n, params.c, float(H)  # Python floats overflow to inf without a warning
+    lam = (abs(H) + np.sqrt(H * H + 4.0 * (n - 1.0) * c)) / (2.0 * (n - 1.0))
+    if not np.isfinite(lam):  # a NaN or infinite H, or H^2 past the double range
+        raise DomainError(f"the product curvature for mean curvature H = {H!r} is not finite")
+    return lam
 
 
 def check_sphere_radius(state: GeodesicSphere, params: PinchingParams) -> np.ndarray:

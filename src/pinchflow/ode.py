@@ -1,14 +1,14 @@
-"""Scalar autonomous Dormand–Prince 5(4) integration with level events, in Python floats.
+"""Scalar autonomous Dormand–Prince 5(4) integration inside an interval of y, in Python floats.
 
 The pair is Dormand & Prince (J. Comput. Appl. Math. 6, 1980), advanced with
 the 5th-order solution (local extrapolation).  Step control follows Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.4, with the constants of scipy's RK45:
 safety factor 0.9, step factors clamped to [0.2, 10], error exponent -1/5, no
-growth right after a rejection, and the same initial-step heuristic.  An
-event is a level of y and a direction.  Events are located on the step's
-4th-order dense output (§II.6) by bisection to adjacent floats, and every
-event is terminal: the solution ends at the first root, and an initial value
-already on or past a level ends it at t = 0.
+growth right after a rejection, and the same initial-step heuristic.  The
+run stays in an open interval (floor, ceiling) of y and ends where y reaches
+either bound, located on the step's 4th-order dense output (§II.6) by
+bisection to adjacent floats; an initial value on or outside the interval
+ends it at t = 0.
 
 Both homogeneous flow reductions are scalar and autonomous, so the state is
 one float, the right-hand side takes y alone, and a step costs six
@@ -45,14 +45,14 @@ P = (
 class OdeSolution:
     """Accepted times ``t`` and states ``y`` (1-D), and the right-hand-side calls ``nfev``.
 
-    ``event`` is the index of the event that ended the run at ``t[-1]``, or
-    None when the run reached the end of the interval.
+    ``event`` names the bound of y that ended the run at ``t[-1]``, "floor"
+    or "ceiling", or is None when the run reached t_bound.
     """
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    event: int | None
+    event: str | None
 
 
 def _initial_step(rhs, y0, f0, t_bound, rtol, atol):
@@ -66,11 +66,6 @@ def _initial_step(rhs, y0, f0, t_bound, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, t_bound)
-
-
-def _past(y, level, direction):
-    """Whether y lies on or past an event level, seen in the event's direction."""
-    return y >= level if direction > 0 else y <= level
 
 
 def _locate(level, dense, lo, hi):
@@ -93,25 +88,25 @@ def _locate(level, dense, lo, hi):
             hi = mid
 
 
-def solve_ivp(rhs, t_bound, y0, *, rtol, atol, events=(), max_step=None):
-    """Integrate y' = rhs(y) for a float y from t = 0 to t_bound > 0.
+def solve_ivp(rhs, t_bound, y0, *, rtol, atol, floor=-math.inf, ceiling=math.inf, max_step=None):
+    """Integrate y' = rhs(y) for a float y from t = 0 to t_bound > 0 while floor < y < ceiling.
 
-    ``events`` are (level, direction) pairs: event i fires when y reaches its
-    level moving up (direction > 0) or down (< 0).  Before each step y lies
-    strictly on the near side of every level, so an event fires exactly when
-    a step ends on or past its level; a y0 already there ends the run at
-    t = 0 with no step taken.  ``max_step``, when given, bounds every step and
-    is the first step; otherwise the starting-step heuristic picks the first
-    step.  A step below 10 ulp(t) raises StepUnderflow, and a y0 or rhs(y0)
-    that is not finite raises DomainError before the first step.
+    y lies strictly between the bounds before each step, so the run ends when
+    a step ends on or outside one, at the bound's root on the step's dense
+    output; a y0 on or outside them ends it at t = 0 with no step taken.
+    ``max_step``, when given, bounds every step and is the first step;
+    otherwise the starting-step heuristic picks the first step.  A step below
+    10 ulp(t) raises StepUnderflow; a y0 or rhs(y0) that is not finite, or
+    bounds without floor < ceiling, raise DomainError before the first step.
     """
     t, y = 0.0, float(y0)
     if not math.isfinite(y):
         raise DomainError(f"the integrator needs a finite initial value, got {y!r}")
+    if not floor < ceiling:  # NaN fails too
+        raise DomainError(f"the integrator needs floor < ceiling, got {floor!r} and {ceiling!r}")
     ts, ys = [t], [y]
-    event = next((i for i, (level, sense) in enumerate(events) if _past(y, level, sense)), None)
-    if event is not None:
-        return OdeSolution(np.array(ts), np.array(ys), 0, event)
+    if y <= floor or y >= ceiling:
+        return OdeSolution(np.array(ts), np.array(ys), 0, "floor" if y <= floor else "ceiling")
     f = rhs(y)
     nfev = 1
     if not math.isfinite(f):
@@ -122,7 +117,7 @@ def solve_ivp(rhs, t_bound, y0, *, rtol, atol, events=(), max_step=None):
         nfev += 1
     else:
         h_abs = max_step
-    while t < t_bound and event is None:
+    while t < t_bound:
         min_step = 10.0 * math.ulp(t)
         h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
@@ -152,18 +147,20 @@ def solve_ivp(rhs, t_bound, y0, *, rtol, atol, events=(), max_step=None):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** -0.2)
             rejected = True
-        t_old, y_old, ks = t, y, (k1, k3, k4, k5, k6, k7)
+        if y_new <= floor or y_new >= ceiling:
+            break
         t, y, f = t_new, y_new, k7
-        fired = [i for i, (level, sense) in enumerate(events) if _past(y, level, sense)]
-        if fired:
-            q = [sum(k * row[j] for k, row in zip(ks, P)) for j in range(4)]
-
-            def dense(s):
-                x = (s - t_old) / h
-                return y_old + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
-
-            t, event = min((_locate(events[i][0], dense, t_old, t), i) for i in fired)
-            y = dense(t)
         ts.append(t)
         ys.append(y)
-    return OdeSolution(np.array(ts), np.array(ys), nfev, event)
+    else:
+        return OdeSolution(np.array(ts), np.array(ys), nfev, None)
+    # the step from t to t_new ends on or past a bound: the run ends at the bound's root
+    event, level = ("floor", floor) if y_new <= floor else ("ceiling", ceiling)
+    q = [sum(k * row[j] for k, row in zip((k1, k3, k4, k5, k6, k7), P)) for j in range(4)]
+
+    def dense(s):
+        x = (s - t) / h
+        return y + h * x * (q[0] + x * (q[1] + x * (q[2] + x * q[3])))
+
+    t_end = _locate(level, dense, t, t_new)
+    return OdeSolution(np.array(ts + [t_end]), np.array(ys + [dense(t_end)]), nfev, event)

@@ -62,7 +62,11 @@ class PinchingParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
+        try:
+            whole = int(self.n) == self.n
+        except (ValueError, OverflowError):  # NaN, the infinities
+            whole = False
+        if not whole or self.n < 3:
             raise DomainError(f"dimension n must be an integer >= 3, got {self.n!r}")
         if not (self.c > 0.0) or not np.isfinite(self.c):
             raise DomainError(f"ambient curvature c must be positive, got {self.c!r}")

@@ -19,7 +19,6 @@ from pinchflow.axisym import (
     _segments_intersect,
     _turns,
     curvature_of_profile,
-    embed,
     periodic_derivatives,
     perturbed_product_profile,
     product_profile,
@@ -135,6 +134,11 @@ def test_resample_of_wrapped_xi_is_bits_of_unwrapped_copy(skew):
     assert np.array_equal(got[1], np.unwrap(wrapped)) == (skew == 0.0)
     for a, b in zip(got, ref):
         assert np.array_equal(a, b)
+
+
+def embed(phi, xi):
+    """Orbit-space points (phi, xi) on the unit hemisphere in R^3, one row each."""
+    return np.stack([np.sin(phi), np.cos(phi) * np.cos(xi), np.cos(phi) * np.sin(xi)], axis=1)
 
 
 def embedded_arclength(phi, xi):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pinchflow
 from pinchflow.cli import _load_state, build_parser, main
-from pinchflow.flow import product_collapse_time
+from pinchflow.flow import FlowConfig, product_collapse_time
 from pinchflow.thresholds import PinchingParams
 from pinchflow.verify import DEFAULT_CS, DEFAULT_NS
 
@@ -639,6 +639,30 @@ def test_tolerance_below_the_integrator_floor_is_a_runtime_error(tol, tmp_path, 
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("family_flag", ["product-exact", "axisymmetric"])
+def test_tolerance_on_a_route_that_reads_none_is_a_usage_error(family_flag, tmp_path, capsys):
+    # the closed form and the fixed-step profile route read no tol, so a given
+    # one is refused before anything runs, whatever its value
+    trace = tmp_path / "trace.csv"
+    for tol in ("1e-3", "1e-30"):
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--family", family_flag, "--n", "10", "--c", "1", "--tol", tol,
+                  "--output", str(trace)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage:") and "Traceback" not in stderr
+        assert "--tol applies only to --family sphere and product" in stderr
+    assert not trace.exists()
+
+
+def test_tolerance_defaults_in_the_config_echo(tmp_path):
+    # a run without --tol echoes the tol of FlowConfig, as when the flag had a default
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", "--family", "product-exact", "--output", str(trace)]) == 0
+    echo = next(line for line in trace.read_text().splitlines() if line.startswith("# config"))
+    assert '"tol": 1e-10' in echo
+
+
 def test_verify_past_the_double_range_exits_without_a_traceback(tmp_path):
     # the lattice checks run at c = 1, so c = 1e-200 and 1e200 pass without a
     # warning; at 1e300 the flows' curvature leaves the double range: a typed error
@@ -831,6 +855,10 @@ def _assert_cli_contract(argv, directory):
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2), argv
+    if argv[0] == "simulate" and "--tol" in argv:
+        # the closed form and the profile route read no tol and refuse one
+        family = argv[argv.index("--family") + 1] if "--family" in argv else "product"
+        assert code == 2 or family not in ("product-exact", "axisymmetric"), argv
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in out + err, argv
     if code == 1:
@@ -885,7 +913,8 @@ def _assert_closed_form_terminal(argv) -> bool:
     if args.family == "product-exact":
         assert payload["T"] == T, argv
     else:
-        assert abs(payload["T"] - T) <= 10.0 * args.tol * abs(T), (argv, payload["T"], T)
+        tol = FlowConfig.tol if args.tol is None else args.tol
+        assert abs(payload["T"] - T) <= 10.0 * tol * abs(T), (argv, payload["T"], T)
     return True
 
 

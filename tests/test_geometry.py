@@ -1,5 +1,7 @@
 """Curvature data of the hypersurface families and pinching classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,32 @@ def test_product_sweep_weak_equality_iff_branch_point(n):
             assert verdict.kind is PinchingClass.WEAK_EQUALITY
         elif H * H <= fam.x0 * (1.0 - 1e-9):
             assert verdict.kind is PinchingClass.VIOLATED
+
+
+@pytest.mark.parametrize("H", [np.nan, np.inf])
+def test_product_curvature_of_a_nonfinite_mean_curvature_is_a_domain_error(H):
+    # it returned nan and inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite"):
+            product_lambda_for_mean_curvature(PinchingParams(10), H)
+
+
+def test_curvature_invariants_past_the_double_range_are_a_domain_error():
+    # (n-1) kappa^2 overflowed with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="double range"):
+            curvature_data(10, np.array([1e154]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("kappa", [np.inf, -np.inf, np.nan])
+def test_nonfinite_principal_curvatures_are_a_domain_error(kappa):
+    # so ricci_lower_bound and simons_W, which warned or returned NaN on such
+    # data, are never handed it
+    for orbit, profile in ((np.array([kappa, 1.0]), np.ones(2)), (1.0, kappa)):
+        with pytest.raises(DomainError, match="must be finite"):
+            curvature_data(10, orbit, profile)
 
 
 def test_axisymmetric_state_matches_product():

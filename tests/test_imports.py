@@ -39,13 +39,16 @@ def test_package_modules_use_every_import():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
-def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level _name functions and classes that nothing outside their own definition names.
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that nothing outside their own definition names.
 
     A reference is a Name, an attribute or an imported name anywhere in the
-    given modules; a helper that only calls itself counts as unreferenced.
+    given modules, or an entry of a module's ``__all__``; a definition that
+    only calls itself counts as unreferenced.  Dunder names are skipped.  So a
+    public name passes when the package calls it, lists it in ``__all__`` or
+    re-exports it from ``__init__``.
     """
-    helpers, referenced = [], set()
+    definitions, referenced = [], set()
     for source in sources.values():
         for stmt in ast.parse(source).body:
             names = set()
@@ -56,12 +59,16 @@ def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
                     names.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     names.update(a.name for a in node.names)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            ):
+                names.update(ast.literal_eval(stmt.value))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 if not stmt.name.startswith("__"):
-                    helpers.append(stmt.name)
+                    definitions.append(stmt.name)
                 names.discard(stmt.name)
             referenced |= names
-    return [name for name in helpers if name not in referenced]
+    return [name for name in definitions if name not in referenced]
 
 
 def test_unreferenced_helpers_are_found():
@@ -70,13 +77,31 @@ def test_unreferenced_helpers_are_found():
         "def _imported():\n    pass\n\ndef _attr():\n    pass\n",
         "b.py": "from a import _imported\nimport a\nx = _Used()\na._attr()\n",
     }
-    assert unreferenced_helpers(sources) == ["_dead"]
+    assert unreferenced_definitions(sources) == ["_dead"]
+
+
+def test_unreferenced_public_names_are_found():
+    sources = {
+        "a.py": "__all__ = ['listed']\n\ndef listed():\n    pass\n\ndef orphan():\n"
+        "    return orphan()\n\nclass Called:\n    pass\n\ndef exported():\n    pass\n",
+        "b.py": "x = 'orphan'\n\ndef use():\n    return Called()\n",
+        "__init__.py": "from .a import exported\n",
+    }
+    assert unreferenced_definitions(sources) == ["orphan", "use"]
 
 
 def test_package_private_helpers_have_callers():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 5
-    assert unreferenced_helpers(sources) == []
+    assert [name for name in unreferenced_definitions(sources) if name.startswith("_")] == []
+
+
+def test_package_public_names_have_callers_or_exports():
+    # a public function or class that the package neither calls nor exports is
+    # dead code that only its tests keep alive
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 5
+    assert [name for name in unreferenced_definitions(sources) if not name.startswith("_")] == []
 
 
 def unread_constants(sources: dict[str, str]) -> list[str]:

@@ -29,6 +29,15 @@ def test_params_validation():
         PinchingParams(n=5, c=-1.0)
 
 
+@pytest.mark.parametrize("n", [float("nan"), float("inf")])
+def test_nonfinite_dimension_is_a_domain_error(n):
+    # int(n) raised ValueError for NaN and OverflowError for inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="integer >= 3"):
+            PinchingParams(n)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_alpha_at_zero_is_nc(n, c):
