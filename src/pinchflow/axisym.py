@@ -116,7 +116,11 @@ def curvature_data(n: int, kappa_orbit, kappa_profile) -> CurvatureData:
     try:
         with np.errstate(over="raise"):
             invariants = _invariants(n, kappa_orbit, kappa_profile)
-    except FloatingPointError:
+        # Python floats: a sum or product in |h|^2 overflows to inf silently
+        # (then |h|^2 is the invariant that does), a power raises OverflowError
+        if isinstance(invariants[1], float) and invariants[1] == np.inf:
+            raise OverflowError
+    except (FloatingPointError, OverflowError):
         raise DomainError("the curvature invariants leave the double range") from None
     return CurvatureData(kappa_orbit, kappa_profile, *invariants)
 
@@ -167,7 +171,9 @@ def second_difference_symbol(n_points: int, spacing: float) -> np.ndarray:
 
     Mode k (theta = 2 pi k / n_points) gets
     (-2 cos(2 theta) + 32 cos(theta) - 30) / (12 spacing^2), all <= 0; the
-    theta part is computed once per n_points.
+    theta part is computed once per n_points.  The stencil is 4th order: on
+    the AC8 ripple each doubling of n_points from 48 to 384 cuts the error of
+    the profile flow by at least 12x (~16x measured).
     """
     return _stencil_cosines(n_points) / (12.0 * spacing ** 2)
 

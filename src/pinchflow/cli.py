@@ -193,39 +193,38 @@ def main(argv=None) -> int:
                 return 1
             return 0
 
-        if args.command == "simulate":
-            params = PinchingParams(n=args.n, c=args.c)
-            state = _load_state(args, params)
-            config = FlowConfig(
-                epsilon=args.epsilon,
-                sigma=args.sigma,
-                t_max=args.t_max,
-                tol=args.tol,
-            )
-            config.validate()  # before any file is written
-            if args.curvature_csv:
-                export.write_curvature_csv(args.curvature_csv, state, params, echo)
-            if args.family == "product-exact":
-                trace = flow_product_exact(state, params, config)
-            elif args.family == "axisymmetric":
-                trace = flow_axisymmetric(state, params, config)
-            else:
-                trace = flow_ode_numeric(state, params, config)
-            export.write_trace_csv(args.output, trace, echo)
-            if args.terminal_json:
-                export.write_terminal_json(args.terminal_json, trace, echo)
-            print(
-                f"terminal: {trace.terminal.kind.value} at T = {trace.terminal.time!r} "
-                f"({len(trace.monitors)} recorded steps)"
-            )
-            return 0
+        # simulate, the one command left: the subparsers are required
+        params = PinchingParams(n=args.n, c=args.c)
+        state = _load_state(args, params)
+        config = FlowConfig(
+            epsilon=args.epsilon,
+            sigma=args.sigma,
+            t_max=args.t_max,
+            tol=args.tol,
+        )
+        config.validate()  # before any file is written
+        if args.curvature_csv:
+            export.write_curvature_csv(args.curvature_csv, state, params, echo)
+        if args.family == "product-exact":
+            trace = flow_product_exact(state, params, config)
+        elif args.family == "axisymmetric":
+            trace = flow_axisymmetric(state, params, config)
+        else:
+            trace = flow_ode_numeric(state, params, config)
+        export.write_trace_csv(args.output, trace, echo)
+        if args.terminal_json:
+            export.write_terminal_json(args.terminal_json, trace, echo)
+        print(
+            f"terminal: {trace.terminal.kind.value} at T = {trace.terminal.time!r} "
+            f"({len(trace.monitors)} recorded steps)"
+        )
+        return 0
     except PinchflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's _ArrayMemoryError names the size refused
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -17,11 +17,16 @@ class DomainError(PinchflowError):
 
 @contextlib.contextmanager
 def double_range(what: str, c: float):
-    """Raise DomainError where numpy overflows inside the block: ``what`` leaves the range at c."""
+    """Raise DomainError where numpy overflows inside the block: ``what`` leaves the range at c.
+
+    A Python float power that overflows (OverflowError) raises it too.  A
+    Python float product overflows to inf silently: a block that may see
+    Python floats tests its results for finiteness as well.
+    """
     try:
         with np.errstate(over="raise"):
             yield
-    except FloatingPointError:
+    except (FloatingPointError, OverflowError):
         raise DomainError(f"{what} leaves the double range at c = {c!r}") from None
 
 

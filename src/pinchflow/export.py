@@ -129,9 +129,9 @@ def _report_json(r) -> str:
 
 
 def _json_value(value) -> str:
-    """A report field as json.dumps writes it there: floats, str, int, bool, [] and None directly.
+    """A report field as json.dumps writes it there: floats, str, int, bool and [] directly.
 
-    Anything else, such as a non-empty list of loci, a subclass of those
+    Anything else, such as None, a non-empty list of loci, a subclass of those
     types or a non-finite float (which raises ValueError), goes through
     json.dumps with the payload's options, re-indented to its depth.
     """
@@ -148,8 +148,6 @@ def _json_value(value) -> str:
     elif kind is list:
         if not value:
             return "[]"
-    elif value is None:
-        return "null"
     text = json.dumps(value, indent=2, sort_keys=True, default=str, allow_nan=False)
     return text.replace("\n", _FIELD_INDENT)
 

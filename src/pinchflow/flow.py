@@ -299,8 +299,7 @@ def flow_product_exact(
         raise GeometryError(f"exact product flow needs a product state, got {kind}")
     config = (config or FlowConfig()).resolved(lambda: curvature_of(initial, params), params)
     c = params.c
-    with double_range("the product radius", c):
-        y0 = c * initial.r1sq(params)
+    _, y0, _ = _ode_start(initial, params)
     unit = PinchingParams(params.n)
     T = product_collapse_time(y0, unit)
     t_max = config.t_max * c
@@ -332,7 +331,7 @@ def product_collapse_time(r1sq, params: PinchingParams):
 def product_r1sq_exact(r1sq0, params: PinchingParams, t) -> np.ndarray:
     """Exact r1(t)^2 from r1(0)^2 = r1sq0; DomainError where it leaves the double range."""
     n, c = params.n, params.c
-    d = 1.0 - n * c * r1sq0 / (n - 1.0)
+    d = 1.0 - n * (c * r1sq0) / (n - 1.0)  # as product_collapse_time forms it
     with double_range("the product radius", c):
         return (n - 1.0) / (n * c) * (1.0 - d * np.exp(2.0 * n * c * np.asarray(t, dtype=float)))
 
@@ -448,7 +447,14 @@ def flow_axisymmetric(
     params: PinchingParams,
     config: FlowConfig | None = None,
 ) -> FlowTrace:
-    """Method-of-lines flow of a torus-type profile by normal velocity H, stepped at c = 1."""
+    """Method-of-lines flow of a torus-type profile by normal velocity H, stepped at c = 1.
+
+    ETDRK4 in time, 4th order, and the 4th-order five-point stencil of
+    axisym.second_difference_symbol in space.  On the AC8 ripple (n = 10, N =
+    96, t_max = 0.25) each halving of a step cap below the first step cuts the
+    error of g_sigma at the horizon by at least 8x, and each doubling of N
+    from 48 to 384 by at least 12x (tests/test_flow.py pins both).
+    """
     if not isinstance(initial, Axisymmetric):
         kind = type(initial).__name__
         raise GeometryError(f"axisymmetric flow needs a profile state, got {kind}")

@@ -169,12 +169,27 @@ def curvature_of(state: HypersurfaceState, params: PinchingParams) -> CurvatureD
     raise GeometryError(f"unsupported hypersurface state {state!r}")
 
 
+def _finite(what: str, c: float, value) -> float | np.ndarray:
+    """value, a float where it is 0-d; DomainError where an entry is not finite.
+
+    Under double_range numpy values and Python float powers raise on overflow;
+    a Python float product overflows to inf silently, which this catches.
+    """
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{what} leaves the double range at c = {c!r}")
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def simons_W(data: CurvatureData, params: PinchingParams) -> float | np.ndarray:
-    """Reaction term W = H * tr(h^3) - |h|^4 + n c |h0|^2 from the principal curvatures."""
+    """Reaction term W = H * tr(h^3) - |h|^4 + n c |h0|^2 from the principal curvatures.
+
+    DomainError where W leaves the double range.
+    """
     n, c = params.n, params.c
-    cube_sum = (n - 1.0) * data.kappa_orbit ** 3 + data.kappa_profile ** 3
-    W = data.H * cube_sum - data.h_norm2 ** 2 + n * c * data.h0_norm2
-    return float(W) if np.ndim(W) == 0 else W
+    with double_range("the reaction term W", c):
+        cube_sum = (n - 1.0) * data.kappa_orbit ** 3 + data.kappa_profile ** 3
+        W = data.H * cube_sum - data.h_norm2 ** 2 + n * c * data.h0_norm2
+    return _finite("the reaction term W", c, W)
 
 
 def okumura_constant(n: int) -> float:
@@ -189,18 +204,28 @@ def ricci_lower_bound(
 ):
     """Lower bound for the Ricci curvature of the hypersurface.
 
+    The bound is (n-1)/n (n c + 2H^2/n - |h|^2 - C |H| |h0|), C =
+    okumura_constant(n).  On the principal curvatures a (n-1 times) and b,
+    with m = n - 1 and H = m a + b, the Okumura term is (n-2)/n |H| |a - b|,
+    so the bound is (n-1)(c + ab) where H(a - b) >= 0 and, elsewhere,
+    (n-1)/n (n c + (2(m-1)(m a^2 - b^2) + (4m - (m-1)^2) ab)/n), whose
+    quadratic form factors as (2m a - (m-1) b)((m-1) a + 2b): products of
+    linear forms in a and b, with no cancellation against the Okumura term.
+    DomainError where it leaves the double range.
+
     With epsilon given (finite and >= 0) and the state strictly pinched below
     gamma - eps*omega, also returns the positivity witness (n-1)/n * eps * omega
     as a second value.
     """
     n, c = params.n, params.c
-    bound = (n - 1.0) / n * (
-        n * c
-        + 2.0 / n * data.H ** 2
-        - data.h_norm2
-        - okumura_constant(n) * np.abs(data.H) * np.sqrt(data.h0_norm2)
-    )
-    bound = float(bound) if np.ndim(bound) == 0 else bound
+    a, b, m = data.kappa_orbit, data.kappa_profile, n - 1.0
+    with double_range("the Ricci lower bound", c):
+        bound = np.where(
+            data.H * (a - b) >= 0.0,
+            m * (c + a * b),
+            m / n * (n * c + (2.0 * m * a - (m - 1.0) * b) * ((m - 1.0) * a + 2.0 * b) / n),
+        )
+    bound = _finite("the Ricci lower bound", c, bound)
     if epsilon is None:
         return bound
     if not 0.0 <= epsilon < np.inf:

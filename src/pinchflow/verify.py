@@ -158,22 +158,19 @@ def _inequality_report(
     detections inside that one-cell neighborhood.  cells is _cells(us).
     """
     normalized = margin / scale
-    near = np.zeros(len(us), dtype=bool)
-    for p in loci_points:
-        near |= np.abs(us - p) <= cells
-    for a, b in loci_intervals:
-        near |= (us >= a - cells) & (us <= b + cells)
     eq = np.abs(normalized) <= EQUALITY_RTOL
-    strict_zone = ~near
-    ok_strict = bool(np.all(normalized[strict_zone] > strict_rtol)) if strict_zone.any() else True
-    ok_sign = bool(np.all(normalized >= -EQUALITY_RTOL))
+    near = np.zeros(len(us), dtype=bool)
     ok_loci_detected = True
     for p in loci_points:
-        ok_loci_detected &= bool(np.any(eq & (np.abs(us - p) <= cells)))
+        at_p = np.abs(us - p) <= cells
+        near |= at_p
+        ok_loci_detected &= bool(np.any(eq & at_p))
     for a, b in loci_intervals:
-        inside = (us >= a + cells) & (us <= b - cells)
-        if inside.any():
-            ok_loci_detected &= bool(np.all(eq[inside]))
+        near |= (us >= a - cells) & (us <= b + cells)
+        ok_loci_detected &= bool(np.all(eq[(us >= a + cells) & (us <= b - cells)]))
+    strict_zone = ~near
+    ok_strict = bool(np.all(normalized[strict_zone] > strict_rtol))
+    ok_sign = bool(np.all(normalized >= -EQUALITY_RTOL))
     if strict_zone.any():
         i = int(np.argmin(np.where(strict_zone, normalized, np.inf)))
     else:
@@ -253,6 +250,16 @@ def _grid_values(n: int, grid_points: int) -> _GridValues:
     return values
 
 
+def _riccati_sides(n, us, f, f1):
+    """The two sides (f + n) u f' and 2u + f^2 - nf of lemma item (ii), on gamma or alpha."""
+    return (f + n) * us * f1, 2.0 * us + f * f - n * f
+
+
+def _radical_sides(n, us, f):
+    """The two sides C sqrt(u (f - u/n)) + f and 2u/n + n of lemma item (vi), C of Okumura."""
+    return okumura_constant(n) * np.sqrt(us * (f - us / n)) + f, 2.0 * us / n + n
+
+
 def check_lemma_app(n: int, grid_points: int = DEFAULT_GRID_POINTS):
     """Items (i)-(vi) of the structural lemma, plus the two alpha identities."""
     params = PinchingParams(n)
@@ -273,8 +280,7 @@ def check_lemma_app(n: int, grid_points: int = DEFAULT_GRID_POINTS):
     )
 
     # (ii) (g + n) u g' >= 2u + g^2 - ng, equality exactly on [y_n, inf)
-    lhs2 = (g + n) * us * g1
-    rhs2 = 2.0 * us + g * g - n * g
+    lhs2, rhs2 = _riccati_sides(n, us, g, g1)
     scale2 = np.maximum.reduce([np.abs(lhs2), np.abs(rhs2), np.ones_like(us)])
     reports.append(
         _inequality_report("app_ii", params, us, cells, lhs2 - rhs2, scale2, loci_intervals=closed)
@@ -300,8 +306,7 @@ def check_lemma_app(n: int, grid_points: int = DEFAULT_GRID_POINTS):
 
     # (vi) okumura-weighted radical bound, equality exactly on [y_n, inf).
     # Third-order contact at y_n from below: sign strictness only.
-    lhs6 = okumura_constant(n) * np.sqrt(us * (g - us / n)) + g
-    rhs6 = 2.0 * us / n + n
+    lhs6, rhs6 = _radical_sides(n, us, g)
     scale6 = np.maximum(np.abs(lhs6), np.abs(rhs6))
     reports.append(
         _inequality_report(
@@ -311,14 +316,12 @@ def check_lemma_app(n: int, grid_points: int = DEFAULT_GRID_POINTS):
     )
 
     # identity: (alpha + n) u alpha' = 2u + alpha^2 - n alpha
-    lhs_id = (a + n) * us * a1
-    rhs_id = 2.0 * us + a * a - n * a
+    lhs_id, rhs_id = _riccati_sides(n, us, a, a1)
     scale_id = np.maximum.reduce([np.abs(lhs_id), np.abs(2.0 * us), a * a, n * np.abs(a)])
     reports.append(_identity_report("alid1", params, us, lhs_id, rhs_id, scale_id))
 
     # identity: okumura-weighted radical identity for alpha
-    lhs_id2 = okumura_constant(n) * np.sqrt(us * (a - us / n)) + a
-    rhs_id2 = 2.0 * us / n + n
+    lhs_id2, rhs_id2 = _radical_sides(n, us, a)
     reports.append(
         _identity_report(
             "alid2", params, us, lhs_id2, rhs_id2, np.maximum(np.abs(lhs_id2), np.abs(rhs_id2))
@@ -358,33 +361,25 @@ def check_wpp(n: int, grid_points: int = DEFAULT_GRID_POINTS):
     # asymptotics at u = 1e6, matched to 1%
     u_far = 1e6
     wf, wf1, wf2 = (float(v) for v in unit.omega(u_far))
-    lim1 = 2.0 * u_far * wf2 + wf1
-    target1 = 1.0 / (n - 1.0) ** 2
-    err1 = abs(lim1 - target1) / target1
-    reports.append(
-        _value_report(
-            "wpp_limit_second", params, err1 <= BAND_RTOL, BAND_RTOL - err1, u_far,
-            f"2x w''+w' = {lim1:.8f} vs {target1:.8f}",
+    for check_id, label, lim, target in (
+        ("wpp_limit_second", "2x w''+w'", 2.0 * u_far * wf2 + wf1, 1.0 / (n - 1.0) ** 2),
+        ("wpp_limit_support", "w - x w'", wf - u_far * wf1, 2.0 * (2.0 * n - 1.0) / (n - 1.0)),
+    ):
+        err = abs(lim - target) / target
+        reports.append(
+            _value_report(
+                check_id, params, err <= BAND_RTOL, BAND_RTOL - err, u_far,
+                f"{label} = {lim:.8f} vs {target:.8f}",
+            )
         )
-    )
-    lim2 = wf - u_far * wf1
-    target2 = 2.0 * (2.0 * n - 1.0) / (n - 1.0)
-    err2 = abs(lim2 - target2) / target2
-    reports.append(
-        _value_report(
-            "wpp_limit_support", params, err2 <= BAND_RTOL, BAND_RTOL - err2, u_far,
-            f"w - x w' = {lim2:.8f} vs {target2:.8f}",
-        )
-    )
 
     # boundedness of w - u w' over the grid
     support = w - us * w1
-    ok_bounded = bool(np.all(np.isfinite(support)))
+    size = np.abs(support)
     reports.append(
         _value_report(
-            "wpp_support_bounded", params, ok_bounded,
-            float(np.max(np.abs(support))), float(us[np.argmax(np.abs(support))]),
-            "sup |w - x w'| over grid",
+            "wpp_support_bounded", params, np.all(np.isfinite(support)),
+            float(np.max(size)), float(us[np.argmax(size)]), "sup |w - x w'| over grid",
         )
     )
     return reports
@@ -404,17 +399,13 @@ def check_constants(n: int, grid_points: int = DEFAULT_GRID_POINTS):
             f"relative cubic residual {consts.bneq_residual:.3e}",
         )
     )
-    ok_bounds = (
-        consts.y_n < np.sqrt(8.0) * n * n
-        and consts.y_n < 2.0 / 15.0 * n * (n + 2.0)
-        and consts.x0 >= consts.x1
-    )
+    # for finite doubles a < b exactly when b - a > 0
+    gaps = (np.sqrt(8.0) * n * n - consts.y_n, 2.0 / 15.0 * n * (n + 2.0) - consts.y_n,
+            consts.x0 - consts.x1)
     reports.append(
         _value_report(
-            "const_yn_bounds", params, ok_bounds,
-            min(np.sqrt(8.0) * n * n - consts.y_n, 2.0 / 15.0 * n * (n + 2.0) - consts.y_n,
-                consts.x0 - consts.x1),
-            consts.y_n,
+            "const_yn_bounds", params, gaps[0] > 0.0 and gaps[1] > 0.0 and gaps[2] >= 0.0,
+            min(gaps), consts.y_n,
             "y_n < sqrt(8) n^2, y_n < (2/15) n(n+2), x0 >= x1",
         )
     )
@@ -586,19 +577,11 @@ def _lagrange_derivative(ts: np.ndarray, *series: np.ndarray) -> tuple:
     tau = ts[window] - ts[centers, None]
     weights = []
     for j in range(LAGRANGE_WIDTH):
-        denom = np.ones(len(centers))
-        for k in range(LAGRANGE_WIDTH):
-            if k != j:
-                denom *= tau[:, j] - tau[:, k]
+        others = [k for k in range(LAGRANGE_WIDTH) if k != j]
+        denom = np.prod(tau[:, [j]] - tau[:, others], axis=1)
         num = np.zeros(len(centers))
-        for k in range(LAGRANGE_WIDTH):
-            if k == j:
-                continue
-            prod = np.ones(len(centers))
-            for l in range(LAGRANGE_WIDTH):
-                if l != j and l != k:
-                    prod *= -tau[:, l]
-            num += prod
+        for k in others:
+            num += np.prod(-tau[:, [l for l in others if l != k]], axis=1)
         weights.append((num, denom))
     derivatives = []
     for ys in series:
@@ -645,12 +628,12 @@ def check_flow_oracles(params: PinchingParams):
     initial = ProductSn1S1.from_r1sq(r1sq0, params)
     numeric = flow_ode_numeric(initial, params, config)
     exact = product_r1sq_exact(r1sq0, params, numeric.times)
-    r1sq_num = numeric.state.r1sq_exact
-    err = float(np.max(np.abs(r1sq_num - exact)) * c)
+    gap = np.abs(numeric.state.r1sq_exact - exact)
+    err = float(np.max(gap) * c)
     reports.append(
         _value_report(
             "flow_product_exact_match", params, err <= 1e-8, 1e-8 - err,
-            float(numeric.times[int(np.argmax(np.abs(r1sq_num - exact)))]),
+            float(numeric.times[int(np.argmax(gap))]),
             f"max |r1^2 - exact| * c = {err:.3e}",
         )
     )

@@ -102,6 +102,22 @@ def test_exact_product_runs_just_below_the_stationary_torus(c):
     assert trace.terminal.time == pytest.approx(-np.log(d) / (20.0 * c), rel=1e-4)
 
 
+def test_product_closed_forms_read_one_deviation(monkeypatch):
+    # d = 1 - n (c r1^2)/(n - 1): product_r1sq_exact formed n c r1^2 in another
+    # order, which rounds differently in ~24% of draws shaped like the sweep's
+    logs = []
+    log = np.log
+    monkeypatch.setattr(np, "log", lambda d: logs.append(d) or log(d))
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        n, c = int(rng.integers(3, 41)), 10.0 ** rng.uniform(-1.0, 1.0)
+        params = PinchingParams(n, c)
+        r1sq = rng.uniform(0.3, 0.95) * (n - 1.0) / (n * c)
+        product_collapse_time(r1sq, params)
+        d = logs.pop()  # at t = 0, r1^2 = (n - 1)/(nc) (1 - d e^0)
+        assert product_r1sq_exact(r1sq, params, 0.0) == (n - 1.0) / (n * c) * (1.0 - d)
+
+
 def test_exact_product_radius_past_the_double_range_is_a_domain_error():
     # e^{2nt} overflows at t = 1e3; the closed form raises instead of returning -inf
     with pytest.raises(DomainError, match="double range"):
@@ -718,6 +734,35 @@ def test_every_route_at_c_is_the_route_at_one_scaled(route):
 def _ac8_state(n_points=96, amplitude=0.005):
     phi, xi = perturbed_product_profile(P10, 0.9, amplitude=amplitude, mode=2, n_points=n_points)
     return Axisymmetric(np.stack([phi, xi], axis=1))
+
+
+def _ac8_g_sigma_at_horizon(n_points=96, dt_cap=None):
+    config = FlowConfig(epsilon=0.0, t_max=0.25, dt_initial=dt_cap)
+    trace = flow_axisymmetric(_ac8_state(n_points), P10, config)
+    assert trace.terminal.kind is TerminalKind.HORIZON_REACHED
+    return float(trace.monitors.g_sigma[-1])
+
+
+def test_ac8_error_falls_at_fourth_order_in_time():
+    from pinchflow import axisym, flow
+
+    # the step the route takes first, 0.15/(n + max|h|^2); near the torus the
+    # step stays close to it, so a cap at a fraction of it scales every step
+    state = _ac8_state()
+    phi, xi, spacing, winding = axisym.resample_profile(state.phi, state.xi)
+    h2_max = float(axisym.profile_geometry(phi, xi, 10, spacing, winding).h_norm2.max())
+    dt_first = flow._profile_dt(h2_max, 10, None)
+    g = {k: _ac8_g_sigma_at_horizon(dt_cap=k * dt_first) for k in (1.0, 0.5, 0.25, 0.125)}
+    err = [abs(g[k] / g[0.125] - 1.0) for k in (1.0, 0.5, 0.25)]
+    # ETDRK4: 3.9e-7, 2.7e-8 and 2.4e-9 against the run at 1/8, ratios 14.6 and 11.3
+    assert err[0] / err[1] >= 8.0 and err[1] / err[2] >= 8.0, err
+
+
+def test_ac8_error_falls_at_fourth_order_in_space():
+    g = {n_points: _ac8_g_sigma_at_horizon(n_points) for n_points in (48, 96, 192, 384, 768)}
+    err = [abs(g[n_points] / g[768] - 1.0) for n_points in (48, 96, 192, 384)]
+    # the five-point stencil: 1.2e-5 down to 2.8e-9 against N = 768, ratios 16.1, 16.5, 16.5
+    assert all(coarse / fine >= 12.0 for coarse, fine in zip(err, err[1:])), err
 
 
 def test_ac8_run_evaluates_the_monitors_in_two_calls(monkeypatch):

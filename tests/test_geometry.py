@@ -171,6 +171,50 @@ def test_ricci_witness_needs_a_finite_nonnegative_epsilon(epsilon):
         ricci_lower_bound(data, params, epsilon=epsilon)
 
 
+def _ricci_to_250_digits(n, c, a, b):
+    """(n-1)/n (n c + 2H^2/n - |h|^2 - C |H| |h0|) of the principal curvatures a (n-1 times), b.
+
+    At 250 digits: the terms cancel by up to ~100 digits at a = 1e100, b = 1.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(250):
+        a, b, c, n = (mpmath.mpf(v) for v in (a, b, c, n))
+        H, h2 = (n - 1) * a + b, (n - 1) * a * a + b * b
+        h0 = mpmath.sqrt((n - 1) / n) * abs(a - b)
+        okumura = (n - 2) / mpmath.sqrt(n * (n - 1))
+        return (n - 1) / n * (n * c + 2 / n * H * H - h2 - okumura * abs(H) * h0)
+
+
+def test_ricci_bound_matches_mpmath_over_six_decades():
+    # 2H^2/n - |h|^2 cancels against the Okumura term; the closed form on the
+    # two principal curvatures does not (worst 7.1e-15 over 3000 such draws)
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(3, 60))
+        c = 10.0 ** rng.uniform(-3.0, 3.0)
+        a, b = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        got = ricci_lower_bound(curvature_data(n, a, b), PinchingParams(n, c))
+        exact = _ricci_to_250_digits(n, c, a, b)
+        assert abs(got - exact) <= 1e-14 * (abs(exact) + (n - 1) * c), (n, c, a, b)
+
+
+def test_ricci_bound_keeps_its_digits_at_large_curvature():
+    # it returned 2.447e+185 against (n - 1)(c + ab) = 9.0e100
+    data = curvature_data(10, np.array([1e100]), np.array([1.0]))
+    bound = ricci_lower_bound(data, PinchingParams(10))
+    exact = float(_ricci_to_250_digits(10, 1.0, 1e100, 1.0))
+    assert exact == 9e100
+    assert abs(bound[0] - exact) <= 1e-14 * exact
+
+
+def test_ricci_bound_past_the_double_range_is_a_domain_error():
+    # Python floats: (n - 1)(c + ab) overflows to inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the Ricci lower bound leaves the double range"):
+            ricci_lower_bound(curvature_data(10, 1e153, 1e153), PinchingParams(10, 1e308))
+
+
 def test_classify_sphere_strict():
     params = PinchingParams(n=5, c=1.0)
     verdict = classify_pinching(curvature_of(GeodesicSphere(rho=0.9), params), params)
@@ -229,6 +273,33 @@ def test_curvature_invariants_past_the_double_range_are_a_domain_error():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="double range"):
             curvature_data(10, np.array([1e154]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("kappa", [1e200, 1.3e154])
+def test_python_float_invariants_past_the_double_range_are_a_domain_error(kappa):
+    # kappa^2 raised a bare OverflowError at 1e200; (n-1) kappa^2 overflowed to
+    # inf silently at 1.3e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the curvature invariants leave the double range"):
+            curvature_data(10, kappa, 1.0)
+
+
+def test_simons_W_of_python_floats_past_the_double_range_is_a_domain_error():
+    # |h|^4 raised a bare OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the reaction term W leaves the double range"):
+            simons_W(curvature_data(10, 1e77, 1.0), PinchingParams(10))
+
+
+def test_simons_W_of_arrays_past_the_double_range_is_a_domain_error():
+    # H tr(h^3) overflowed with a RuntimeWarning
+    data = curvature_data(10, np.array([1e100]), np.array([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="the reaction term W leaves the double range"):
+            simons_W(data, PinchingParams(10))
 
 
 @pytest.mark.parametrize("kappa", [np.inf, -np.inf, np.nan])

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchflow import DomainError, PinchingParams, ThresholdFamily
 from pinchflow import flow, thresholds, verify
@@ -200,6 +202,59 @@ def test_lagrange_derivative_exact_for_quartics():
         for got, series in zip(shared, (noisy[:m], ys[:m]), strict=True):
             assert np.array_equal(got, _lagrange_derivative(ts[:m], series)[0], equal_nan=True)
             assert np.array_equal(got, _lagrange_derivative_loop(ts[:m], series), equal_nan=True)
+
+
+def _lagrange_derivative_nested(ts, *series):
+    """The vectorized stencil with its weights from three nested loops over the stencil columns."""
+    m = len(ts)
+    half = verify.LAGRANGE_WIDTH // 2
+    centers = np.arange(half, m - half)
+    window = centers[:, None] + np.arange(-half, half + 1)
+    tau = ts[window] - ts[centers, None]
+    weights = []
+    for j in range(verify.LAGRANGE_WIDTH):
+        denom = np.ones(len(centers))
+        for k in range(verify.LAGRANGE_WIDTH):
+            if k != j:
+                denom *= tau[:, j] - tau[:, k]
+        num = np.zeros(len(centers))
+        for k in range(verify.LAGRANGE_WIDTH):
+            if k == j:
+                continue
+            prod = np.ones(len(centers))
+            for l in range(verify.LAGRANGE_WIDTH):
+                if l != j and l != k:
+                    prod *= -tau[:, l]
+            num += prod
+        weights.append((num, denom))
+    derivatives = []
+    for ys in series:
+        y = ys[window]
+        acc = np.zeros(len(centers))
+        for j, (num, denom) in enumerate(weights):
+            acc += y[:, j] * num / denom
+        out = np.full(m, np.nan)
+        out[half : m - half] = acc
+        derivatives.append(out)
+    return tuple(derivatives)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    start=st.floats(-1e3, 1e3),
+    steps=st.lists(
+        st.tuples(st.floats(1.0, 10.0), st.integers(-6, 3)), min_size=0, max_size=40
+    ),
+    data=st.data(),
+)
+def test_lagrange_weights_from_products_are_the_bits_of_nested_loops(start, steps, data):
+    # nonuniform grids whose spacings span ten decades, and two series on each
+    ts = start + np.cumsum([0.0] + [m * 10.0 ** e for m, e in steps])
+    values = st.lists(st.floats(-1e6, 1e6), min_size=len(ts), max_size=len(ts))
+    series = [np.array(data.draw(values)) for _ in range(2)]
+    got = _lagrange_derivative(ts, *series)
+    for a, b in zip(got, _lagrange_derivative_nested(ts, *series), strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def _at_c_by_replace(reports, params):
